@@ -359,6 +359,8 @@ class CampaignRecorder
         std::ostringstream entry;
         entry << "  {\"bench\": \"" << name << "\""
               << ", \"ops\": " << totalOps
+              // Every bench plan keeps RunSpec's warmup per cell.
+              << ", \"warmup_ops\": " << RunSpec{}.warmupOps
               << ", \"jobs\": " << t.jobs
               << ", \"host_cpus\": " << t.hostCpus
               << ", \"runs\": " << t.runs

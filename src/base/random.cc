@@ -112,10 +112,13 @@ DiscreteDistribution::sample(Pcg32 &rng) const
     panic_if(cumulative.empty(), "sampling an empty distribution");
     double total = cumulative.back();
     double u = rng.nextDouble() * total;
-    auto it = std::upper_bound(cumulative.begin(), cumulative.end(), u);
-    if (it == cumulative.end())
-        --it;
-    return static_cast<std::size_t>(it - cumulative.begin());
+    // The table is non-decreasing, so the number of entries <= u is
+    // exactly std::upper_bound's index; counting it has no branch to
+    // mispredict on a random u.
+    std::size_t idx = 0;
+    for (double c : cumulative)
+        idx += c <= u;
+    return std::min(idx, cumulative.size() - 1);
 }
 
 } // namespace loopsim

@@ -179,6 +179,10 @@ class Core : public Clocked, public IntegrityProbe
     std::string probeName() const override { return name(); }
     /// @}
 
+    /** The reorder-trap wait table, or nullptr when reorder traps
+     *  are off. */
+    const MemDepPredictor *memDependence() const { return memDep.get(); }
+
     /** The fault injector, or nullptr when fault injection is off. */
     const FaultInjector *faultInjector() const { return injector.get(); }
 
@@ -431,6 +435,15 @@ class Core : public Clocked, public IntegrityProbe
         ThreadId tid;
     };
 
+    /** A load's performed access, kept for the store-order trap
+     *  check (see handleStoreOrdering). */
+    struct PerformedLoad
+    {
+        Addr dword;
+        std::uint64_t stamp;
+        InstRef ref;
+    };
+
     struct ThreadState
     {
         TraceSource *src = nullptr;
@@ -450,6 +463,11 @@ class Core : public Clocked, public IntegrityProbe
          *  set of renamed-but-unexecuted store sequence numbers. */
         std::uint64_t storeRenameCount = 0;
         std::set<std::uint64_t> unexecStoreSeqs;
+        /** Every access a load performed while memory-dependence
+         *  prediction is on, in execution order. Entries go stale when
+         *  the load is killed, squashed or retired; the trap check
+         *  re-checks each match against the load itself. */
+        std::vector<PerformedLoad> performedLoads;
     };
 
     /** @name Stage logic (one call per cycle each) */
@@ -498,6 +516,10 @@ class Core : public Clocked, public IntegrityProbe
      *  execution: mark it executed and detect reorder traps. */
     void handleStoreOrdering(DynInst &inst, InstRef ref,
                              Cycle exec_start);
+    /** The reorder-trap victim found by walking the whole ROB: the
+     *  reference the performed-load list is audited against. */
+    InstRef orderTrapVictimByRobWalk(const ThreadState &t,
+                                     const DynInst &store) const;
 
     /** Operand classification at execute (Figure 9 accounting). */
     OperandSource classifyOperand(const DynInst &inst, unsigned idx,

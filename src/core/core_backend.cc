@@ -626,6 +626,25 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
     }
     inst.memResult = res;
     inst.memDone = true;
+    if (memDep) {
+        // Record the access for the store-order trap check. Entries
+        // older than the ROB head belong to retired or squashed loads;
+        // they are dropped when the list fills, and the list doubles
+        // when that frees less than half, so pruning costs O(1)
+        // amortised per load.
+        ThreadState &t = threads[inst.op.tid];
+        std::vector<PerformedLoad> &performed = t.performedLoads;
+        if (performed.size() == performed.capacity()) {
+            std::uint64_t head_stamp = pool.get(t.rob.head()).fetchStamp;
+            std::erase_if(performed, [&](const PerformedLoad &p) {
+                return p.stamp < head_stamp;
+            });
+            if (2 * performed.size() > performed.capacity())
+                performed.reserve(2 * performed.capacity() + 16);
+        }
+        performed.push_back(
+            PerformedLoad{inst.op.effAddr >> 3, inst.fetchStamp, ref});
+    }
     loadLevels->add(levelBin(res.level));
     loadLatency->sample(static_cast<double>(res.latency));
 
@@ -912,22 +931,35 @@ Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
     // loop): a *younger* load to the same dword that already performed
     // its access read stale data. The oldest such load restarts from
     // fetch; the wait table learns its PC.
+    //
+    // Such a load performed with memDep on, so it has an entry in the
+    // performed-load list, and pruning spares it: it is in the ROB, so
+    // its stamp is not below the head's. Each match is re-checked
+    // against the load itself (a live ref is a ROB entry, and a killed
+    // load has memDone clear), so stale entries never match and the
+    // victim is the one the ROB walk picks.
     Addr dword = inst.op.effAddr >> 3;
     InstRef victim{};
     std::uint64_t victim_stamp = 0;
-    for (std::size_t i = 0; i < t.rob.size(); ++i) {
-        InstRef r = t.rob.at(i);
-        const DynInst &cand = pool.get(r);
-        if (cand.fetchStamp <= inst.fetchStamp)
+    for (const PerformedLoad &p : t.performedLoads) {
+        if (p.dword != dword || p.stamp <= inst.fetchStamp)
             continue;
-        if (!cand.op.isLoad() || !cand.memDone || !cand.execValid)
+        if (victim.valid() && p.stamp >= victim_stamp)
             continue;
-        if ((cand.op.effAddr >> 3) != dword)
+        if (!pool.live(p.ref))
             continue;
-        if (!victim.valid() || cand.fetchStamp < victim_stamp) {
-            victim = r;
-            victim_stamp = cand.fetchStamp;
+        const DynInst &cand = pool.get(p.ref);
+        if (cand.fetchStamp != p.stamp || !cand.op.isLoad() ||
+            !cand.memDone || !cand.execValid) {
+            continue;
         }
+        victim = p.ref;
+        victim_stamp = p.stamp;
+    }
+    if (audit::enabled()) [[unlikely]] {
+        panic_if(orderTrapVictimByRobWalk(t, inst) != victim,
+                 "store-order trap check disagrees with the ROB walk: ",
+                 inst.op.toString());
     }
     if (!victim.valid())
         return;
@@ -945,6 +977,30 @@ Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
                    EventType::OrderTrap, 0, victim, invalidCycle,
                    invalidPhysReg, invalidCycle, sid});
     (void)ref;
+}
+
+InstRef
+Core::orderTrapVictimByRobWalk(const ThreadState &t,
+                               const DynInst &store) const
+{
+    Addr dword = store.op.effAddr >> 3;
+    InstRef victim{};
+    std::uint64_t victim_stamp = 0;
+    for (std::size_t i = 0; i < t.rob.size(); ++i) {
+        InstRef r = t.rob.at(i);
+        const DynInst &cand = pool.get(r);
+        if (cand.fetchStamp <= store.fetchStamp)
+            continue;
+        if (!cand.op.isLoad() || !cand.memDone || !cand.execValid)
+            continue;
+        if ((cand.op.effAddr >> 3) != dword)
+            continue;
+        if (!victim.valid() || cand.fetchStamp < victim_stamp) {
+            victim = r;
+            victim_stamp = cand.fetchStamp;
+        }
+    }
+    return victim;
 }
 
 void

@@ -597,40 +597,53 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         }
     }
 
+    // One telemetry builder for both exits. A drained campaign counts
+    // only the pending cells that finished; a complete one counts
+    // every cell, cache hits included.
+    auto recordTelemetry = [&] {
+        CampaignTelemetry t;
+        t.jobs = jobs;
+        t.hostCpus = host_cpus;
+        t.runs = plan.size();
+        t.memoHits = memoHits;
+        t.resumed = resumed;
+        t.interrupted = interrupted;
+        loadSupervisionCounters(t, counters);
+        t.workers = workerStats;
+        if (pstore)
+            t.store = storeDelta(pstore->stats(), storeBefore);
+        t.wallSeconds = std::chrono::duration<double>(
+                            // loop:exempt(wall-clock telemetry only)
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+        auto count = [&t](const RunResult &r) {
+            t.failures += r.failed ? 1 : 0;
+            mergeTickProfile(t.tickProfile, r.tickProfile);
+        };
+        if (interrupted) {
+            for (std::size_t i : pending) {
+                if (!done[i].load(std::memory_order_acquire))
+                    continue;
+                ++t.simulated;
+                count(results[i]);
+            }
+        } else {
+            t.simulated = pending.size();
+            for (const RunResult &r : results)
+                count(r);
+        }
+        std::lock_guard<std::mutex> lock(telemetryMutex);
+        lastTelemetry = t;
+        totalTelemetry.accumulate(t);
+        return t;
+    };
+
     if (interrupted) {
         // Drained: record what completed, flush, and exit with the
         // conventional 128+signal status. The journal already holds
         // every finished cell, so the next invocation resumes.
-        std::size_t completed = 0;
-        CampaignTelemetry t;
-        t.jobs = jobs;
-        t.runs = plan.size();
-        t.memoHits = memoHits;
-        t.resumed = resumed;
-        t.interrupted = true;
-        loadSupervisionCounters(t, counters);
-        for (std::size_t i : pending) {
-            if (!done[i].load(std::memory_order_acquire))
-                continue;
-            ++completed;
-            t.failures += results[i].failed ? 1 : 0;
-            mergeTickProfile(t.tickProfile, results[i].tickProfile);
-        }
-        t.simulated = completed;
-        t.workers = workerStats;
-        if (pstore)
-            t.store = storeDelta(pstore->stats(), storeBefore);
-        auto drained =
-            // loop:exempt(wall-clock telemetry only)
-            std::chrono::steady_clock::now();
-        t.wallSeconds =
-            std::chrono::duration<double>(drained - start).count();
+        const std::size_t completed = recordTelemetry().simulated;
         std::function<void()> flush;
-        {
-            std::lock_guard<std::mutex> lock(telemetryMutex);
-            lastTelemetry = t;
-            totalTelemetry.accumulate(t);
-        }
         {
             std::lock_guard<std::mutex> lock(flushHookMutex);
             flush = interruptFlushHook;
@@ -645,10 +658,7 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
              "; exiting ", 128 + sig);
         std::exit(128 + sig); // NOLINT(concurrency-mt-unsafe)
     }
-
-    std::chrono::duration<double> wall =
-        // loop:exempt(wall-clock telemetry only; never feeds simulated time)
-        std::chrono::steady_clock::now() - start;
+    recordTelemetry();
 
     // Feed the process-wide trace collector strictly in plan order,
     // from this (single) thread, after the pool has drained: the
@@ -664,29 +674,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             rt.events = std::move(results[i].loopEvents);
             trace::collectRun(std::move(rt));
         }
-    }
-
-    CampaignTelemetry t;
-    t.jobs = jobs;
-    t.hostCpus = host_cpus;
-    t.runs = plan.size();
-    t.simulated = pending.size();
-    t.memoHits = memoHits;
-    t.resumed = resumed;
-    loadSupervisionCounters(t, counters);
-    t.workers = std::move(workerStats);
-    if (pstore)
-        t.store = storeDelta(pstore->stats(), storeBefore);
-    t.wallSeconds = wall.count();
-    for (const RunResult &r : results) {
-        t.failures += r.failed ? 1 : 0;
-        mergeTickProfile(t.tickProfile, r.tickProfile);
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(telemetryMutex);
-        lastTelemetry = t;
-        totalTelemetry.accumulate(t);
     }
     return results;
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -168,6 +169,45 @@ TEST(DiscreteDistribution, ZeroWeightNeverSampled)
     DiscreteDistribution dist({1.0, 0.0, 1.0});
     for (int i = 0; i < 5000; ++i)
         EXPECT_NE(dist.sample(rng), 1u);
+}
+
+TEST(DiscreteDistribution, SampleIsUpperBoundIndex)
+{
+    // sample() must pick exactly the bucket a binary search over the
+    // cumulative table picks, for the same draw: replay each draw on a
+    // copy of the generator. Tables mix in zero weights, leading and
+    // trailing ones included.
+    Pcg32 shape(37);
+    Pcg32 rng(41);
+    for (int table = 0; table < 200; ++table) {
+        std::size_t n = shape.range(1, 20);
+        std::vector<double> weights(n);
+        for (double &w : weights)
+            w = shape.chance(0.3) ? 0.0 : shape.nextDouble() * 10.0;
+        if (shape.chance(0.3))
+            weights.front() = 0.0;
+        if (shape.chance(0.3))
+            weights.back() = 0.0;
+        weights[shape.nextBounded(static_cast<std::uint32_t>(n))] += 1.0;
+        std::vector<double> cumulative;
+        double sum = 0.0;
+        for (double w : weights)
+            cumulative.push_back(sum += w);
+
+        DiscreteDistribution dist(weights);
+        for (int i = 0; i < 500; ++i) {
+            Pcg32 copy = rng;
+            double u = copy.nextDouble() * cumulative.back();
+            auto it = std::upper_bound(cumulative.begin(),
+                                       cumulative.end(), u);
+            if (it == cumulative.end())
+                --it;
+            std::size_t expected =
+                static_cast<std::size_t>(it - cumulative.begin());
+            ASSERT_EQ(dist.sample(rng), expected)
+                << "table " << table << " draw " << i;
+        }
+    }
 }
 
 TEST(DiscreteDistribution, SingleBucket)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
+#include "base/random.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/tlb.hh"
@@ -175,6 +176,96 @@ TEST(Tlb, BadGeometryFatal)
 {
     EXPECT_THROW(Tlb(0, 8192), FatalError);
     EXPECT_THROW(Tlb(8, 1000), FatalError);
+}
+
+namespace
+{
+
+/** The fully-associative LRU TLB as a plain scan of every entry: the
+ *  reference the hashed index must agree with. */
+class ScanTlb
+{
+  public:
+    ScanTlb(std::size_t n, std::uint64_t page) : entries(n), pageSize(page)
+    {}
+
+    bool
+    access(Addr addr, ThreadId tid)
+    {
+        Addr vpn = addr / pageSize;
+        Entry *lru = &entries[0];
+        for (auto &e : entries) {
+            if (e.valid && e.vpn == vpn && e.tid == tid) {
+                e.stamp = ++stamp;
+                return true;
+            }
+            if (!e.valid || e.stamp < lru->stamp)
+                lru = &e;
+        }
+        *lru = Entry{true, vpn, tid, ++stamp};
+        return false;
+    }
+
+    bool
+    probe(Addr addr, ThreadId tid) const
+    {
+        Addr vpn = addr / pageSize;
+        for (const auto &e : entries) {
+            if (e.valid && e.vpn == vpn && e.tid == tid)
+                return true;
+        }
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        Addr vpn = 0;
+        ThreadId tid = 0;
+        std::uint64_t stamp = 0;
+    };
+    std::vector<Entry> entries;
+    std::uint64_t pageSize;
+    std::uint64_t stamp = 0;
+};
+
+} // anonymous namespace
+
+TEST(Tlb, MatchesLinearScanLru)
+{
+    // Random sizes, two threads, a page footprint from well inside to
+    // well beyond the TLB's reach: every access and probe must give
+    // the reference's answer.
+    Pcg32 rng(12, 34);
+    std::uint64_t accesses = 0;
+    for (int round = 0; round < 24; ++round) {
+        std::size_t n = round < 2 ? (round == 0 ? 1 : 128)
+                                  : rng.range(1, 128);
+        std::uint64_t pages = rng.range(1, 3 * n);
+        Tlb tlb(n, 8192);
+        ScanTlb ref(n, 8192);
+        for (int i = 0; i < 6000; ++i) {
+            Addr addr = rng.range(0, pages - 1) * 8192 + rng.range(0, 8191);
+            auto tid = static_cast<ThreadId>(rng.nextBounded(2));
+            if (rng.chance(0.2)) {
+                ASSERT_EQ(tlb.probe(addr, tid), ref.probe(addr, tid))
+                    << "size " << n << " step " << i;
+            } else {
+                ASSERT_EQ(tlb.access(addr, tid), ref.access(addr, tid))
+                    << "size " << n << " step " << i;
+                ++accesses;
+            }
+        }
+        if (round % 4 == 3) {
+            // reset() must leave the index empty, like a fresh TLB.
+            tlb.reset();
+            ref = ScanTlb(n, 8192);
+            EXPECT_FALSE(tlb.probe(0, 0));
+            EXPECT_EQ(tlb.hits() + tlb.misses(), 0u);
+        }
+    }
+    EXPECT_GE(accesses, 100000u);
 }
 
 namespace

@@ -144,6 +144,111 @@ TEST(MemoryOrdering, DifferentDwordsDoNotConflict)
     EXPECT_EQ(h.stat("memOrderTraps"), 0.0);
 }
 
+namespace
+{
+
+/** A load with a fixed pc, so the wait table names it. */
+MicroOp
+loadAt(Addr pc, ArchReg dest, ArchReg base, Addr addr)
+{
+    MicroOp op = load(dest, base, addr);
+    op.pc = pc;
+    return op;
+}
+
+/** Has a reorder trap trained the wait bit of the load at @p pc? */
+bool
+trapped(const CoreHarness &h, Addr pc)
+{
+    return h.core->memDependence()->wouldWait(pc);
+}
+
+} // anonymous namespace
+
+TEST(MemoryOrdering, OldestYoungerLoadIsTheVictim)
+{
+    // Audit on: every trap check is cross-checked against a walk of
+    // the whole ROB.
+    audit::Scoped audit(true);
+    // Two loads younger than the late store, both to its dword and
+    // both performed before it executes: the older one restarts.
+    auto ops = reorderKernel(0x6000000);
+    ops.resize(ops.size() - 2); // up to and including the late store
+    ops.push_back(loadAt(0x9000, 3, 1, 0x6000000));
+    ops.push_back(loadAt(0x9004, 5, 1, 0x6000004));
+    ops.push_back(alu(4, 3));
+    auto h = makeHarness(ops);
+    h.run();
+    EXPECT_EQ(h.core->retiredOps(), ops.size());
+    EXPECT_EQ(h.stat("memOrderTraps"), 1.0);
+    EXPECT_TRUE(trapped(h, 0x9000));
+    EXPECT_FALSE(trapped(h, 0x9004));
+}
+
+TEST(MemoryOrdering, KilledThenReperformedLoadIsTheVictim)
+{
+    audit::Scoped audit(true);
+    // 21264-style recovery kills everything issued in a missing load's
+    // shadow. The conflicting load performs in that shadow, is killed
+    // (its first access no longer counts) and performs again before
+    // the store executes: it is the victim, exactly once. Everything
+    // hangs off the first load, so nothing runs before its TLB trap
+    // has squashed and refetched the rest.
+    Config cfg;
+    cfg.setBool("core.kill_all_in_shadow", true);
+    std::vector<MicroOp> ops;
+    ops.push_back(alu(1));
+    ops.push_back(load(9, 1, 0x6000000)); // warms the page and line
+    ops.push_back(alu(2, 9));
+    for (int i = 0; i < 40; ++i)
+        ops.push_back(alu(2, 2));          // late store data
+    ops.push_back(load(6, 9, 0x6001000)); // cold line: misses
+    ops.push_back(alu(7, 9));             // issues the load below later
+    ops.push_back(storeOp(1, 2, 0x6000000));
+    ops.push_back(loadAt(0x9000, 3, 7, 0x6000000));
+    ops.push_back(alu(4, 3));
+    auto h = makeHarness(ops, cfg);
+    h.run();
+    EXPECT_EQ(h.core->retiredOps(), ops.size());
+    EXPECT_GT(h.stat("loadKilledOps"), 0.0);
+    EXPECT_EQ(h.stat("memOrderTraps"), 1.0);
+    EXPECT_TRUE(trapped(h, 0x9000));
+}
+
+TEST(MemoryOrdering, OtherThreadsLoadIsNeverTheVictim)
+{
+    audit::Scoped audit(true);
+    // Thread 1's loads hit the dword of thread 0's late store and
+    // perform long before it, and a longer chain ahead of them keeps
+    // them in the ROB until after it: ordering is per thread, so no
+    // trap.
+    std::vector<MicroOp> t0;
+    t0.push_back(alu(1));
+    t0.push_back(storeOp(1, 1, 0x6000000));
+    t0.push_back(alu(2));
+    for (int i = 0; i < 20; ++i)
+        t0.push_back(alu(2, 2));
+    t0.push_back(storeOp(1, 2, 0x6000000));
+    std::vector<MicroOp> t1;
+    t1.push_back(alu(1));
+    t1.push_back(alu(5));
+    for (int i = 0; i < 60; ++i)
+        t1.push_back(alu(5, 5));
+    for (int i = 0; i < 8; ++i)
+        t1.push_back(loadAt(0x9000 + 4 * i, 3, 1, 0x6000000));
+    auto h = makeSmtHarness(t0, t1);
+    h.run();
+    EXPECT_EQ(h.core->retiredOps(), t0.size() + t1.size());
+    EXPECT_EQ(h.stat("memOrderTraps"), 0.0);
+
+    // Control: the same loads in the store's own thread do trap.
+    std::vector<MicroOp> same = t0;
+    same.insert(same.end(), t1.end() - 8, t1.end());
+    auto c = makeSmtHarness(same, {alu(1)});
+    c.run();
+    EXPECT_GE(c.stat("memOrderTraps"), 1.0);
+}
+
 TEST(MemoryOrdering, TrapsAreRareOnProfiles)
 {
     // Statistical sanity: reorder traps exist but stay a small

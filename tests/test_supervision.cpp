@@ -669,3 +669,58 @@ TEST(CampaignInterrupt, SigintDrainsJournalsAndResumes)
     }
     expectSameResults(reference, resumed);
 }
+
+TEST(CampaignInterrupt, DrainedTelemetryCarriesHostCpus)
+{
+    SupervisionScope scope;
+    store::resetProcessStore();
+    fs::path dir = freshDir("campaign_drain_telemetry");
+    const fs::path report = dir / "telemetry.txt";
+
+    // gcc finishes and is journaled; swim hangs until the drain kills
+    // it, so the SIGINT always lands mid-campaign.
+    CampaignPlan plan;
+    plan.add(smallSpec("gcc", 20100), "gcc");
+    plan.add(smallSpec("swim", 20100), "swim");
+
+    std::fflush(nullptr);
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        Config overlay = hangConfig(500, 60000);
+        overlay.set("integrity.fault.hang_target", "swim");
+        setRunOverlay(overlay);
+        setIsolation(true);
+        store::setJournalPath(dir.string());
+        setCampaignInterruptFlush([&report] {
+            const CampaignTelemetry t = lastCampaignTelemetry();
+            std::ofstream(report) << t.hostCpus << " " << t.interrupted
+                                  << " " << t.simulated << "\n";
+        });
+        runCampaign(plan, {}, 1);
+        ::_exit(0);
+    }
+
+    bool saw_entry = false;
+    for (int spin = 0; spin < 3000 && !saw_entry; ++spin) {
+        for (const auto &j : store::scanJournals(dir.string()))
+            saw_entry = saw_entry || j.entries > 0;
+        if (!saw_entry)
+            ::usleep(10000);
+    }
+    ::kill(pid, SIGINT);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(saw_entry);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 128 + SIGINT);
+
+    unsigned host_cpus = 0;
+    bool interrupted = false;
+    std::size_t simulated = 0;
+    std::ifstream in(report);
+    ASSERT_TRUE(in >> host_cpus >> interrupted >> simulated);
+    EXPECT_EQ(host_cpus, hostCpus());
+    EXPECT_TRUE(interrupted);
+    EXPECT_EQ(simulated, 1u);
+}

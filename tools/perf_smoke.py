@@ -24,7 +24,8 @@ kernel against the dense reference kernel (DESIGN.md §14): it runs
 the same figure campaign under both kernels (the dense one selected
 via LOOPSIM_DENSE_KERNEL=1), asserts the figure output is
 byte-identical between them, and writes BENCH_kernel.json with both
-kernels' median runs/sec, ops/sec, p50 campaign wall time, core
+kernels' median runs/sec, ops/sec (measured plus warmup ops per
+run), p50 campaign wall time, core
 scan fraction (from one extra self-profiled run per kernel), and
 the host context the numbers were measured on. The
 sparse kernel must not be slower than --min-kernel-ratio times the
@@ -180,6 +181,7 @@ def measure_kernel(args, label, extra_env, failures, tmp):
     outputs = []
     walls, rps = [], []
     runs = 0
+    warmup_ops = 0
     for rep in range(args.repeats):
         bench_json = Path(tmp) / f"{label}_{rep}.json"
         out = run_bench(args.bench, args.ops, args.jobs, bench_json,
@@ -193,15 +195,18 @@ def measure_kernel(args, label, extra_env, failures, tmp):
         walls.append(entry.get("campaign_wall_s", 0.0))
         rps.append(entry.get("runs_per_s", 0.0))
         runs = entry.get("runs", 0)
+        warmup_ops = entry.get("warmup_ops", 0)
     if len(set(outputs)) != 1:
         failures.append(
             f"{label} kernel: figure output varies across repeats — "
             f"the campaign is not deterministic")
     med_rps = median(rps)
+    # Each run simulates its warmup as well as its measured ops.
     return outputs[0], {
         "runs": runs,
+        "warmup_ops": warmup_ops,
         "runs_per_s": med_rps,
-        "ops_per_s": med_rps * args.ops,
+        "ops_per_s": med_rps * (args.ops + warmup_ops),
         "p50_wall_s": median(walls),
     }
 
