@@ -1,12 +1,14 @@
 /**
  * @file
- * Fixed-capacity circular FIFO used for pipeline latches, the forwarding
- * buffer, and the reorder buffer.
+ * Fixed-capacity circular FIFO: the core's per-thread fetch buffer,
+ * replay queue and reorder buffer, its DEC-IQ pipe, and the ExecStart
+ * queues of the pipeline event queue (core/event_queue.hh).
  */
 
 #ifndef LOOPSIM_BASE_CIRCULAR_BUFFER_HH
 #define LOOPSIM_BASE_CIRCULAR_BUFFER_HH
 
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -19,23 +21,26 @@ namespace loopsim
 /**
  * A bounded FIFO over contiguous storage. Indexing via operator[](i)
  * addresses the i-th oldest element. Pushing into a full buffer panics;
- * callers are expected to model back-pressure explicitly.
+ * callers are expected to model back-pressure explicitly. Storage is
+ * rounded up to a power of two so wrap-around is a mask, but the
+ * buffer is full at exactly the requested capacity.
  */
 template <typename T>
 class CircularBuffer
 {
   public:
     explicit CircularBuffer(std::size_t capacity)
-        : store(capacity), head(0), count(0)
+        : store(std::bit_ceil(capacity)), mask(store.size() - 1),
+          limit(capacity)
     {
         panic_if(capacity == 0, "CircularBuffer capacity must be > 0");
     }
 
-    std::size_t capacity() const { return store.size(); }
+    std::size_t capacity() const { return limit; }
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
-    bool full() const { return count == store.size(); }
-    std::size_t freeSlots() const { return store.size() - count; }
+    bool full() const { return count == limit; }
+    std::size_t freeSlots() const { return limit - count; }
 
     /** Append to the tail. */
     void
@@ -46,13 +51,23 @@ class CircularBuffer
         ++count;
     }
 
+    /** Prepend: @p value becomes the oldest element. */
+    void
+    pushFront(T value)
+    {
+        panic_if(full(), "push into full CircularBuffer");
+        head = (head - 1) & mask;
+        store[head] = std::move(value);
+        ++count;
+    }
+
     /** Remove and return the oldest element. */
     T
     pop()
     {
         panic_if(empty(), "pop from empty CircularBuffer");
         T value = std::move(store[head]);
-        head = (head + 1) % store.size();
+        head = (head + 1) & mask;
         --count;
         return value;
     }
@@ -96,6 +111,26 @@ class CircularBuffer
         return store[index(i)];
     }
 
+    /** Remove every element matching @p pred, keeping the survivors'
+     *  order; returns how many were removed. */
+    template <typename Pred>
+    std::size_t
+    eraseIf(Pred &&pred)
+    {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            T &slot = store[index(i)];
+            if (pred(std::as_const(slot)))
+                continue;
+            if (kept != i)
+                store[index(kept)] = std::move(slot);
+            ++kept;
+        }
+        const std::size_t removed = count - kept;
+        count = kept;
+        return removed;
+    }
+
     void
     clear()
     {
@@ -104,14 +139,13 @@ class CircularBuffer
     }
 
   private:
-    std::size_t index(std::size_t i) const
-    {
-        return (head + i) % store.size();
-    }
+    std::size_t index(std::size_t i) const { return (head + i) & mask; }
 
     std::vector<T> store;
-    std::size_t head;
-    std::size_t count;
+    std::size_t mask;
+    std::size_t limit;
+    std::size_t head = 0;
+    std::size_t count = 0;
 };
 
 } // namespace loopsim

@@ -15,7 +15,8 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
     : cfg(MachineConfig::fromConfig(config)),
       mem(std::make_unique<MemoryHierarchy>(config)),
       pool(cfg.robEntries), prf(cfg.numPhysRegs), iq(cfg.iqEntries),
-      fwd(cfg.fwdBufferDepth), sg("core")
+      fwd(cfg.fwdBufferDepth), renamePipe(cfg.renamePipeCapacity()),
+      events(std::size_t{cfg.numClusters} * cfg.iqExLatency), sg("core")
 {
     fatal_if(sources.empty(), "core needs at least one trace source");
     fatal_if(sources.size() > 2, "core supports at most 2 SMT threads");
@@ -46,9 +47,16 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
     // any Simulator defaults to the sparse code paths.
     clusterReady.resize(cfg.numClusters);
 
-    threads.resize(sources.size());
+    // One thread can hold the whole window. Its replay queue holds only
+    // correct-path ops not yet retired, and those grow only by fetching
+    // from the trace, which happens only while the replay queue is
+    // empty, when they all sit in the ROB or the fetch buffer: so
+    // window + fetch buffer bounds it (DESIGN.md §14).
+    threads.reserve(sources.size());
     for (std::size_t t = 0; t < sources.size(); ++t) {
         panic_if(!sources[t], "null trace source");
+        threads.emplace_back(cfg.robEntries, cfg.fetchBufferCapacity(),
+                             cfg.robEntries + cfg.fetchBufferCapacity());
         threads[t].src = sources[t];
         threads[t].map = std::make_unique<RenameMap>(
             RegLayout::numArchRegs, prf);
@@ -186,45 +194,25 @@ Core::buildStats()
 void
 Core::schedule(Event ev, bool lazy)
 {
-    ev.order = ++eventOrder;
     // Writebacks are pure timestamp updates: nothing observes them
     // until some later read, and reads only happen inside ticks. They
-    // go on the lazy queue, which does not wake the event wheel (see
-    // the member doc), so a cycle whose only activity is a writeback
-    // costs no tick. Callers may route other events the same way when
-    // they can prove the drain-late equivalence (ALU ExecStarts).
-    if (lazy || ev.type == EventType::Writeback)
-        lazyEvents.push(ev);
-    else
-        events.push(ev);
+    // are always lazy, so they do not wake the event wheel (see the
+    // member doc) and a cycle whose only activity is a writeback costs
+    // no tick. ExecStarts may go the same way when the caller can
+    // prove the drain-late equivalence (ALU ExecStarts).
+    events.push(ev, lazy);
 }
 
 void
 Core::processEvents(Cycle now)
 {
-    // Drain both queues merged by the heap comparator (cycle, type,
-    // order) — exactly the order a single dense queue would pop. The
-    // two tops can never compare equal: the scheduling order stamp is
-    // unique per event and is the comparator's final tiebreak.
-    while (true) {
-        const bool waking =
-            !events.empty() && events.top().cycle <= now;
-        const bool lazy =
-            !lazyEvents.empty() && lazyEvents.top().cycle <= now;
-        if (!waking && !lazy)
-            break;
-        const bool take_lazy =
-            lazy && (!waking || events.top() > lazyEvents.top());
-        Event ev = take_lazy ? lazyEvents.top() : events.top();
-        if (take_lazy)
-            lazyEvents.pop();
-        else
-            events.pop();
-        // Only the waking queue feeds nextActivity(); lazy events are
-        // *expected* to drain late (with their own cycle as the time).
-        panic_if(!take_lazy && ev.cycle < now,
-                 "event missed its cycle");
-
+    // Drain everything due in (cycle, type, order) order — exactly the
+    // order a single dense heap would pop. Only waking events feed
+    // nextActivity(); lazy ones are *expected* to drain late, with
+    // their own cycle as the time (the queue panics on an overdue
+    // waking event).
+    Event ev;
+    while (events.pop(now, ev)) {
         // Audit context: evaluated only when a read violates the loop
         // discipline.
         auto violation_context = [&] { return instTimeline(ev.ref); };
@@ -541,17 +529,18 @@ Core::squashYounger(ThreadId tid, std::uint64_t stamp, Cycle now)
            << " squash younger than stamp " << stamp);
     ThreadState &t = threads[tid];
 
+    // Correct-path victims must be refetched later: they go to the
+    // front of the replay queue, ahead of whatever already awaits
+    // replay, youngest first so the queue ends up in program order.
     // Fetch buffer: everything there is younger than any renamed op of
-    // this thread. Correct-path victims must be refetched later.
-    std::vector<MicroOp> replay;
-    for (const FetchedOp &f : t.fetchBuffer) {
-        if (!f.op.wrongPath)
-            replay.push_back(f.op);
+    // this thread.
+    for (std::size_t i = t.fetchBuffer.size(); i-- > 0;) {
+        if (!t.fetchBuffer[i].op.wrongPath)
+            t.replayQueue.pushFront(t.fetchBuffer[i].op);
     }
     t.fetchBuffer.clear();
 
     // ROB suffix walk: youngest first, undoing rename as we go.
-    std::vector<MicroOp> renamed_replay;
     while (!t.rob.empty()) {
         InstRef ref = t.rob.tail();
         DynInst &inst = pool.get(ref);
@@ -572,28 +561,19 @@ Core::squashYounger(ThreadId tid, std::uint64_t stamp, Cycle now)
         if (inst.op.isStore() && !inst.storeExecCounted)
             t.unexecStoreSeqs.erase(inst.storeSeq);
         if (!inst.op.wrongPath)
-            renamed_replay.push_back(inst.op);
+            t.replayQueue.pushFront(inst.op);
         *squashedOps += 1;
         pool.release(ref);
     }
 
     // Drop this thread's squashed entries from the DEC-IQ pipe.
-    std::erase_if(renamePipe, [&](const PendingInsert &p) {
+    renamePipe.eraseIf([&](const PendingInsert &p) {
         if (p.tid != tid || pool.live(p.ref))
             return false;
         panic_if(t.pipeCount == 0, "pipe count underflow");
         --t.pipeCount;
         return true;
     });
-
-    // Rebuild the replay queue in program order: renamed victims are
-    // the oldest, then fetch-buffer victims, then whatever was already
-    // awaiting replay.
-    for (auto it = replay.rbegin(); it != replay.rend(); ++it)
-        t.replayQueue.push_front(*it);
-    // renamed_replay was collected youngest-first.
-    for (const MicroOp &op : renamed_replay)
-        t.replayQueue.push_front(op);
 
     t.onWrongPath = false;
     t.wrongPathResume = invalidSeqNum;
@@ -715,7 +695,7 @@ Core::integritySample(Cycle now) const
     s.iqOccupancy = iq.size();
     s.iqCapacity = cfg.iqEntries;
     s.renamePipe = renamePipe.size();
-    s.pendingEvents = events.size() + lazyEvents.size();
+    s.pendingEvents = events.size();
     for (const ThreadState &t : threads)
         s.frontendWork += t.fetchBuffer.size() + t.replayQueue.size();
     s.done = done();
@@ -826,7 +806,11 @@ Core::debugDump(std::ostream &os) const
     os << "=== core state @ cycle " << lastCycle << " ===\n";
     os << "pool in use " << pool.inUse() << "/" << pool.capacity()
        << ", IQ " << iq.size() << "/" << iq.entries() << ", pipe "
-       << renamePipe.size() << ", events " << events.size() << "\n";
+       << renamePipe.size() << "\n";
+    os << "events: execStart " << events.execStartCount() << " (waking "
+       << events.wakingExecStartCount() << "), writeback "
+       << events.writebackCount() << ", feedback "
+       << events.feedbackCount() << "\n";
     for (std::size_t t = 0; t < threads.size(); ++t) {
         const ThreadState &ts = threads[t];
         os << "thread " << t << ": rob " << ts.rob.size()

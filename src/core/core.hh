@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <deque>
 #include <set>
 #include <memory>
 #include <queue>
@@ -27,10 +26,12 @@
 #include <vector>
 
 #include "base/annotations.hh"
+#include "base/circular_buffer.hh"
 #include "base/types.hh"
 #include "branch/btb.hh"
 #include "branch/predictor.hh"
 #include "core/dyn_inst.hh"
+#include "core/event_queue.hh"
 #include "core/forwarding_buffer.hh"
 #include "core/instruction_queue.hh"
 #include "core/machine_config.hh"
@@ -243,48 +244,14 @@ class Core : public Clocked, public IntegrityProbe
   private:
     /** @name Pipeline event machinery */
     /// @{
-    enum class EventType : std::uint8_t
-    {
-        Writeback,       ///< value leaves fwd buffer, lands in RF
-        LoadMissKill,    ///< load-resolution-loop mis-speculation at IQ
-        OperandMissKill, ///< DRA operand-loop mis-speculation at IQ
-        TlbTrap,         ///< memory trap: front-of-pipe recovery
-        OrderTrap,       ///< load/store reorder trap: refetch the load
-        BranchRedirect,  ///< branch-resolution-loop repair at fetch
-        ExecStart,       ///< instruction reaches the functional unit
-        PayloadDelivery  ///< operand-miss recovery reaches the payload
-    };
-
-    struct Event
-    {
-        Cycle cycle;
-        EventType type;
-        std::uint64_t order; ///< FIFO tie-break within a cycle
-        InstRef ref;
-        Cycle issueStamp = invalidCycle; ///< staleness check
-        PhysReg reg = invalidPhysReg;    ///< Writeback payload
-        Cycle expect = invalidCycle;     ///< Writeback produce check
-        /** Feedback-port signal id (0 for non-feedback events). */
-        std::uint64_t signalId = 0;
-
-        bool
-        operator>(const Event &o) const
-        {
-            if (cycle != o.cycle)
-                return cycle > o.cycle;
-            if (type != o.type)
-                return type > o.type;
-            return order > o.order;
-        }
-    };
-
     /** Scheduling a waking event is itself a wake declaration: the
-     *  event's cycle feeds nextActivity() through the waking queue
-     *  (lazy events opt out of that, see `lazyEvents`). */
+     *  event's cycle feeds nextActivity() through
+     *  EventQueue::nextWaking() (lazy events opt out of that, see
+     *  `events`). */
     LOOPSIM_WAKE_HOOK void schedule(Event ev, bool lazy = false);
     void processEvents(Cycle now);
 
-    /** Can this op's ExecStart ride the lazy queue? True for plain
+    /** Can this op's ExecStart be lazy? True for plain
      *  functional-unit ops on non-DRA machines: their execution only
      *  writes timestamps, flips the entry to Done and schedules a lazy
      *  Writeback — no port message, no squash, no same-cycle effect on
@@ -446,11 +413,19 @@ class Core : public Clocked, public IntegrityProbe
 
     struct ThreadState
     {
+        /** Ring capacities come from the machine's own bounds; see
+         *  the Core constructor. */
+        ThreadState(std::size_t rob_cap, std::size_t fetch_cap,
+                    std::size_t replay_cap)
+            : rob(rob_cap), fetchBuffer(fetch_cap), replayQueue(replay_cap)
+        {}
+
         TraceSource *src = nullptr;
         std::unique_ptr<RenameMap> map;
         ReorderBuffer rob;
-        std::deque<FetchedOp> fetchBuffer;
-        std::deque<MicroOp> replayQueue;
+        CircularBuffer<FetchedOp> fetchBuffer;
+        /** Correct-path squash victims awaiting refetch, oldest first. */
+        CircularBuffer<MicroOp> replayQueue;
         bool exhausted = false;
         bool onWrongPath = false;
         SeqNum wrongPathResume = invalidSeqNum;
@@ -581,27 +556,22 @@ class Core : public Clocked, public IntegrityProbe
     ForwardingBuffer fwd;
 
     std::vector<ThreadState> threads;
-    std::deque<PendingInsert> renamePipe;
+    CircularBuffer<PendingInsert> renamePipe;
 
-    /** Waking events: their cycles feed nextActivity(), so the wheel
-     *  always ticks the core when one is due. */
-    LOOPSIM_WAKE_STATE
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        events;
-    /** Lazy events (Writebacks, plus ExecStarts that pass
-     *  lazyExecEligible()): updates whose effects are unobservable
-     *  until the next read, which can only happen inside a tick.
-     *  They do NOT wake the wheel; instead
-     *  processEvents() drains both queues in exact dense heap order
-     *  at whatever tick comes next, passing each event its own cycle.
-     *  Since no tick ran between a lazy event's cycle and its drain,
-     *  the state its handler inspects (liveness, expected produce
-     *  cycle) is frozen at the value the dense kernel saw — so the
-     *  late application is bit-identical, and a Writeback-only cycle
-     *  costs no tick at all. */
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        lazyEvents;
-    std::uint64_t eventOrder = 0;
+    /** Pipeline events, one exact-order queue per class (see
+     *  core/event_queue.hh). Waking events' cycles feed
+     *  nextActivity(), so the wheel always ticks the core when one is
+     *  due. Lazy events (Writebacks, plus ExecStarts that pass
+     *  lazyExecEligible()) are updates whose effects are unobservable
+     *  until the next read, which can only happen inside a tick. They
+     *  do NOT wake the wheel; processEvents() drains them in exact
+     *  dense order at whatever tick comes next, passing each event its
+     *  own cycle. Since no tick ran between a lazy event's cycle and
+     *  its drain, the state its handler inspects (liveness, expected
+     *  produce cycle) is frozen at the value the dense kernel saw — so
+     *  the late application is bit-identical, and a Writeback-only
+     *  cycle costs no tick at all. */
+    LOOPSIM_WAKE_STATE EventQueue events;
 
     /** @name The three paper feedback loops, as checked ports */
     /// @{

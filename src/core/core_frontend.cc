@@ -20,8 +20,6 @@ Core::pickFetchThread(Cycle now)
     constexpr ThreadId none = 0xff;
     ThreadId best = none;
     std::size_t best_count = 0;
-    std::size_t fetch_cap =
-        static_cast<std::size_t>(cfg.width) * (cfg.frontLatency + 2);
 
     for (std::size_t i = 0; i < threads.size(); ++i) {
         // Round-robin start offset keeps ties fair.
@@ -30,7 +28,7 @@ Core::pickFetchThread(Cycle now)
         ThreadState &t = threads[tid];
         if (now < t.fetchResumeAt)
             continue;
-        if (t.fetchBuffer.size() >= fetch_cap)
+        if (t.fetchBuffer.full())
             continue;
         bool has_work = !t.replayQueue.empty() || !t.exhausted ||
                         (t.onWrongPath && cfg.wrongPathFetch);
@@ -91,9 +89,7 @@ Core::resolvePrediction(MicroOp &op, ThreadId tid)
 bool
 Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
 {
-    std::size_t fetch_cap =
-        static_cast<std::size_t>(cfg.width) * (cfg.frontLatency + 2);
-    if (t.fetchBuffer.size() >= fetch_cap)
+    if (t.fetchBuffer.full())
         return false;
 
     MicroOp op;
@@ -104,8 +100,7 @@ Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
         op.tid = tid;
         *wrongPathOps += 1;
     } else if (!t.replayQueue.empty()) {
-        op = t.replayQueue.front();
-        t.replayQueue.pop_front();
+        op = t.replayQueue.pop();
         *fetchedOps += 1;
     } else if (!t.exhausted && t.src->next(op)) {
         *fetchedOps += 1;
@@ -136,8 +131,7 @@ Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
     LTRACE(Fetch, now, op.toString()
            << (t.onWrongPath && !op.wrongPath ? " (enters wrong path)"
                                               : ""));
-    t.fetchBuffer.push_back(
-        FetchedOp{op, now + cfg.frontLatency + 2});
+    t.fetchBuffer.push(FetchedOp{op, now + cfg.frontLatency + 2});
     ++t.fetched;
     return !end_group;
 }
@@ -245,8 +239,7 @@ Core::renameOne(ThreadState &t, ThreadId tid, FetchedOp &fop, Cycle now)
     LTRACE(Rename, now, inst.op.toString() << " cluster "
            << int(inst.cluster) << " pdest " << inst.physDest);
     t.rob.push(ref);
-    renamePipe.push_back(
-        PendingInsert{ref, now + (cfg.decIqLatency - 2), tid});
+    renamePipe.push(PendingInsert{ref, now + (cfg.decIqLatency - 2), tid});
     ++t.pipeCount;
     *renamedOps += 1;
     return true;
@@ -261,12 +254,6 @@ Core::renameStage(Cycle now)
         *recoveryStallCycles += 1;
         return;
     }
-
-    // Skid-buffered DEC-IQ pipe: rename stalls when the pipe backs up
-    // (IQ-full back-pressure), modelling the queuing delay the paper
-    // notes augments loop latencies.
-    std::size_t pipe_cap = static_cast<std::size_t>(cfg.width) *
-                           (cfg.decIqLatency - 2 + 1);
 
     unsigned renamed = 0;
     // Round-robin across threads at rename for SMT fairness.
@@ -285,11 +272,14 @@ Core::renameStage(Cycle now)
             FetchedOp &fop = t.fetchBuffer.front();
             if (fop.renameReadyAt > now)
                 continue;
-            if (renamePipe.size() >= pipe_cap)
+            // Skid-buffered DEC-IQ pipe: rename stalls when the pipe
+            // backs up (IQ-full back-pressure), modelling the queuing
+            // delay the paper notes augments loop latencies.
+            if (renamePipe.full())
                 return;
             if (!renameOne(t, tid, fop, now))
                 continue; // this thread stalls; others may proceed
-            t.fetchBuffer.pop_front();
+            t.fetchBuffer.pop();
             ++renamed;
             progress = true;
         }
@@ -330,7 +320,7 @@ Core::insertStage(Cycle now)
         panic_if(t.pipeCount == 0, "pipe count underflow");
         --t.pipeCount;
         ++t.iqCount;
-        renamePipe.pop_front();
+        renamePipe.pop();
         ++inserted;
     }
 }

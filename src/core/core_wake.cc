@@ -135,17 +135,18 @@ Core::computeWake(Cycle now)
     };
 #endif
 
-    // Pipeline events: the waking queue's head is the earliest due
+    // Pipeline events: the earliest waking event is the earliest due
     // (processEvents pops everything due, so whatever remains is
-    // strictly future). The lazy queue is deliberately absent — its
-    // events have no observable effect until some later tick reads
-    // the timestamps they carry (retire eligibility of a lazily
-    // executed ALU op is covered by the retire clause below).
-    if (!events.empty()) {
+    // strictly future). Lazy events are deliberately absent — they
+    // have no observable effect until some later tick reads the
+    // timestamps they carry (retire eligibility of a lazily executed
+    // ALU op is covered by the retire clause below).
+    if (const Cycle ev_wake = events.nextWaking();
+        ev_wake != invalidCycle) {
 #ifdef LOOPSIM_WAKE_DIAG
         clause = 0;
 #endif
-        consider(std::max(events.top().cycle, next));
+        consider(std::max(ev_wake, next));
     }
 
     // The issue stage: its own fused scan (or a hook since then)
@@ -163,7 +164,7 @@ Core::computeWake(Cycle now)
         if (t.rob.empty())
             continue;
         const DynInst &inst = pool.get(t.rob.head());
-        // A head whose ExecStart sits on the lazy queue is still
+        // A head whose ExecStart is lazy and not yet drained is still
         // Issued here; it turns Done (with produce = exec start +
         // latency and no pending events) the moment that event
         // drains, so its retire cycle is already computable. A
@@ -210,9 +211,7 @@ Core::computeWake(Cycle now)
     // pipeline latency or a recovery stall). Resource-blocked heads
     // (window/register/partition pressure, a barrier, pipe back-up)
     // unblock only via other stages' progress — ticks.
-    const std::size_t pipe_cap = static_cast<std::size_t>(cfg.width) *
-                                 (cfg.decIqLatency - 2 + 1);
-    if (renamePipe.size() < pipe_cap) {
+    if (!renamePipe.full()) {
         for (const ThreadState &t : threads) {
             if (t.fetchBuffer.empty())
                 continue;
@@ -244,10 +243,8 @@ Core::computeWake(Cycle now)
     // Fetch: a thread eligible in every respect except fetchResumeAt
     // (I-miss refill, squash resume). Buffer-full or workless threads
     // change only via rename progress / events — ticks.
-    const std::size_t fetch_cap = static_cast<std::size_t>(cfg.width) *
-                                  (cfg.frontLatency + 2);
     for (const ThreadState &t : threads) {
-        if (t.fetchBuffer.size() >= fetch_cap)
+        if (t.fetchBuffer.full())
             continue;
         const bool has_work = !t.replayQueue.empty() || !t.exhausted ||
                               (t.onWrongPath && cfg.wrongPathFetch);

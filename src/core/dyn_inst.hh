@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -67,21 +68,52 @@ enum class InstState : std::uint8_t
 
 struct DynInst
 {
-    MicroOp op;
+    /** @name Scheduling state
+     *
+     * What liveness checks and the issue, insert and retire passes
+     * read for nearly every entry they visit. It leads the record, in
+     * its first 64 bytes, so those passes touch fewer cache lines per
+     * entry.
+     */
+    /// @{
     std::uint32_t gen = 0;
     InstState state = InstState::Empty;
-
-    /** Global fetch-order stamp (age across threads). */
-    std::uint64_t fetchStamp = 0;
     ClusterId cluster = 0;
     /** Dense index of this instruction's IQ slot (managed by the IQ). */
     std::uint16_t iqSlot = 0xffff;
-
-    /** @name Rename results */
-    /// @{
+    /** Global fetch-order stamp (age across threads). */
+    std::uint64_t fetchStamp = 0;
     std::array<PhysReg, 2> physSrc{invalidPhysReg, invalidPhysReg};
     PhysReg physDest = invalidPhysReg;
     PhysReg prevPhysDest = invalidPhysReg;
+    Cycle insertCycle = invalidCycle;  ///< IQ insertion
+    Cycle issueCycle = invalidCycle;   ///< most recent issue
+    /** Lowering the confirm cycle can free the IQ slot earlier:
+     *  writers owe a noteIqWake() (see base/annotations.hh). */
+    LOOPSIM_WAKE_STATE
+    Cycle confirmCycle = invalidCycle; ///< IQ entry may clear
+    /** Loop events (kills, traps, redirects) scheduled but not yet
+     *  processed; retire is blocked while non-zero. */
+    unsigned pendingEvents = 0;
+    unsigned timesIssued = 0;
+    /** Blocked awaiting an operand-miss recovery delivery. Clearing
+     *  it re-arms issue eligibility: writers owe a wake note. */
+    LOOPSIM_WAKE_STATE bool waitingRecovery = false;
+    bool execValid = false;     ///< last execution had real operands
+    bool memDone = false;       ///< load/store access performed
+    bool branchResolved = false;
+    bool mispredicted = false;  ///< resolved as a misprediction
+    /** The redirect for this mispredicted branch has been performed. */
+    bool redirectDone = false;
+    /** Operand already sits in the IQ payload (pre-read or after an
+     *  operand-miss recovery): no lookup needed at execute. */
+    std::array<bool, 2> operandInPayload{false, false};
+    /// @}
+
+    MicroOp op;
+
+    /** @name Rename results */
+    /// @{
     /** In-flight producers of the sources at rename time. */
     std::array<InstRef, 2> srcProducer{};
     /** Instructions that named this one as a source producer. */
@@ -92,39 +124,17 @@ struct DynInst
     /// @{
     Cycle fetchCycle = invalidCycle;
     Cycle renameCycle = invalidCycle;
-    Cycle insertCycle = invalidCycle;  ///< IQ insertion
-    Cycle issueCycle = invalidCycle;   ///< most recent issue
     Cycle firstIssueCycle = invalidCycle;
     Cycle execStartCycle = invalidCycle;
     Cycle produceCycle = invalidCycle; ///< actual data ready (valid exec)
-    /** Lowering the confirm cycle can free the IQ slot earlier:
-     *  writers owe a noteIqWake() (see base/annotations.hh). */
-    LOOPSIM_WAKE_STATE
-    Cycle confirmCycle = invalidCycle; ///< IQ entry may clear
     /// @}
 
     /** @name Execution status */
     /// @{
-    unsigned timesIssued = 0;
-    bool execValid = false;     ///< last execution had real operands
-    bool memDone = false;       ///< load/store access performed
     MemAccessResult memResult{};
-    bool branchResolved = false;
-    bool mispredicted = false;  ///< resolved as a misprediction
-    /** Operand already sits in the IQ payload (pre-read or after an
-     *  operand-miss recovery): no lookup needed at execute. */
-    std::array<bool, 2> operandInPayload{false, false};
     /** The payload copy came from a miss recovery (not a pre-read),
      *  so it must not be re-counted in the Figure 9 breakdown. */
     std::array<bool, 2> payloadFromRecovery{false, false};
-    /** Blocked awaiting an operand-miss recovery delivery. Clearing
-     *  it re-arms issue eligibility: writers owe a wake note. */
-    LOOPSIM_WAKE_STATE bool waitingRecovery = false;
-    /** The redirect for this mispredicted branch has been performed. */
-    bool redirectDone = false;
-    /** Loop events (kills, traps, redirects) scheduled but not yet
-     *  processed; retire is blocked while non-zero. */
-    unsigned pendingEvents = 0;
     /** Figure 6 operand-availability gap already sampled. */
     bool gapSampled = false;
     /** Stores: per-thread store sequence number (memory ordering). */
@@ -189,10 +199,13 @@ class InstPool
         std::uint32_t gen = inst.gen + 1;
         // Recycle the consumers vector's heap buffer across the slot
         // reset: release() clears it but keeps capacity, so steady-state
-        // allocation performs no heap traffic at all.
+        // allocation performs no heap traffic at all. The reset itself
+        // rebuilds the entry in place rather than assigning from a
+        // temporary.
         std::vector<InstRef> recycled = std::move(inst.consumers);
         recycled.clear();
-        inst = DynInst{};
+        std::destroy_at(&inst);
+        std::construct_at(&inst);
         inst.consumers = std::move(recycled);
         inst.gen = gen;
         inst.state = InstState::Renamed;

@@ -10,6 +10,7 @@
 #ifndef LOOPSIM_CORE_MACHINE_CONFIG_HH
 #define LOOPSIM_CORE_MACHINE_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -101,6 +102,24 @@ struct MachineConfig
 
     /** Retired-instruction timeline depth (0 = recording off). */
     unsigned timelineDepth = 0;
+
+    /** @name Front-end buffer capacities (derived) */
+    /// @{
+    /** A thread's fetch buffer: fetch to the rename point plus two
+     *  cycles of skid, at full width. */
+    std::size_t
+    fetchBufferCapacity() const
+    {
+        return std::size_t{width} * (frontLatency + 2);
+    }
+    /** The shared DEC-IQ pipe: rename point to IQ insertion at full
+     *  width, skid-buffered so rename stalls when insertion backs up. */
+    std::size_t
+    renamePipeCapacity() const
+    {
+        return std::size_t{width} * (decIqLatency - 1);
+    }
+    /// @}
 
     /** Populate from "core.*" keys of @p cfg; fatal() on bad values. */
     static MachineConfig fromConfig(const Config &cfg);

@@ -7,8 +7,7 @@
 #ifndef LOOPSIM_CORE_ROB_HH
 #define LOOPSIM_CORE_ROB_HH
 
-#include <deque>
-
+#include "base/circular_buffer.hh"
 #include "core/dyn_inst.hh"
 
 namespace loopsim
@@ -17,9 +16,11 @@ namespace loopsim
 class ReorderBuffer
 {
   public:
-    ReorderBuffer() = default;
+    /** @param capacity the most entries one thread can hold: the
+     *  machine's whole in-flight window. */
+    explicit ReorderBuffer(std::size_t capacity) : entries(capacity) {}
 
-    void push(InstRef ref) { entries.push_back(ref); }
+    void push(InstRef ref) { entries.push(ref); }
 
     bool empty() const { return entries.empty(); }
     std::size_t size() const { return entries.size(); }
@@ -35,7 +36,7 @@ class ReorderBuffer
     popHead()
     {
         panic_if(entries.empty(), "pop of empty ROB");
-        entries.pop_front();
+        entries.pop();
     }
 
     /** Youngest entry (squash walks start here). */
@@ -49,7 +50,7 @@ class ReorderBuffer
     popTail()
     {
         panic_if(entries.empty(), "popTail of empty ROB");
-        entries.pop_back();
+        entries.popBack();
     }
 
     /** Indexed access, 0 == oldest (for occupancy statistics). */
@@ -63,7 +64,7 @@ class ReorderBuffer
     void clear() { entries.clear(); }
 
   private:
-    std::deque<InstRef> entries;
+    CircularBuffer<InstRef> entries;
 };
 
 } // namespace loopsim

@@ -155,6 +155,69 @@ TEST(CircularBuffer, PopBack)
     EXPECT_EQ(buf.back(), 1);
 }
 
+TEST(CircularBuffer, PushFrontPrependsOldest)
+{
+    CircularBuffer<int> buf(4);
+    buf.push(2);
+    buf.pushFront(1);
+    buf.pushFront(0); // wraps below storage index 0
+    buf.push(3);
+    EXPECT_TRUE(buf.full());
+    EXPECT_THROW(buf.pushFront(-1), PanicError);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(buf[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(buf.pop(), 0);
+    EXPECT_EQ(buf.popBack(), 3);
+    EXPECT_EQ(buf.front(), 1);
+    EXPECT_EQ(buf.back(), 2);
+}
+
+TEST(CircularBuffer, EraseIfIsStable)
+{
+    CircularBuffer<int> buf(8);
+    // Start mid-storage so the survivors' moves cross the wrap point.
+    for (int i = 0; i < 5; ++i)
+        buf.push(-1);
+    for (int i = 0; i < 5; ++i)
+        buf.pop();
+    for (int i = 0; i < 8; ++i)
+        buf.push(i);
+    EXPECT_EQ(buf.eraseIf([](int v) { return v % 3 == 1; }), 3u);
+    ASSERT_EQ(buf.size(), 5u);
+    const int expect[] = {0, 2, 3, 5, 6};
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(buf[i], expect[i]);
+    EXPECT_EQ(buf.eraseIf([](int) { return false; }), 0u);
+    EXPECT_EQ(buf.size(), 5u);
+    // Freed slots are reusable, in order.
+    buf.push(7);
+    EXPECT_EQ(buf.back(), 7);
+    EXPECT_EQ(buf.eraseIf([](int) { return true; }), 6u);
+    EXPECT_TRUE(buf.empty());
+}
+
+TEST(CircularBuffer, NonPowerOfTwoCapacityWraps)
+{
+    // Storage rounds 5 up to 8, but the buffer is full at exactly 5,
+    // and a FIFO that wraps the masked storage many times keeps order.
+    CircularBuffer<int> buf(5);
+    EXPECT_EQ(buf.capacity(), 5u);
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 40; ++round) {
+        while (!buf.full())
+            buf.push(next_in++);
+        EXPECT_EQ(buf.size(), 5u);
+        EXPECT_THROW(buf.push(-1), PanicError);
+        const int drain = 1 + round % 5;
+        for (int i = 0; i < drain; ++i)
+            EXPECT_EQ(buf.pop(), next_out++);
+        EXPECT_EQ(buf.freeSlots(), static_cast<std::size_t>(drain));
+    }
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        EXPECT_EQ(buf[i], next_out + static_cast<int>(i));
+}
+
 TEST(CircularBuffer, ErrorsPanic)
 {
     CircularBuffer<int> buf(2);

@@ -167,7 +167,7 @@ TEST(RenameMap, LookupRenameRestore)
 TEST(Rob, OrderAndWalks)
 {
     InstPool pool(8);
-    ReorderBuffer rob;
+    ReorderBuffer rob(pool.capacity());
     InstRef a = pool.alloc();
     InstRef b = pool.alloc();
     InstRef c = pool.alloc();
@@ -186,6 +186,11 @@ TEST(Rob, OrderAndWalks)
     EXPECT_TRUE(rob.empty());
     EXPECT_THROW(rob.head(), PanicError);
     EXPECT_THROW(rob.popTail(), PanicError);
+
+    // Sized to the window: one entry per pool slot, and no more.
+    for (std::size_t i = 0; i < pool.capacity(); ++i)
+        rob.push(a);
+    EXPECT_THROW(rob.push(a), PanicError);
 }
 
 TEST(Iq, InsertRemoveTracksSlots)

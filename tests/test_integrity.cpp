@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -330,6 +331,20 @@ TEST(Integrity, PermanentWakeupDropTripsTheWatchdog)
         EXPECT_FALSE(rep.timeline.empty());
         // The diagnostic embeds the core's own state dump.
         EXPECT_NE(rep.stateDump.find("core"), std::string::npos);
+        // The dump lists the whole event backlog by queue, and it adds
+        // up to the sample the watchdog took in the same cycle.
+        const std::size_t at = rep.stateDump.find("events: execStart ");
+        ASSERT_NE(at, std::string::npos) << rep.stateDump;
+        std::size_t exec = 0, waking = 0, writeback = 0, feedback = 0;
+        ASSERT_EQ(std::sscanf(rep.stateDump.c_str() + at,
+                              "events: execStart %zu (waking %zu), "
+                              "writeback %zu, feedback %zu",
+                              &exec, &waking, &writeback, &feedback),
+                  4)
+            << rep.stateDump;
+        EXPECT_LE(waking, exec);
+        EXPECT_EQ(exec + writeback + feedback,
+                  rep.timeline.back().pendingEvents);
     }
 }
 

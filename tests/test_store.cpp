@@ -705,6 +705,9 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
 
     std::atomic<bool> stop_gc{false};
     std::atomic<int> failed_inserts{0};
+    std::atomic<int> writers_inserting{kThreads};
+    std::atomic<int> sweeps{0};
+    std::atomic<int> sweeps_during_inserts{0};
 
     // Each writer opens its own handle, the way separate processes
     // (server + CLI campaigns) would.
@@ -714,6 +717,11 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
         writers.emplace_back([&, t] {
             store::ResultStore local(dir.string());
             for (int i = 0; i < kPerThread; ++i) {
+                // Halfway through, wait for a gc sweep to finish, so
+                // at least one sweep provably overlaps the inserts
+                // however the threads get scheduled.
+                while (i == kPerThread / 2 && sweeps.load() == 0)
+                    std::this_thread::yield();
                 const store::Fingerprint fp{
                     static_cast<std::uint64_t>(t) + 1,
                     static_cast<std::uint64_t>(i) + 1};
@@ -721,14 +729,25 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
                         static_cast<std::uint32_t>(t * kPerThread + i))))
                     failed_inserts.fetch_add(1);
             }
+            writers_inserting.fetch_sub(1);
         });
     }
     std::thread gc([&] {
         // Generous budget: this gc only sweeps invalid records and
         // empty fan-out directories — exactly the tear window the
-        // exclusive lock closes.
-        while (!stop_gc.load())
+        // exclusive lock closes. The pause between sweeps lets the
+        // shared-lock writers in: re-taking the exclusive lock in a
+        // tight loop starves them.
+        while (!stop_gc.load()) {
             store::gcStore(dir.string(), 1ull << 40);
+            // Read before publishing the sweep: no writer can finish
+            // until the first sweep is published.
+            const bool overlapped = writers_inserting.load() > 0;
+            sweeps.fetch_add(1);
+            if (overlapped)
+                sweeps_during_inserts.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
     });
     for (std::thread &w : writers)
         w.join();
@@ -736,6 +755,7 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
     gc.join();
 
     EXPECT_EQ(failed_inserts.load(), 0);
+    EXPECT_GE(sweeps_during_inserts.load(), 1);
 
     // Every acknowledged insert is durable and intact (full CRC pass).
     store::ResultStore reader(dir.string());

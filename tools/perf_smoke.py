@@ -24,8 +24,8 @@ kernel against the dense reference kernel (DESIGN.md §14): it runs
 the same figure campaign under both kernels (the dense one selected
 via LOOPSIM_DENSE_KERNEL=1), asserts the figure output is
 byte-identical between them, and writes BENCH_kernel.json with both
-kernels' median runs/sec, ops/sec (measured plus warmup ops per
-run), p50 campaign wall time, core
+kernels' median runs/sec with its quartiles, ops/sec (measured plus
+warmup ops per run), p50 campaign wall time, core
 scan fraction (from one extra self-profiled run per kernel), and
 the host context the numbers were measured on. The
 sparse kernel must not be slower than --min-kernel-ratio times the
@@ -43,6 +43,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -175,6 +176,16 @@ def median(values):
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+def quartiles(values):
+    """(first, third) quartile, interpolated between order statistics
+    (statistics.quantiles' inclusive method); one value is its own
+    quartiles."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def measure_kernel(args, label, extra_env, failures, tmp):
     """Run the campaign --repeats times under one kernel; return the
     (stdout, medians-dict) pair. Any campaign failure is fatal."""
@@ -201,11 +212,14 @@ def measure_kernel(args, label, extra_env, failures, tmp):
             f"{label} kernel: figure output varies across repeats — "
             f"the campaign is not deterministic")
     med_rps = median(rps)
+    q1_rps, q3_rps = quartiles(rps)
     # Each run simulates its warmup as well as its measured ops.
     return outputs[0], {
         "runs": runs,
         "warmup_ops": warmup_ops,
         "runs_per_s": med_rps,
+        "runs_per_s_q1": q1_rps,
+        "runs_per_s_q3": q3_rps,
         "ops_per_s": med_rps * (args.ops + warmup_ops),
         "p50_wall_s": median(walls),
     }
@@ -264,10 +278,12 @@ def run_baseline(args):
 
     speedup = (sparse["runs_per_s"] / dense["runs_per_s"]
                if dense["runs_per_s"] > 0 else 0.0)
-    print(f"perf_smoke: dense {dense['runs_per_s']:.2f} runs/s "
-          f"(p50 wall {dense['p50_wall_s']:.2f}s), "
-          f"sparse {sparse['runs_per_s']:.2f} runs/s "
-          f"(p50 wall {sparse['p50_wall_s']:.2f}s), "
+    def rate(k):
+        return (f"{k['runs_per_s']:.2f} runs/s "
+                f"(IQR {k['runs_per_s_q1']:.2f}–{k['runs_per_s_q3']:.2f}, "
+                f"p50 wall {k['p50_wall_s']:.2f}s)")
+
+    print(f"perf_smoke: dense {rate(dense)}, sparse {rate(sparse)}, "
           f"speedup {speedup:.3f}x")
     if dense["runs_per_s"] <= 0.0 or sparse["runs_per_s"] <= 0.0:
         failures.append("campaign telemetry reported zero runs/sec")
