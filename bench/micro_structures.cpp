@@ -97,7 +97,7 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_CrcLookup(benchmark::State &state)
 {
-    ClusterRegisterCache crc(static_cast<unsigned>(state.range(0)),
+    ClusterRegisterCache crc(64, static_cast<unsigned>(state.range(0)),
                              CrcRepl::Fifo);
     Pcg32 rng(7);
     for (unsigned r = 0; r < state.range(0); ++r)

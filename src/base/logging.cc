@@ -65,6 +65,12 @@ diagContext()
 }
 
 void
+untieDiagnostics()
+{
+    std::cerr.tie(nullptr);
+}
+
+void
 warnImpl(const std::string &msg)
 {
     // Single buffered insertion per message so lines from concurrent

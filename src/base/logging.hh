@@ -69,6 +69,11 @@ bool quiet();
 void setDiagContext(const std::string &prefix);
 const std::string &diagContext();
 
+/** Stop a diagnostic from flushing stdout before it is written (the
+ *  standard streams tie stderr to stdout). A forked worker calls this:
+ *  its stdout buffer holds the parent's unwritten output. */
+void untieDiagnostics();
+
 } // namespace detail
 
 /** RAII diag-context scope: prefixes this thread's warn() lines for

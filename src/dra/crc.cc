@@ -1,7 +1,10 @@
 #include "dra/crc.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "base/str.hh"
+#include "sim/feedback_port.hh"
 
 namespace loopsim
 {
@@ -17,23 +20,45 @@ parseCrcRepl(const std::string &name)
     fatal("unknown CRC replacement policy: ", name);
 }
 
-ClusterRegisterCache::ClusterRegisterCache(unsigned num_entries,
+ClusterRegisterCache::ClusterRegisterCache(unsigned num_phys_regs,
+                                           unsigned num_entries,
                                            CrcRepl repl_policy,
                                            Cycle timeout_cycles)
     : entriesMax(num_entries), repl(repl_policy), timeout(timeout_cycles),
-      store(num_entries)
+      store(num_entries), slotOf(num_phys_regs, noSlot)
 {
+    fatal_if(num_phys_regs == 0, "CRC needs registers");
     fatal_if(num_entries == 0, "CRC needs entries");
 }
 
 ClusterRegisterCache::Entry *
 ClusterRegisterCache::find(PhysReg reg)
 {
+    panic_if(reg >= slotOf.size(), "CRC register out of range");
+    std::uint32_t slot = slotOf[reg];
+    Entry *e = slot == noSlot ? nullptr : &store[slot];
+    if (audit::enabled()) [[unlikely]] {
+        panic_if(e != findByScan(reg),
+                 "CRC index disagrees with the slot scan for reg ", reg);
+    }
+    return e;
+}
+
+ClusterRegisterCache::Entry *
+ClusterRegisterCache::findByScan(PhysReg reg)
+{
     for (auto &e : store) {
         if (e.valid && e.reg == reg)
             return &e;
     }
     return nullptr;
+}
+
+void
+ClusterRegisterCache::drop(Entry &e)
+{
+    e.valid = false;
+    slotOf[e.reg] = noSlot;
 }
 
 bool
@@ -43,7 +68,7 @@ ClusterRegisterCache::lookup(PhysReg reg, Cycle now)
     if (e && timeout > 0 && now > e->insertedAt + timeout) {
         // §5.5 alternative: age out stale entries instead of relying
         // solely on reallocation invalidates.
-        e->valid = false;
+        drop(*e);
         ++timeoutCount;
         e = nullptr;
     }
@@ -77,8 +102,11 @@ ClusterRegisterCache::insert(PhysReg reg, Cycle now)
         if (!victim || cand.stamp < victim->stamp)
             victim = &cand;
     }
-    if (victim->valid)
+    if (victim->valid) {
+        drop(*victim);
         ++evictCount;
+    }
+    slotOf[reg] = static_cast<std::uint32_t>(victim - store.data());
     victim->valid = true;
     victim->reg = reg;
     victim->stamp = ++stamp;
@@ -90,7 +118,7 @@ ClusterRegisterCache::invalidate(PhysReg reg)
 {
     Entry *e = find(reg);
     if (e) {
-        e->valid = false;
+        drop(*e);
         ++invalidateCount;
     }
 }
@@ -109,6 +137,7 @@ ClusterRegisterCache::reset()
 {
     for (auto &e : store)
         e = Entry{};
+    std::fill(slotOf.begin(), slotOf.end(), noSlot);
     stamp = 0;
     hitCount = 0;
     missCount = 0;

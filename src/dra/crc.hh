@@ -4,6 +4,12 @@
  * of register values placed next to one functional-unit cluster. The
  * paper's design point is 16 entries with FIFO replacement; LRU and an
  * LRU-on-read variant are provided for the ablation study.
+ *
+ * The hardware is a CAM. The model finds an entry through a reverse
+ * index, register -> slot, that holds exactly the valid entries; a
+ * register has at most one valid entry (insert refreshes an existing
+ * one), so the index returns the entry a scan of the slots would.
+ * Victim choice still scans the slots.
  */
 
 #ifndef LOOPSIM_DRA_CRC_HH
@@ -32,14 +38,16 @@ class ClusterRegisterCache
 {
   public:
     /**
+     * @param num_phys_regs registers the index covers; larger register
+     *                      numbers panic
      * @param num_entries CRC capacity
      * @param repl        replacement policy
      * @param timeout     age in cycles after which an entry expires
      *                    (the paper's §5.5 alternative to explicit
      *                    invalidation); 0 disables the timeout
      */
-    ClusterRegisterCache(unsigned num_entries, CrcRepl repl,
-                         Cycle timeout = 0);
+    ClusterRegisterCache(unsigned num_phys_regs, unsigned num_entries,
+                         CrcRepl repl, Cycle timeout = 0);
 
     /**
      * Is @p reg's value present (and not timed out at @p now)? Hits do
@@ -78,12 +86,21 @@ class ClusterRegisterCache
         Cycle insertedAt = 0;
     };
 
+    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+
+    /** The valid entry for @p reg, or nullptr: one index load. */
     Entry *find(PhysReg reg);
+    /** The slot scan find() replaced; audit mode cross-checks it. */
+    Entry *findByScan(PhysReg reg);
+    /** Make @p e invalid and drop it from the index. */
+    void drop(Entry &e);
 
     unsigned entriesMax;
     CrcRepl repl;
     Cycle timeout;
     std::vector<Entry> store;
+    /** reg -> slot in store of its valid entry, noSlot when absent. */
+    std::vector<std::uint32_t> slotOf;
     std::uint64_t stamp = 0;
 
     std::uint64_t hitCount = 0;

@@ -1,21 +1,52 @@
 #include "dra/dra_unit.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "base/logging.hh"
 
 namespace loopsim
 {
 
+namespace
+{
+
+/** Add @p cluster to the cluster mask at @p mask. */
+void
+addCluster(std::uint64_t *mask, ClusterId cluster)
+{
+    mask[cluster / 64] |= std::uint64_t{1} << (cluster % 64);
+}
+
+/** Call @p fn(cluster) for each cluster in the @p words-word mask at
+ *  @p mask, lowest first, and clear the mask. */
+template <typename Fn>
+void
+drainMask(std::uint64_t *mask, std::size_t words, Fn &&fn)
+{
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
+            fn(static_cast<ClusterId>(w * 64 + std::countr_zero(bits)));
+        mask[w] = 0;
+    }
+}
+
+} // anonymous namespace
+
 DraUnit::DraUnit(unsigned num_phys_regs, unsigned num_clusters,
                  unsigned crc_entries, CrcRepl crc_repl,
                  unsigned table_bits, Cycle crc_timeout)
-    : filter(num_phys_regs)
+    : filter(num_phys_regs), maskWords((num_clusters + 63) / 64),
+      crcMask(std::size_t{num_phys_regs} * maskWords, 0),
+      tableMask(std::size_t{num_phys_regs} * maskWords, 0)
 {
     fatal_if(num_clusters == 0, "DRA needs clusters");
     tables.reserve(num_clusters);
     caches.reserve(num_clusters);
     for (unsigned c = 0; c < num_clusters; ++c) {
         tables.emplace_back(num_phys_regs, table_bits);
-        caches.emplace_back(crc_entries, crc_repl, crc_timeout);
+        caches.emplace_back(num_phys_regs, crc_entries, crc_repl,
+                            crc_timeout);
     }
 }
 
@@ -28,6 +59,7 @@ DraUnit::renameSource(PhysReg reg, ClusterId cluster)
         return true;
     }
     tables[cluster].increment(reg);
+    addCluster(maskOf(tableMask, reg), cluster);
     return false;
 }
 
@@ -38,10 +70,10 @@ DraUnit::renameDest(PhysReg reg)
     // and all CRCs (stale-value invalidation, §5.5) and the insertion
     // tables forget any stale consumer counts.
     filter.clear(reg);
-    for (auto &t : tables)
-        t.clear(reg);
-    for (auto &c : caches)
-        c.invalidate(reg);
+    drainMask(maskOf(tableMask, reg), maskWords,
+              [&](ClusterId c) { tables[c].clear(reg); });
+    drainMask(maskOf(crcMask, reg), maskWords,
+              [&](ClusterId c) { caches[c].invalidate(reg); });
 }
 
 void
@@ -62,22 +94,21 @@ void
 DraUnit::writeback(PhysReg reg, Cycle now)
 {
     filter.set(reg);
-    for (std::size_t c = 0; c < tables.size(); ++c) {
+    std::uint64_t *crc_clusters = maskOf(crcMask, reg);
+    // Every count of reg is zero afterwards, so its table mask empties.
+    drainMask(maskOf(tableMask, reg), maskWords, [&](ClusterId c) {
         if (tables[c].count(reg) > 0) {
             caches[c].insert(reg, now);
             tables[c].clear(reg);
+            addCluster(crc_clusters, c);
         }
-    }
+    });
 }
 
 void
 DraUnit::regFreed(PhysReg reg)
 {
-    filter.clear(reg);
-    for (auto &t : tables)
-        t.clear(reg);
-    for (auto &c : caches)
-        c.invalidate(reg);
+    renameDest(reg);
 }
 
 const ClusterRegisterCache &
@@ -129,6 +160,8 @@ DraUnit::reset()
         t.reset();
     for (auto &c : caches)
         c.reset();
+    std::fill(crcMask.begin(), crcMask.end(), 0);
+    std::fill(tableMask.begin(), tableMask.end(), 0);
     preReadCount = 0;
 }
 

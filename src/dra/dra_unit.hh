@@ -10,11 +10,22 @@
  * cluster's CRC; else (4) it *misses* — the operand-resolution-loop
  * mis-speculation — and is recovered from the RF into the IQ payload
  * while the instruction and its issued dependents reissue.
+ *
+ * The renamer's invalidation broadcast and the writeback's insertion
+ * check reach every cluster in hardware. The model keeps, per
+ * register, a mask of the clusters whose CRC may hold it (set by
+ * writeback's insert) and one of the clusters whose insertion table
+ * may count it (set by renameSource), and visits only those. Each
+ * mask is a superset of the clusters that hold or count the register,
+ * and visiting a cluster that holds nothing is a no-op, so the
+ * structures and every counter end up as a visit to every cluster
+ * would leave them.
  */
 
 #ifndef LOOPSIM_DRA_DRA_UNIT_HH
 #define LOOPSIM_DRA_DRA_UNIT_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -82,9 +93,22 @@ class DraUnit
     void reset();
 
   private:
+    /** @p reg's cluster mask in @p masks (crcMask or tableMask). */
+    std::uint64_t *
+    maskOf(std::vector<std::uint64_t> &masks, PhysReg reg)
+    {
+        return &masks[std::size_t{reg} * maskWords];
+    }
+
     Rpft filter;
     std::vector<InsertionTable> tables;
     std::vector<ClusterRegisterCache> caches;
+    /** 64-bit words per register in each cluster mask. */
+    std::size_t maskWords;
+    /** Per register: clusters whose CRC may hold it. */
+    std::vector<std::uint64_t> crcMask;
+    /** Per register: clusters whose insertion table may count it. */
+    std::vector<std::uint64_t> tableMask;
     std::uint64_t preReadCount = 0;
 };
 

@@ -173,7 +173,10 @@ writeAll(int fd, const char *data, std::size_t n)
  * cell against the pre-fork-resolved configuration (never touching the
  * overlay mutex — another parent thread may have held it at fork
  * time), ship the wire record and _exit without running atexit
- * handlers that belong to the parent's state.
+ * handlers that belong to the parent's state. It flushes no stdio
+ * stream: those hold the parent's unwritten output, which the parent
+ * writes itself. Its own diagnostics go to the unbuffered stderr,
+ * untied from stdout so a warning does not flush stdout first.
  */
 [[noreturn]] void
 childMain(int fd, const RunSpec &spec, const Config &resolved,
@@ -181,6 +184,7 @@ childMain(int fd, const RunSpec &spec, const Config &resolved,
 {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
+    detail::untieDiagnostics();
     int status = 0;
     try {
         RunResult res = runOnceResilientWith(spec, resolved, policy);
@@ -197,7 +201,6 @@ childMain(int fd, const RunSpec &spec, const Config &resolved,
         status = 2;
     }
     ::close(fd);
-    std::fflush(nullptr);
     ::_exit(status);
 }
 

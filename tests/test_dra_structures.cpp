@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "base/logging.hh"
+#include "base/random.hh"
 #include "dra/crc.hh"
 #include "dra/dra_unit.hh"
 #include "dra/insertion_table.hh"
@@ -69,7 +74,7 @@ TEST(InsertionTable, BadParamsFatal)
 
 TEST(Crc, LookupAfterInsert)
 {
-    ClusterRegisterCache crc(4, CrcRepl::Fifo);
+    ClusterRegisterCache crc(16, 4, CrcRepl::Fifo);
     EXPECT_FALSE(crc.lookup(7));
     crc.insert(7);
     EXPECT_TRUE(crc.lookup(7));
@@ -81,7 +86,7 @@ TEST(Crc, LookupAfterInsert)
 
 TEST(Crc, FifoEvictsOldestInsertion)
 {
-    ClusterRegisterCache crc(2, CrcRepl::Fifo);
+    ClusterRegisterCache crc(16, 2, CrcRepl::Fifo);
     crc.insert(1);
     crc.insert(2);
     crc.lookup(1); // reuse must NOT refresh under FIFO
@@ -94,7 +99,7 @@ TEST(Crc, FifoEvictsOldestInsertion)
 
 TEST(Crc, LruKeepsRecentlyRead)
 {
-    ClusterRegisterCache crc(2, CrcRepl::Lru);
+    ClusterRegisterCache crc(16, 2, CrcRepl::Lru);
     crc.insert(1);
     crc.insert(2);
     crc.lookup(1); // refreshes 1
@@ -105,7 +110,7 @@ TEST(Crc, LruKeepsRecentlyRead)
 
 TEST(Crc, ReinsertRefreshesExistingEntry)
 {
-    ClusterRegisterCache crc(2, CrcRepl::Fifo);
+    ClusterRegisterCache crc(16, 2, CrcRepl::Fifo);
     crc.insert(1);
     crc.insert(2);
     crc.insert(1); // refresh, no duplicate / eviction
@@ -118,7 +123,7 @@ TEST(Crc, ReinsertRefreshesExistingEntry)
 
 TEST(Crc, InvalidateOnReallocation)
 {
-    ClusterRegisterCache crc(4, CrcRepl::Fifo);
+    ClusterRegisterCache crc(16, 4, CrcRepl::Fifo);
     crc.insert(5);
     crc.invalidate(5);
     EXPECT_FALSE(crc.lookup(5));
@@ -132,7 +137,16 @@ TEST(Crc, ParseReplAndErrors)
     EXPECT_EQ(parseCrcRepl("FIFO"), CrcRepl::Fifo);
     EXPECT_EQ(parseCrcRepl("lru"), CrcRepl::Lru);
     EXPECT_THROW(parseCrcRepl("rrip"), FatalError);
-    EXPECT_THROW(ClusterRegisterCache(0, CrcRepl::Fifo), FatalError);
+    EXPECT_THROW(ClusterRegisterCache(16, 0, CrcRepl::Fifo), FatalError);
+    EXPECT_THROW(ClusterRegisterCache(0, 4, CrcRepl::Fifo), FatalError);
+}
+
+TEST(Crc, RegisterOutOfRangePanics)
+{
+    ClusterRegisterCache crc(16, 4, CrcRepl::Fifo);
+    EXPECT_THROW(crc.lookup(16), PanicError);
+    EXPECT_THROW(crc.insert(16), PanicError);
+    EXPECT_THROW(crc.invalidate(16), PanicError);
 }
 
 namespace
@@ -243,4 +257,342 @@ TEST(DraUnit, ClusterBoundsChecked)
     EXPECT_THROW(dra.renameSource(1, 4), PanicError);
     EXPECT_THROW(dra.lookupCached(1, 9), PanicError);
     EXPECT_THROW(dra.crc(4), PanicError);
+}
+
+namespace
+{
+
+/**
+ * The CRC as a plain slot scan: the model before the reverse index,
+ * kept here as the differential reference.
+ */
+class ScanCrc
+{
+  public:
+    ScanCrc(unsigned num_entries, CrcRepl repl_policy, Cycle timeout_cycles)
+        : repl(repl_policy), timeout(timeout_cycles), store(num_entries)
+    {
+    }
+
+    bool
+    lookup(PhysReg reg, Cycle now)
+    {
+        Entry *e = find(reg);
+        if (e && timeout > 0 && now > e->insertedAt + timeout) {
+            e->valid = false;
+            ++timeouts;
+            e = nullptr;
+        }
+        if (e) {
+            ++hits;
+            if (repl == CrcRepl::Lru)
+                e->stamp = ++stamp;
+            return true;
+        }
+        ++misses;
+        return false;
+    }
+
+    void
+    insert(PhysReg reg, Cycle now)
+    {
+        ++insertions;
+        Entry *e = find(reg);
+        if (e) {
+            e->stamp = ++stamp;
+            e->insertedAt = now;
+            return;
+        }
+        Entry *victim = nullptr;
+        for (auto &cand : store) {
+            if (!cand.valid) {
+                victim = &cand;
+                break;
+            }
+            if (!victim || cand.stamp < victim->stamp)
+                victim = &cand;
+        }
+        if (victim->valid)
+            ++evictions;
+        *victim = Entry{true, reg, ++stamp, now};
+    }
+
+    void
+    invalidate(PhysReg reg)
+    {
+        if (Entry *e = find(reg)) {
+            e->valid = false;
+            ++invalidations;
+        }
+    }
+
+    void
+    reset()
+    {
+        *this = ScanCrc(static_cast<unsigned>(store.size()), repl, timeout);
+    }
+
+    std::size_t
+    occupancy() const
+    {
+        std::size_t n = 0;
+        for (const auto &e : store)
+            n += e.valid ? 1 : 0;
+        return n;
+    }
+
+    std::uint64_t hits = 0, misses = 0, insertions = 0, evictions = 0,
+                  invalidations = 0, timeouts = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        PhysReg reg = invalidPhysReg;
+        std::uint64_t stamp = 0;
+        Cycle insertedAt = 0;
+    };
+
+    Entry *
+    find(PhysReg reg)
+    {
+        for (auto &e : store) {
+            if (e.valid && e.reg == reg)
+                return &e;
+        }
+        return nullptr;
+    }
+
+    CrcRepl repl;
+    Cycle timeout;
+    std::vector<Entry> store;
+    std::uint64_t stamp = 0;
+};
+
+void
+expectSameCrc(const ClusterRegisterCache &crc, const ScanCrc &ref)
+{
+    ASSERT_EQ(crc.occupancy(), ref.occupancy());
+    ASSERT_EQ(crc.hits(), ref.hits);
+    ASSERT_EQ(crc.misses(), ref.misses);
+    ASSERT_EQ(crc.insertions(), ref.insertions);
+    ASSERT_EQ(crc.evictions(), ref.evictions);
+    ASSERT_EQ(crc.invalidations(), ref.invalidations);
+    ASSERT_EQ(crc.timeouts(), ref.timeouts);
+}
+
+/** A register drawn mostly from a hot set a few times the CRC's size,
+ *  so hits, refreshes and evictions all happen, and otherwise from all
+ *  @p num_regs registers. */
+PhysReg
+drawReg(Pcg32 &rng, unsigned hot, unsigned num_regs)
+{
+    unsigned bound = rng.chance(0.8) ? std::min(hot, num_regs) : num_regs;
+    return static_cast<PhysReg>(rng.nextBounded(bound));
+}
+
+/** The DraUnit as it was before the cluster masks: every broadcast
+ *  visits every cluster. */
+class AllClustersDra
+{
+  public:
+    AllClustersDra(unsigned num_phys_regs, unsigned num_clusters,
+                   unsigned crc_entries, CrcRepl crc_repl,
+                   unsigned table_bits, Cycle crc_timeout)
+        : filter(num_phys_regs)
+    {
+        for (unsigned c = 0; c < num_clusters; ++c) {
+            tables.emplace_back(num_phys_regs, table_bits);
+            caches.emplace_back(crc_entries, crc_repl, crc_timeout);
+        }
+    }
+
+    bool
+    renameSource(PhysReg reg, ClusterId cluster)
+    {
+        if (filter.test(reg)) {
+            ++preReads;
+            return true;
+        }
+        tables[cluster].increment(reg);
+        return false;
+    }
+
+    void
+    renameDest(PhysReg reg)
+    {
+        filter.clear(reg);
+        for (auto &t : tables)
+            t.clear(reg);
+        for (auto &c : caches)
+            c.invalidate(reg);
+    }
+
+    void forwardHit(PhysReg reg, ClusterId c) { tables[c].decrement(reg); }
+
+    bool
+    lookupCached(PhysReg reg, ClusterId c, Cycle now)
+    {
+        return caches[c].lookup(reg, now);
+    }
+
+    void
+    writeback(PhysReg reg, Cycle now)
+    {
+        filter.set(reg);
+        for (std::size_t c = 0; c < tables.size(); ++c) {
+            if (tables[c].count(reg) > 0) {
+                caches[c].insert(reg, now);
+                tables[c].clear(reg);
+            }
+        }
+    }
+
+    void regFreed(PhysReg reg) { renameDest(reg); }
+
+    void
+    reset()
+    {
+        filter.reset();
+        for (auto &t : tables)
+            t.reset();
+        for (auto &c : caches)
+            c.reset();
+        preReads = 0;
+    }
+
+    Rpft filter;
+    std::vector<InsertionTable> tables;
+    std::vector<ScanCrc> caches;
+    std::uint64_t preReads = 0;
+};
+
+/** Compare every counter, and the RPFT bit and every cluster's table
+ *  count of registers [@p reg_lo, @p reg_hi). */
+void
+expectSameDra(const DraUnit &dra, const AllClustersDra &ref,
+              unsigned reg_lo, unsigned reg_hi)
+{
+    ASSERT_EQ(dra.preReads(), ref.preReads);
+    std::uint64_t insertions = 0, evictions = 0, drops = 0;
+    for (std::size_t c = 0; c < ref.caches.size(); ++c) {
+        auto cluster = static_cast<ClusterId>(c);
+        SCOPED_TRACE("cluster " + std::to_string(c));
+        expectSameCrc(dra.crc(cluster), ref.caches[c]);
+        insertions += ref.caches[c].insertions;
+        evictions += ref.caches[c].evictions;
+        drops += ref.tables[c].saturationDrops();
+        for (unsigned r = reg_lo; r < reg_hi; ++r) {
+            auto reg = static_cast<PhysReg>(r);
+            ASSERT_EQ(dra.insertionTable(cluster).count(reg),
+                      ref.tables[c].count(reg))
+                << "reg " << r;
+        }
+    }
+    ASSERT_EQ(dra.crcInsertions(), insertions);
+    ASSERT_EQ(dra.crcEvictions(), evictions);
+    ASSERT_EQ(dra.saturationDrops(), drops);
+    for (unsigned r = reg_lo; r < reg_hi; ++r) {
+        auto reg = static_cast<PhysReg>(r);
+        ASSERT_EQ(dra.rpft().test(reg), ref.filter.test(reg));
+    }
+}
+
+} // anonymous namespace
+
+TEST(CrcDifferential, IndexMatchesSlotScan)
+{
+    constexpr unsigned numRegs = 512;
+    constexpr int callsPerCase = 8000;
+    Pcg32 rng(2002);
+    for (CrcRepl repl : {CrcRepl::Fifo, CrcRepl::Lru}) {
+        for (Cycle timeout : {Cycle{0}, Cycle{6}}) {
+            for (unsigned entries : {1u, 4u, 16u, 64u}) {
+                SCOPED_TRACE("repl " + std::to_string(int(repl)) +
+                             " timeout " + std::to_string(timeout) +
+                             " entries " + std::to_string(entries));
+                ClusterRegisterCache crc(numRegs, entries, repl, timeout);
+                ScanCrc ref(entries, repl, timeout);
+                Cycle now = 0;
+                for (int i = 0; i < callsPerCase; ++i) {
+                    now += rng.nextBounded(3);
+                    PhysReg reg = drawReg(rng, 3 * entries, numRegs);
+                    unsigned pick = rng.nextBounded(1000);
+                    if (pick < 450) {
+                        ASSERT_EQ(crc.lookup(reg, now), ref.lookup(reg, now));
+                    } else if (pick < 800) {
+                        crc.insert(reg, now);
+                        ref.insert(reg, now);
+                    } else if (pick < 998) {
+                        crc.invalidate(reg);
+                        ref.invalidate(reg);
+                    } else {
+                        crc.reset();
+                        ref.reset();
+                    }
+                    expectSameCrc(crc, ref);
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(DraDifferential, ClusterMasksMatchAllClusterBroadcasts)
+{
+    // 72 clusters spill the masks into a second word.
+    constexpr unsigned numRegs = 96;
+    constexpr int calls = 40000;
+    for (unsigned clusters : {8u, 16u, 72u}) {
+        for (Cycle timeout : {Cycle{0}, Cycle{10}}) {
+            SCOPED_TRACE("clusters " + std::to_string(clusters) +
+                         " timeout " + std::to_string(timeout));
+            Pcg32 rng(clusters * 31 + timeout);
+            CrcRepl repl = timeout > 0 ? CrcRepl::Lru : CrcRepl::Fifo;
+            DraUnit dra(numRegs, clusters, 4, repl, 2, timeout);
+            AllClustersDra ref(numRegs, clusters, 4, repl, 2, timeout);
+            Cycle now = 0;
+            for (int i = 0; i < calls; ++i) {
+                now += rng.nextBounded(2);
+                auto reg = static_cast<PhysReg>(rng.nextBounded(numRegs));
+                auto cluster = static_cast<ClusterId>(
+                    rng.nextBounded(clusters));
+                unsigned pick = rng.nextBounded(1000);
+                if (pick < 300) {
+                    ASSERT_EQ(dra.renameSource(reg, cluster),
+                              ref.renameSource(reg, cluster));
+                } else if (pick < 420) {
+                    dra.forwardHit(reg, cluster);
+                    ref.forwardHit(reg, cluster);
+                } else if (pick < 620) {
+                    ASSERT_EQ(dra.lookupCached(reg, cluster, now),
+                              ref.lookupCached(reg, cluster, now));
+                } else if (pick < 820) {
+                    dra.writeback(reg, now);
+                    ref.writeback(reg, now);
+                } else if (pick < 910) {
+                    dra.renameDest(reg);
+                    ref.renameDest(reg);
+                } else if (pick < 999) {
+                    dra.regFreed(reg);
+                    ref.regFreed(reg);
+                } else {
+                    dra.reset();
+                    ref.reset();
+                }
+                // A call changes only its own register's RPFT bit and
+                // table counts (a reset changes all of them), so
+                // checking that register after every call, with every
+                // CRC counter, catches a divergence at once.
+                if (pick < 999)
+                    expectSameDra(dra, ref, reg, reg + 1u);
+                else
+                    expectSameDra(dra, ref, 0, numRegs);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+            expectSameDra(dra, ref, 0, numRegs);
+        }
+    }
 }

@@ -121,6 +121,30 @@ TEST(KernelDifferential, DraMachine)
     }
 }
 
+/** The DRA ablation settings: LRU refreshes on reads, timeouts expire
+ *  entries, and a 4-entry CRC evicts often. */
+TEST(KernelDifferential, DraCrcAblations)
+{
+    struct Cell
+    {
+        const char *workload;
+        const char *key;
+        const char *value;
+    };
+    for (const Cell &cell : {Cell{"gcc", "dra.crc.repl", "lru"},
+                             Cell{"swim", "dra.crc.timeout", "16"},
+                             Cell{"go-su2cor", "dra.crc.entries", "4"}}) {
+        RunSpec spec = specFor(resolveWorkload(cell.workload));
+        spec.overrides.setBool("dra.enable", true);
+        spec.overrides.set(cell.key, cell.value);
+        RunResult dense = runWith(KernelMode::Dense, spec);
+        RunResult sparse = runWith(KernelMode::Sparse, spec);
+        expectIdentical(dense, sparse,
+                        std::string(cell.key) + "=" + cell.value + ":" +
+                            cell.workload);
+    }
+}
+
 /** Long pipelines stretch the loops the wheel must sleep across. */
 TEST(KernelDifferential, LongPipeline)
 {

@@ -267,7 +267,7 @@ TEST(MemoryOrdering, TrapsAreRareOnProfiles)
 
 TEST(CrcTimeout, EntriesExpire)
 {
-    ClusterRegisterCache crc(4, CrcRepl::Fifo, 50);
+    ClusterRegisterCache crc(16, 4, CrcRepl::Fifo, 50);
     crc.insert(7, 100);
     EXPECT_TRUE(crc.lookup(7, 120));
     EXPECT_FALSE(crc.lookup(7, 151)); // timed out
@@ -278,7 +278,7 @@ TEST(CrcTimeout, EntriesExpire)
 
 TEST(CrcTimeout, ReinsertRefreshesAge)
 {
-    ClusterRegisterCache crc(4, CrcRepl::Fifo, 50);
+    ClusterRegisterCache crc(16, 4, CrcRepl::Fifo, 50);
     crc.insert(7, 100);
     crc.insert(7, 140); // refresh
     EXPECT_TRUE(crc.lookup(7, 170));
@@ -287,7 +287,7 @@ TEST(CrcTimeout, ReinsertRefreshesAge)
 
 TEST(CrcTimeout, ZeroTimeoutNeverExpires)
 {
-    ClusterRegisterCache crc(4, CrcRepl::Fifo, 0);
+    ClusterRegisterCache crc(16, 4, CrcRepl::Fifo, 0);
     crc.insert(7, 1);
     EXPECT_TRUE(crc.lookup(7, 1u << 30));
 }

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -209,6 +210,43 @@ TEST(SupervisedRun, HealthyCellMatchesInProcessBitExactly)
     EXPECT_EQ(so.timeouts, 0u);
     EXPECT_FALSE(so.interrupted);
     expectSameResult(so.result, inproc);
+}
+
+TEST(SupervisedRun, WorkerDoesNotReflushParentStdout)
+{
+    // A forked worker inherits the parent's unwritten stdio buffers; if
+    // it flushed them, every cell would repeat the parent's pending
+    // output.
+    SupervisionScope scope;
+    fs::path out = freshDir("stdout-once") / "stdout.txt";
+    std::fflush(stdout);
+    int saved = ::dup(STDOUT_FILENO);
+    ASSERT_GE(saved, 0);
+    int fd = ::open(out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    ::dup2(fd, STDOUT_FILENO);
+    ::close(fd);
+    std::setvbuf(stdout, nullptr, _IOFBF, BUFSIZ);
+
+    std::printf("unflushed-marker;");
+    SupervisedOutcome healthy =
+        runCellSupervised(smallSpec("gcc"), {}, "healthy cell");
+    // A wedged cell retries, so the worker also writes warnings.
+    RunSpec wedged = smallSpec("gcc");
+    wedged.overrides = wedgeConfig();
+    SupervisedOutcome warned = runCellSupervised(wedged, {}, "wedged cell");
+
+    std::fflush(stdout);
+    ::dup2(saved, STDOUT_FILENO);
+    ::close(saved);
+
+    EXPECT_EQ(healthy.crashes, 0u);
+    EXPECT_EQ(warned.crashes, 0u);
+    EXPECT_TRUE(warned.result.failed);
+    std::ifstream in(out);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "unflushed-marker;");
 }
 
 TEST(SupervisedRun, SimFailureTravelsTheWireAsFailNotCrash)
