@@ -2,15 +2,16 @@
  * @file
  * Shared helpers for the figure-reproduction bench binaries.
  *
- * Common CLI surface: `<bench> [OPS] [--jobs N|auto] [--csv]
+ * Common CLI surface: `<bench> [OPS] [--csv] [--jobs N|auto] [-j N]
  * [--trace PATH] [--profile] [--store DIR] [--isolate]
- * [--deadline-ms N] [--journal DIR] [--server HOST:PORT]` in any
- * argument order, plus the LOOPSIM_BENCH_OPS, LOOPSIM_JOBS,
- * LOOPSIM_TRACE, LOOPSIM_PROFILE, LOOPSIM_STORE, LOOPSIM_ISOLATE,
- * LOOPSIM_DEADLINE_MS, LOOPSIM_JOURNAL and LOOPSIM_SERVER environment
- * variables. `--server` delegates every campaign to a loopsim-serve
- * daemon (results stay byte-identical to local runs; the entry grows a
- * "serve" telemetry object); `--jobs auto` means the host CPU count. Every binary records campaign telemetry (wall clock,
+ * [--deadline-ms N] [--journal DIR]` in any argument order (value
+ * flags also take the `--flag=V` form), plus the LOOPSIM_BENCH_OPS,
+ * LOOPSIM_JOBS, LOOPSIM_TRACE, LOOPSIM_PROFILE, LOOPSIM_STORE,
+ * LOOPSIM_ISOLATE, LOOPSIM_DEADLINE_MS and LOOPSIM_JOURNAL environment
+ * variables. detail::kFlags is the only list of accepted flags: an
+ * unknown `-`-prefixed argument or a second positional argument exits
+ * 2 with usage before any cell runs. `--jobs auto` means the host CPU
+ * count. Every binary records campaign telemetry (wall clock,
  * runs/sec, cache activity, supervision counters, and the kernel
  * tick profile when --profile is on) into BENCH_campaign.json on
  * exit — including on a SIGINT/SIGTERM drain, via the campaign
@@ -34,11 +35,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/campaign.hh"
 #include "harness/supervisor.hh"
-#include "serve/client.hh"
 #include "store/journal.hh"
 #include "store/result_store.hh"
 #include "trace/loop_trace.hh"
@@ -48,6 +49,47 @@ namespace loopsim::benchutil
 
 namespace detail
 {
+
+/** One accepted flag; @c metavar is null for a bare switch. */
+struct FlagSpec
+{
+    const char *name;
+    const char *metavar;
+};
+
+/** Every flag a bench binary accepts, in usage order. */
+inline constexpr FlagSpec kFlags[] = {
+    {"--csv", nullptr},        {"--jobs", "N|auto"},
+    {"-j", "N|auto"},          {"--trace", "PATH"},
+    {"--profile", nullptr},    {"--store", "DIR"},
+    {"--isolate", nullptr},    {"--deadline-ms", "N"},
+    {"--journal", "DIR"},
+};
+
+inline const FlagSpec *
+findFlag(const std::string &name)
+{
+    for (const FlagSpec &f : kFlags) {
+        if (name == f.name)
+            return &f;
+    }
+    return nullptr;
+}
+
+/** Print @p why and the usage line, then exit 2. */
+[[noreturn]] inline void
+usageError(const char *prog, const std::string &why)
+{
+    std::fprintf(stderr, "%s\nusage: %s [OPS]", why.c_str(), prog);
+    for (const FlagSpec &f : kFlags) {
+        if (f.metavar)
+            std::fprintf(stderr, " [%s %s]", f.name, f.metavar);
+        else
+            std::fprintf(stderr, " [%s]", f.name);
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+}
 
 /** Parse a non-negative integer; exits with a diagnostic otherwise. */
 inline std::uint64_t
@@ -64,66 +106,110 @@ parseCount(const std::string &text, const char *what)
     return static_cast<std::uint64_t>(v);
 }
 
-/** True for flags that consume the following argument. */
-inline bool
-flagTakesValue(const std::string &flag)
+/** argv checked against kFlags. */
+struct BenchArgs
 {
-    return flag == "--jobs" || flag == "-j" || flag == "--trace" ||
-           flag == "--store" || flag == "--deadline-ms" ||
-           flag == "--journal" || flag == "--server";
-}
+    /** (flag, value) in argv order; the value is "" for a switch. */
+    std::vector<std::pair<std::string, std::string>> flags;
+    /** The one positional argument (the op count), or null. */
+    const char *positional = nullptr;
 
-/** Value of a `--flag V` / `--flag=V` option, or "" when absent. */
-inline std::string
-flagValue(int argc, char **argv, const std::string &flag)
-{
-    const std::string prefix = flag + "=";
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind(prefix, 0) == 0)
-            return a.substr(prefix.size());
-        if (a != flag)
-            continue;
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-            std::exit(2);
+    bool
+    has(const std::string &flag) const
+    {
+        for (const auto &f : flags) {
+            if (f.first == flag)
+                return true;
         }
-        return argv[i + 1];
+        return false;
     }
-    return "";
+
+    /** Value of the first @p flag given, or "" when absent. */
+    std::string
+    value(const std::string &flag) const
+    {
+        for (const auto &f : flags) {
+            if (f.first == flag)
+                return f.second;
+        }
+        return "";
+    }
+};
+
+/**
+ * Split argv into flags and the positional argument. An unknown
+ * `-`-prefixed argument, a switch given a value, a value flag with
+ * nothing after it, or a second positional argument exits 2.
+ */
+inline BenchArgs
+parseArgs(int argc, char **argv)
+{
+    BenchArgs args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a.empty() || a[0] != '-') {
+            if (args.positional)
+                usageError(argv[0], "unexpected argument \"" + a + "\"");
+            args.positional = argv[i];
+            continue;
+        }
+        const std::size_t eq = a.find('=');
+        const std::string name = a.substr(0, eq);
+        const FlagSpec *spec = findFlag(name);
+        if (!spec || (eq != std::string::npos && !spec->metavar))
+            usageError(argv[0], "unknown option \"" + a + "\"");
+        std::string value;
+        if (eq != std::string::npos) {
+            value = a.substr(eq + 1);
+        } else if (spec->metavar) {
+            if (i + 1 >= argc)
+                usageError(argv[0], name + " needs a value");
+            value = argv[++i];
+        }
+        args.flags.emplace_back(name, std::move(value));
+    }
+    return args;
 }
 
-/** True when @p flag appears anywhere in argv. */
-inline bool
-hasFlag(int argc, char **argv, const std::string &flag)
+/**
+ * A directory flag's value: `--flag DIR` / `--flag=DIR`, else
+ * @p fallback when the flag is absent. A flag with an empty path is a
+ * usage error (exit 2) rather than a silently disabled feature.
+ */
+inline std::string
+dirFlag(int argc, char **argv, const std::string &flag,
+        const std::string &fallback)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (flag == argv[i])
-            return true;
+    const BenchArgs args = parseArgs(argc, argv);
+    if (!args.has(flag))
+        return fallback;
+    std::string path = args.value(flag);
+    if (path.empty()) {
+        std::fprintf(stderr, "%s needs a directory path (usage: %s DIR "
+                     "or %s=DIR)\n", flag.c_str(), flag.c_str(),
+                     flag.c_str());
+        std::exit(2);
     }
-    return false;
+    return path;
 }
 
 } // namespace detail
 
 /**
- * Correct-path ops per run: the first non-flag argument wherever it
- * sits on the command line (flags like --csv / --jobs N / --jobs=N are
- * skipped, never misread as a count), else LOOPSIM_BENCH_OPS, else
- * @p def. A non-numeric or zero count is rejected with exit code 2
- * instead of silently becoming 0 ops.
+ * Correct-path ops per run: the positional argument wherever it sits
+ * on the command line, else LOOPSIM_BENCH_OPS, else @p def. A
+ * non-numeric or zero count is rejected with exit code 2 instead of
+ * silently becoming 0 ops. Every bench binary calls this first, so
+ * its argv check is what rejects a bad command line before any cell
+ * runs.
  */
 inline std::uint64_t
 benchOps(int argc, char **argv, std::uint64_t def = 200000)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (!a.empty() && a[0] == '-') {
-            if (detail::flagTakesValue(a))
-                ++i; // skip the flag's value too
-            continue;
-        }
-        std::uint64_t ops = detail::parseCount(a, "op count");
+    const detail::BenchArgs args = detail::parseArgs(argc, argv);
+    if (args.positional) {
+        std::uint64_t ops = detail::parseCount(args.positional,
+                                               "op count");
         if (ops == 0) {
             std::fprintf(stderr, "op count must be positive\n");
             std::exit(2);
@@ -146,24 +232,10 @@ benchOps(int argc, char **argv, std::uint64_t def = 200000)
 inline unsigned
 benchJobs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        std::string value;
-        if (a.rfind("--jobs=", 0) == 0) {
-            value = a.substr(7);
-        } else if (a == "--jobs" || a == "-j") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(2);
-            }
-            value = argv[++i];
-        } else {
-            // Other value-taking flags (--trace PATH): skip the value
-            // so it is never misread as a job count.
-            if (detail::flagTakesValue(a))
-                ++i;
+    const detail::BenchArgs args = detail::parseArgs(argc, argv);
+    for (const auto &[flag, value] : args.flags) {
+        if (flag != "--jobs" && flag != "-j")
             continue;
-        }
         bool ok = false;
         unsigned jobs = parseJobsSpec(value, ok);
         if (!ok) {
@@ -180,7 +252,7 @@ benchJobs(int argc, char **argv)
 inline bool
 wantCsv(int argc, char **argv)
 {
-    return detail::hasFlag(argc, argv, "--csv");
+    return detail::parseArgs(argc, argv).has("--csv");
 }
 
 /**
@@ -190,7 +262,7 @@ wantCsv(int argc, char **argv)
 inline std::string
 benchTrace(int argc, char **argv)
 {
-    std::string path = detail::flagValue(argc, argv, "--trace");
+    std::string path = detail::parseArgs(argc, argv).value("--trace");
     return !path.empty() ? path : trace::tracePath();
 }
 
@@ -198,35 +270,26 @@ benchTrace(int argc, char **argv)
 inline bool
 benchProfile(int argc, char **argv)
 {
-    return detail::hasFlag(argc, argv, "--profile") ||
+    return detail::parseArgs(argc, argv).has("--profile") ||
            tickProfilingActive();
 }
 
 /**
  * Persistent result-store directory: `--store DIR` / `--store=DIR`,
  * else the LOOPSIM_STORE environment variable; "" when the store is
- * off. A `--store` with a missing or empty path is a usage error
- * (exit 2) rather than a silently disabled cache.
+ * off.
  */
 inline std::string
 benchStore(int argc, char **argv)
 {
-    bool present = detail::hasFlag(argc, argv, "--store");
-    std::string path = detail::flagValue(argc, argv, "--store");
-    if (path.empty() && (present || detail::hasFlag(argc, argv,
-                                                    "--store="))) {
-        std::fprintf(stderr, "--store needs a directory path "
-                     "(usage: --store DIR or --store=DIR)\n");
-        std::exit(2);
-    }
-    return !path.empty() ? path : store::storePath();
+    return detail::dirFlag(argc, argv, "--store", store::storePath());
 }
 
 /** Crash isolation: `--isolate`, else LOOPSIM_ISOLATE. */
 inline bool
 benchIsolate(int argc, char **argv)
 {
-    return detail::hasFlag(argc, argv, "--isolate") ||
+    return detail::parseArgs(argc, argv).has("--isolate") ||
            isolationActive();
 }
 
@@ -237,48 +300,21 @@ benchIsolate(int argc, char **argv)
 inline std::uint64_t
 benchDeadlineMs(int argc, char **argv)
 {
-    std::string value = detail::flagValue(argc, argv, "--deadline-ms");
-    if (!value.empty())
-        return detail::parseCount(value, "deadline");
+    const detail::BenchArgs args = detail::parseArgs(argc, argv);
+    if (args.has("--deadline-ms"))
+        return detail::parseCount(args.value("--deadline-ms"), "deadline");
     return deadlineMs();
 }
 
 /**
  * Campaign journal directory: `--journal DIR` / `--journal=DIR`, else
  * the LOOPSIM_JOURNAL environment variable; "" when journaling is
- * off. A `--journal` with a missing path is a usage error (exit 2).
+ * off.
  */
 inline std::string
 benchJournal(int argc, char **argv)
 {
-    bool present = detail::hasFlag(argc, argv, "--journal");
-    std::string path = detail::flagValue(argc, argv, "--journal");
-    if (path.empty() && (present || detail::hasFlag(argc, argv,
-                                                    "--journal="))) {
-        std::fprintf(stderr, "--journal needs a directory path "
-                     "(usage: --journal DIR or --journal=DIR)\n");
-        std::exit(2);
-    }
-    return !path.empty() ? path : store::journalPath();
-}
-
-/**
- * Campaign-service endpoint: `--server HOST:PORT` / `--server=...`,
- * else the LOOPSIM_SERVER environment variable; "" when local. A
- * `--server` with a missing endpoint is a usage error (exit 2).
- */
-inline std::string
-benchServer(int argc, char **argv)
-{
-    bool present = detail::hasFlag(argc, argv, "--server");
-    std::string endpoint = detail::flagValue(argc, argv, "--server");
-    if (endpoint.empty() && (present || detail::hasFlag(argc, argv,
-                                                        "--server="))) {
-        std::fprintf(stderr, "--server needs an endpoint (usage: "
-                     "--server HOST:PORT)\n");
-        std::exit(2);
-    }
-    return !endpoint.empty() ? endpoint : serve::serveEndpoint();
+    return detail::dirFlag(argc, argv, "--journal", store::journalPath());
 }
 
 /** Workloads used by ablation benches (a representative subset). */
@@ -328,9 +364,6 @@ class CampaignRecorder
         std::string journal_dir = benchJournal(argc, argv);
         if (!journal_dir.empty())
             store::setJournalPath(journal_dir);
-        std::string server = benchServer(argc, argv);
-        if (!server.empty())
-            serve::setServeEndpoint(server);
         // The campaign executor runs on this thread, so the hook fires
         // with this object alive and no concurrent flush possible.
         setCampaignInterruptFlush([this] { flush(); });
@@ -390,23 +423,6 @@ class CampaignRecorder
               << ", \"backoff_waits\": " << t.backoffWaits
               << ", \"backoff_wait_ms\": " << t.backoffWaitMs
               << ", \"resumed\": " << t.resumed << "}";
-        if (serve::serveConfigured()) {
-            const serve::ServeTelemetry s = serve::lastClientTelemetry();
-            entry << ", \"serve\": {\"endpoint\": \""
-                  << serve::serveEndpoint()
-                  << "\", \"tenant\": \"" << s.tenant
-                  << "\", \"cells\": " << s.cells
-                  << ", \"queued\": " << s.queued
-                  << ", \"simulated\": " << s.simulated
-                  << ", \"cache_hits\": " << s.cacheHits
-                  << ", \"dedup_hits\": " << s.dedupHits
-                  << ", \"resumed\": " << s.resumed
-                  << ", \"failures\": " << s.failures
-                  << ", \"crashes\": " << s.crashes
-                  << ", \"timeouts\": " << s.timeouts
-                  << ", \"reconnects\": " << s.reconnects
-                  << ", \"wall_s\": " << s.wallSeconds << "}";
-        }
         if (!t.workers.empty()) {
             entry << ", \"workers\": [";
             for (std::size_t i = 0; i < t.workers.size(); ++i) {

@@ -16,7 +16,6 @@
 #include "base/logging.hh"
 #include "core/machine_config.hh"
 #include "harness/supervisor.hh"
-#include "serve/client.hh"
 #include "store/fingerprint.hh"
 #include "store/journal.hh"
 #include "trace/loop_trace.hh"
@@ -308,21 +307,6 @@ std::vector<RunResult>
 runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             unsigned jobs)
 {
-    // Remote delegation (--server / LOOPSIM_SERVER): ship the plan to
-    // a loopsim-serve daemon instead of simulating here. Trace
-    // collection opts out (loop events never cross the wire), and any
-    // failure falls back to local execution so a dead server costs a
-    // warning, not the figure.
-    if (!plan.empty() && serve::serveConfigured() &&
-        !trace::collectionActive()) {
-        std::vector<RunResult> remote;
-        std::string err;
-        if (serve::runCampaignRemote(plan, policy, remote, err))
-            return remote;
-        warn("campaign: remote submission to ", serve::serveEndpoint(),
-             " failed (", err, "); falling back to local execution");
-    }
-
     if (jobs == 0)
         jobs = campaignJobs();
     jobs = static_cast<unsigned>(
@@ -693,14 +677,6 @@ setCampaignInterruptFlush(std::function<void()> hook)
 {
     std::lock_guard<std::mutex> lock(flushHookMutex);
     interruptFlushHook = std::move(hook);
-}
-
-void
-recordCampaignTelemetry(const CampaignTelemetry &t)
-{
-    std::lock_guard<std::mutex> lock(telemetryMutex);
-    lastTelemetry = t;
-    totalTelemetry.accumulate(t);
 }
 
 CampaignTelemetry

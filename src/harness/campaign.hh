@@ -199,8 +199,7 @@ unsigned hostCpus();
 
 /**
  * Parse a --jobs / LOOPSIM_JOBS value: a number (capped at 1024) or
- * "auto", which resolves to hostCpus() — the sane full-width setting
- * shared by the local executor and the serve worker pool. @p ok is
+ * "auto", which resolves to hostCpus(), the full host width. @p ok is
  * false (and 0 returned) on anything else.
  */
 unsigned parseJobsSpec(const std::string &spec, bool &ok);
@@ -243,14 +242,6 @@ store::Fingerprint fingerprintPlan(const CampaignPlan &plan,
  * leaves telemetry behind.
  */
 void setCampaignInterruptFlush(std::function<void()> hook);
-
-/**
- * Record one campaign's telemetry as if runCampaign() produced it
- * (updates lastCampaignTelemetry() and campaignTotals()). The remote
- * submission path (serve/client.hh) uses this so served campaigns
- * surface through the same counters as local ones.
- */
-void recordCampaignTelemetry(const CampaignTelemetry &t);
 
 /** Telemetry of the most recently completed campaign. */
 CampaignTelemetry lastCampaignTelemetry();

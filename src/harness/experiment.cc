@@ -345,6 +345,17 @@ runOnceWith(const RunSpec &spec, Config cfg)
     for (const auto &[name, stat] : core.exportedStats())
         res.scalars[name] = stat->value();
     res.retired = static_cast<std::uint64_t>(res.scalar("retired"));
+    // Warmup checks its target once per 1024-cycle chunk, so at tiny
+    // op counts it can run into the measured budget and consume it
+    // all. Such a cell has no IPC to report: fail it rather than hand
+    // the figure a zero.
+    if (res.retired == 0) {
+        throw SimError("empty-window",
+                       spec.workload.label +
+                           ": the measured window retired no ops "
+                           "(warmup consumed the trace; raise the op "
+                           "count)");
+    }
     if (const FaultInjector *fi = core.faultInjector())
         res.scalars["faultsInjected"] =
             static_cast<double>(fi->totalInjected());

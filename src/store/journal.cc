@@ -1,6 +1,7 @@
 #include "store/journal.hh"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -156,6 +157,28 @@ CampaignJournal::CampaignJournal(const std::string &dir,
              "cannot create journal directory ", dir, ": ", ec.message());
     file = (fs::path(dir) / (plan_fp.hex() + ".lsj")).string();
 
+    fd = ::open(file.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        warn("cannot open journal ", file, ": ", std::strerror(errno),
+             " (campaign will run un-resumable)");
+        return;
+    }
+    // One writer per journal: a second campaign on the same plan would
+    // truncate to the prefix it read and append at its own offset,
+    // overwriting this one's entries. The lock lives as long as the
+    // descriptor. A forked isolated worker shares it, so a worker that
+    // outlives its campaign holds the lock until its one cell ends,
+    // and a campaign started meanwhile takes this same fallback.
+    if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+        warn("cannot lock journal ", file, ": ",
+             errno == EWOULDBLOCK ? "another campaign is using it"
+                                  : std::strerror(errno),
+             " (campaign will run un-resumable)");
+        ::close(fd);
+        fd = -1;
+        return;
+    }
+
     // Replay whatever a previous campaign left, then truncate the torn
     // tail so fresh appends never land after garbled framing.
     std::size_t keep = 0;
@@ -171,13 +194,6 @@ CampaignJournal::CampaignJournal(const std::string &dir,
         }
     }
 
-    fd = ::open(file.c_str(), O_WRONLY | O_CREAT, 0644);
-    if (fd < 0) {
-        warn("cannot open journal ", file, ": ", std::strerror(errno),
-             " (campaign will run un-resumable)");
-        replay.clear();
-        return;
-    }
     if (::ftruncate(fd, static_cast<off_t>(keep)) != 0 ||
         ::lseek(fd, 0, SEEK_END) < 0) {
         warn("cannot position journal ", file, ": ",

@@ -35,6 +35,11 @@
  * valid prefix and the writer truncates the torn tail before
  * appending again, so an interrupted campaign loses at most the cell
  * that was mid-append — never the file.
+ *
+ * Each journal has one writer: a handle holds an exclusive flock(2)
+ * on its file for its lifetime, and a second handle on the same plan
+ * (another process, or another open in this one) comes up !ok() —
+ * its campaign still runs, only un-resumable.
  */
 
 #ifndef LOOPSIM_STORE_JOURNAL_HH
@@ -69,8 +74,9 @@ class CampaignJournal
      * replayed() and any torn tail is truncated away; a file whose
      * header disagrees (schema bump, foreign plan) is started over.
      * fatal() when the directory cannot be created; an unwritable
-     * file degrades to ok() == false with a warning (a campaign
-     * without a journal is merely un-resumable, not broken).
+     * file, or one another handle holds locked, degrades to
+     * ok() == false with a warning (a campaign without a journal is
+     * merely un-resumable, not broken).
      */
     CampaignJournal(const std::string &dir, const Fingerprint &plan_fp,
                     std::uint64_t plan_cells);
@@ -79,7 +85,7 @@ class CampaignJournal
     CampaignJournal(const CampaignJournal &) = delete;
     CampaignJournal &operator=(const CampaignJournal &) = delete;
 
-    /** False when the journal file could not be opened for append. */
+    /** False when the journal file could not be opened and locked. */
     bool ok() const { return fd >= 0; }
 
     /** Cells already completed by a previous (interrupted) campaign,

@@ -58,12 +58,12 @@ std::atomic<std::uint64_t> tempCounter{0};
 
 /**
  * Advisory cross-process lock on `<root>/.lock`, flock(2)-based.
- * Writers take it shared — any number of processes (a live server
- * plus local campaigns) insert concurrently, each write already
- * atomic via temp + rename. gcStore() takes it exclusive, because
- * eviction removes *emptied fan-out directories*: without the lock a
- * gc running beside a live server could remove a directory between a
- * writer's create_directories() and its rename(), tearing the insert.
+ * Writers take it shared — any number of campaign processes insert
+ * concurrently, each write already atomic via temp + rename.
+ * gcStore() takes it exclusive, because eviction removes *emptied
+ * fan-out directories*: without the lock a gc running beside a live
+ * campaign could remove a directory between a writer's
+ * create_directories() and its rename(), tearing the insert.
  * A root where the lock file cannot be opened degrades to unlocked
  * (held() == false) — the store stays usable, only the gc-vs-writer
  * guarantee is lost.
@@ -431,7 +431,7 @@ gcStore(const std::string &dir, std::uint64_t max_bytes)
     // Exclusive: waits out in-flight writers (shared holders in
     // insert()) and holds new ones off while records and emptied
     // fan-out directories are removed, so gc is safe to run against a
-    // store a live server is inserting into.
+    // store a live campaign is inserting into.
     StoreLock lock(dir, /*exclusive=*/true);
 
     std::vector<StoreEntry> entries = scanStore(dir, /*decode=*/true);
@@ -486,25 +486,15 @@ summarizeStore(const std::string &dir)
 }
 
 std::string
-storeSummaryJson(const StoreSummary &summary, const StoreStats *stats)
+storeSummaryJson(const StoreSummary &summary)
 {
     std::ostringstream out;
     out << "{\n";
     out << "  \"dir\": \"" << summary.dir << "\",\n";
     out << "  \"records\": " << summary.records << ",\n";
     out << "  \"bytes\": " << summary.bytes << ",\n";
-    out << "  \"invalid\": " << summary.invalid;
-    if (stats != nullptr) {
-        out << ",\n  \"stats\": {\n";
-        out << "    \"hits\": " << stats->hits << ",\n";
-        out << "    \"misses\": " << stats->misses << ",\n";
-        out << "    \"inserts\": " << stats->inserts << ",\n";
-        out << "    \"crc_rejects\": " << stats->crcRejects << ",\n";
-        out << "    \"bytes_read\": " << stats->bytesRead << ",\n";
-        out << "    \"bytes_written\": " << stats->bytesWritten << "\n";
-        out << "  }";
-    }
-    out << "\n}\n";
+    out << "  \"invalid\": " << summary.invalid << "\n";
+    out << "}\n";
     return out.str();
 }
 

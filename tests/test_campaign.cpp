@@ -116,6 +116,22 @@ TEST(CampaignJobs, ExplicitWinsAndAutoIsPositive)
     EXPECT_GE(campaignJobs(), 1u);
 }
 
+TEST(CampaignJobs, JobsSpecParsesNumbersAndAuto)
+{
+    bool ok = false;
+    EXPECT_EQ(parseJobsSpec("4", ok), 4u);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(parseJobsSpec("auto", ok), hostCpus());
+    EXPECT_TRUE(ok);
+    EXPECT_GE(hostCpus(), 1u);
+    parseJobsSpec("fast", ok);
+    EXPECT_FALSE(ok);
+    parseJobsSpec("", ok);
+    EXPECT_FALSE(ok);
+    parseJobsSpec("4x", ok);
+    EXPECT_FALSE(ok);
+}
+
 TEST(CampaignPlanTest, IndicesAreStable)
 {
     CampaignPlan plan;

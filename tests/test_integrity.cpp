@@ -494,3 +494,36 @@ TEST(Figures, SweepCompletesAroundAWedgedPoint)
     printCsv(csv, fig);
     EXPECT_EQ(csv.str().find("nan"), std::string::npos);
 }
+
+TEST(Figures, EmptyMeasuredWindowRendersAsFail)
+{
+    // One op after the default warmup: warmup's last 1024-cycle chunk
+    // retires it, leaving the measured window empty. That is a SimError
+    // now, not a zero IPC that a speedup would divide by.
+    RunSpec spec;
+    spec.workload = resolveWorkload("m88ksim");
+    spec.totalOps = 1;
+    try {
+        runOnce(spec);
+        FAIL() << "an empty measured window produced a result";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.kind(), "empty-window");
+    }
+
+    Config once;
+    once.setUint("integrity.retry.attempts", 1);
+    FigureData fig =
+        sweepConfigs("sweep with an empty window", {"m88ksim"},
+                     {{"tiny", once}}, 1);
+    ASSERT_EQ(fig.columns.size(), 1u);
+    ASSERT_EQ(fig.columns[0].values.size(), 1u);
+    EXPECT_TRUE(std::isnan(fig.columns[0].values[0]));
+    ASSERT_EQ(fig.failures.size(), 1u);
+    EXPECT_NE(fig.failures[0].find("measured window retired no ops"),
+              std::string::npos);
+
+    std::ostringstream os;
+    printFigure(os, fig, ValueFormat::Ratio);
+    EXPECT_NE(os.str().find("fail"), std::string::npos);
+    EXPECT_NE(os.str().find("failed points"), std::string::npos);
+}

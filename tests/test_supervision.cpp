@@ -444,6 +444,41 @@ TEST(JournalTest, PruneRemovesCompletedKeepsResumable)
     EXPECT_FALSE(left[0].complete());
 }
 
+TEST(JournalTest, SecondHandleOnAHeldJournalIsNotOk)
+{
+    fs::path dir = freshDir("journal_locked");
+    store::Fingerprint plan_fp{0x7777u, 0x8888u};
+    store::Fingerprint fp_a{0xaaaau, 5u};
+    store::Fingerprint fp_b{0xbbbbu, 6u};
+    RunResult ok = runOnce(smallSpec("gcc", 2000));
+
+    {
+        store::CampaignJournal first(dir.string(), plan_fp, 2);
+        ASSERT_TRUE(first.ok());
+        first.append(fp_a, ok);
+
+        // flock(2) conflicts across separate open()s even in one
+        // process, so this stands in for a concurrent campaign. It
+        // must neither truncate nor append to the held file.
+        store::CampaignJournal second(dir.string(), plan_fp, 2);
+        EXPECT_FALSE(second.ok());
+        EXPECT_TRUE(second.replayed().empty());
+        second.append(fp_b, ok);
+
+        first.append(fp_b, ok);
+    }
+
+    store::CampaignJournal replay(dir.string(), plan_fp, 2);
+    ASSERT_TRUE(replay.ok());
+    ASSERT_EQ(replay.replayed().size(), 2u);
+    expectSameResult(replay.replayed().at(fp_a), ok);
+    expectSameResult(replay.replayed().at(fp_b), ok);
+    auto scanned = store::scanJournals(dir.string());
+    ASSERT_EQ(scanned.size(), 1u);
+    EXPECT_TRUE(scanned[0].complete());
+    EXPECT_FALSE(scanned[0].truncatedTail());
+}
+
 TEST(PlanFingerprintTest, StableAndSensitive)
 {
     CampaignPlan plan;

@@ -135,10 +135,7 @@ int
 cmdStat(const std::string &dir, bool json)
 {
     if (json) {
-        // One schema with the daemon's --stats-json (which adds a
-        // "stats" object of live counters the CLI does not have).
-        std::cout << store::storeSummaryJson(store::summarizeStore(dir),
-                                             nullptr);
+        std::cout << store::storeSummaryJson(store::summarizeStore(dir));
         return 0;
     }
     const auto entries = store::scanStore(dir, /*decode=*/true);
