@@ -12,17 +12,20 @@
 namespace loopsim::debug
 {
 
+namespace detail
+{
+
+std::atomic<unsigned> flagMask{kEnvUnread};
+
+} // namespace detail
+
 namespace
 {
 
-// Campaign workers query these every traced cycle; the mask is an
-// atomic read on the fast path and all mutation (env parse, explicit
-// setFlags/clearFlags) serialises on one mutex. The flag set is
-// install-then-read: installers run before the sweep, workers only
-// load.
-std::atomic<unsigned> flagMask{0};
-std::atomic<bool> envParsed{false};
-
+// Campaign workers query the mask every traced cycle, inline
+// (debug.hh); all mutation (env parse, explicit setFlags/clearFlags)
+// serialises on one mutex. The flag set is install-then-read:
+// installers run before the sweep, workers only load.
 std::mutex &
 flagMutex()
 {
@@ -32,32 +35,28 @@ flagMutex()
 
 constexpr unsigned allMask =
     (1u << static_cast<unsigned>(Flag::NumFlags)) - 1;
-
-unsigned
-maskOf(Flag flag)
-{
-    return 1u << static_cast<unsigned>(flag);
-}
+static_assert((allMask & detail::kEnvUnread) == 0,
+              "debug flags overlap the env-unread bit");
 
 void
 parseEnvOnce()
 {
-    if (envParsed.load(std::memory_order_acquire))
+    if (!(detail::flagMask.load(std::memory_order_acquire) &
+          detail::kEnvUnread))
         return;
     std::lock_guard<std::mutex> lock(flagMutex());
-    if (envParsed.load(std::memory_order_relaxed))
+    if (!(detail::flagMask.load(std::memory_order_relaxed) &
+          detail::kEnvUnread))
         return;
     // Guarded by flagMutex and only ever read, never set, by us.
     const char *env = std::getenv("LOOPSIM_DEBUG"); // NOLINT(concurrency-mt-unsafe)
-    if (env) {
-        // setFlags re-enters flagMutex-free paths only; it marks
-        // envParsed itself, so release the lock around the call by
-        // doing the work inline instead.
-        envParsed.store(true, std::memory_order_release);
+    // setFlags marks the environment read itself (before parsing, so
+    // a bad LOOPSIM_DEBUG is reported once, not on every query).
+    if (env)
         setFlags(env);
-        return;
-    }
-    envParsed.store(true, std::memory_order_release);
+    else
+        detail::flagMask.fetch_and(~detail::kEnvUnread,
+                                   std::memory_order_release);
 }
 
 } // anonymous namespace
@@ -82,23 +81,24 @@ flagName(Flag flag)
 }
 
 bool
-enabled(Flag flag)
+detail::enabledAfterEnv(unsigned bit)
 {
     parseEnvOnce();
-    return (flagMask.load(std::memory_order_relaxed) & maskOf(flag)) != 0;
+    return (flagMask.load(std::memory_order_relaxed) & bit) != 0;
 }
 
 bool
 anyEnabled()
 {
     parseEnvOnce();
-    return flagMask.load(std::memory_order_relaxed) != 0;
+    return detail::flagMask.load(std::memory_order_relaxed) != 0;
 }
 
 void
 setFlags(const std::string &csv)
 {
-    envParsed.store(true, std::memory_order_release);
+    detail::flagMask.fetch_and(~detail::kEnvUnread,
+                               std::memory_order_release);
     unsigned add = 0;
     for (const std::string &raw : split(csv, ',')) {
         std::string name = toLower(trim(raw));
@@ -119,14 +119,13 @@ setFlags(const std::string &csv)
         }
         fatal_if(!found, "unknown debug flag: ", raw);
     }
-    flagMask.fetch_or(add, std::memory_order_relaxed);
+    detail::flagMask.fetch_or(add, std::memory_order_relaxed);
 }
 
 void
 clearFlags()
 {
-    envParsed.store(true, std::memory_order_release);
-    flagMask.store(0, std::memory_order_relaxed);
+    detail::flagMask.store(0, std::memory_order_release);
 }
 
 void

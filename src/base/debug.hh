@@ -14,6 +14,7 @@
 #ifndef LOOPSIM_BASE_DEBUG_HH
 #define LOOPSIM_BASE_DEBUG_HH
 
+#include <atomic>
 #include <sstream>
 #include <string>
 
@@ -42,8 +43,35 @@ enum class Flag : unsigned
 /** Printable name of @p flag. */
 const char *flagName(Flag flag);
 
+namespace detail
+{
+
+/**
+ * The enabled flags, one bit per Flag, plus kEnvUnread until
+ * LOOPSIM_DEBUG has been read (once, on first use, or never if
+ * setFlags()/clearFlags() runs first). Folding the "not read yet"
+ * state into the mask keeps enabled() to one load and one test.
+ */
+inline constexpr unsigned kEnvUnread = 1u << 31;
+extern std::atomic<unsigned> flagMask;
+
+/** Read LOOPSIM_DEBUG if nobody has yet, then test @p bit. */
+bool enabledAfterEnv(unsigned bit);
+
+} // namespace detail
+
 /** Is @p flag enabled? Inline-cheap: one mask test. */
-bool enabled(Flag flag);
+inline bool
+enabled(Flag flag)
+{
+    const unsigned bit = 1u << static_cast<unsigned>(flag);
+    const unsigned mask =
+        detail::flagMask.load(std::memory_order_relaxed);
+    if ((mask & (bit | detail::kEnvUnread)) == 0) [[likely]]
+        return false;
+    return (mask & detail::kEnvUnread) ? detail::enabledAfterEnv(bit)
+                                       : true;
+}
 
 /** Enable a comma-separated flag list ("Issue,Squash" or "All"). */
 void setFlags(const std::string &csv);

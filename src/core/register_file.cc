@@ -27,16 +27,23 @@ tracedReg()
     return reg;
 }
 
-void
-traceReg(PhysReg reg, const char *what, std::uint64_t value)
+[[gnu::cold]] void
+emitRegTrace(PhysReg reg, const char *what, std::uint64_t value)
 {
-    if (static_cast<int>(reg) != tracedReg())
-        return;
     // Through debug::emit: one write per line, so traces stay
     // unscrambled under parallel campaigns.
     std::ostringstream os;
     os << "[preg " << reg << "] " << what << " " << value;
     debug::emit(debug::Flag::Reg, os.str());
+}
+
+/** Every scoreboard transition calls this: the untraced case is one
+ *  inline compare, and only a match pays for the call. */
+inline void
+traceReg(PhysReg reg, const char *what, std::uint64_t value)
+{
+    if (static_cast<int>(reg) == tracedReg()) [[unlikely]]
+        emitRegTrace(reg, what, value);
 }
 
 } // anonymous namespace

@@ -340,9 +340,9 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     // completely inert). Otherwise each cell is answered by the
     // in-process memo, then the persistent store, and only the
     // remaining misses reach the worker pool. `pending` holds miss
-    // plan indices in plan order; `dupOf[i]` marks a cell whose
-    // fingerprint already appeared earlier in this plan, which waits
-    // for that first occurrence instead of simulating again.
+    // plan indices in plan order; `dupOf[i]` marks a repeat of a
+    // missed fingerprint, which waits for its first occurrence
+    // instead of simulating again.
     const bool memoize = !trace::collectionActive();
     store::ResultStore *pstore = memoize ? store::processStore() : nullptr;
     const store::StoreStats storeBefore =
@@ -376,39 +376,56 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     }
 
     if (memoize) {
-        std::map<store::Fingerprint, std::size_t> firstMiss;
+        // Each fingerprint's first plan index and the tier that
+        // answered it. A repeat resolves from its first occurrence and
+        // counts as that tier's repeat always has: a replayed cell's
+        // repeats as resumed, every other repeat as a memo hit.
+        enum class Tier { Journal, Cache, Miss };
+        std::map<store::Fingerprint, std::pair<std::size_t, Tier>> first;
         for (std::size_t i = 0; i < plan.size(); ++i) {
             if (!journal)
                 fps[i] = store::fingerprintRun(plan.at(i).spec, policy);
+            auto [seen, fresh] =
+                first.try_emplace(fps[i], i, Tier::Miss);
+            if (!fresh) {
+                const auto [j, tier] = seen->second;
+                if (tier == Tier::Journal)
+                    ++resumed;
+                else
+                    ++memoHits;
+                if (tier == Tier::Miss)
+                    dupOf[i] = j;
+                else
+                    results[i] = results[j];
+                continue;
+            }
+            Tier &tier = seen->second.second;
             // Journal replay outranks the caches: it carries recorded
             // fail/crash/timeout verdicts, and resuming must not send
-            // a known-poison cell back to crash another worker.
-            if (journal) {
-                auto it = journal->replayed().find(fps[i]);
-                if (it != journal->replayed().end()) {
-                    results[i] = it->second;
-                    store::processMemo().insert(fps[i], it->second);
-                    ++resumed;
-                    continue;
-                }
+            // a known-poison cell back to crash another worker. A
+            // replayed or store-read result is copied once into its
+            // slot and moved into the memo.
+            RunResult replayed;
+            if (journal && journal->take(fps[i], replayed)) {
+                results[i] = replayed;
+                store::processMemo().insert(fps[i], std::move(replayed));
+                tier = Tier::Journal;
+                ++resumed;
+                continue;
             }
             if (auto hit = store::processMemo().lookup(fps[i])) {
                 results[i] = std::move(*hit);
+                tier = Tier::Cache;
                 ++memoHits;
                 continue;
             }
             if (pstore) {
                 if (auto hit = pstore->lookup(fps[i])) {
-                    store::processMemo().insert(fps[i], *hit);
-                    results[i] = std::move(*hit);
+                    results[i] = *hit;
+                    store::processMemo().insert(fps[i], std::move(*hit));
+                    tier = Tier::Cache;
                     continue;
                 }
-            }
-            auto [it, fresh] = firstMiss.emplace(fps[i], i);
-            if (!fresh) {
-                dupOf[i] = it->second;
-                ++memoHits;
-                continue;
             }
             pending.push_back(i);
         }
@@ -486,14 +503,17 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                                         pending.size(), 1)));
     // Per-worker busy/claim-wait/idle accounting (wall clock,
     // telemetry only). Each slot is written by exactly one worker.
+    // Idle is the rest of the pool's lifetime, from before the first
+    // spawn to the join, so it includes thread start-up and the tail
+    // a worker spends waiting for the last cell to finish elsewhere.
     std::vector<WorkerTelemetry> workerStats(workers_wanted);
     auto seconds = [](std::chrono::steady_clock::duration d) {
         return std::chrono::duration<double>(d).count();
     };
+    // loop:exempt(wall-clock telemetry only)
+    const auto poolStart = std::chrono::steady_clock::now();
     if (workers_wanted <= 1) {
         WorkerTelemetry &w = workerStats[0];
-        // loop:exempt(wall-clock telemetry only)
-        const auto born = std::chrono::steady_clock::now();
         for (std::size_t i : pending) {
             if (shutdownRequested.load(std::memory_order_acquire))
                 break;
@@ -504,9 +524,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             w.busySeconds += seconds(std::chrono::steady_clock::now() - t0);
             ++w.cells;
         }
-        // loop:exempt(wall-clock telemetry only)
-        w.idleSeconds = seconds(std::chrono::steady_clock::now() - born) -
-                        w.busySeconds;
     } else {
         // Work-stealing by atomic cursor: each worker claims the next
         // unclaimed pending entry and writes its result slot. Slots
@@ -520,8 +537,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                 workers.emplace_back([&, t] {
                     WorkerTelemetry &w = workerStats[t];
                     w.id = t;
-                    // loop:exempt(wall-clock telemetry only)
-                    const auto born = std::chrono::steady_clock::now();
                     for (;;) {
                         if (shutdownRequested.load(
                                 std::memory_order_acquire))
@@ -543,14 +558,15 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                             std::chrono::steady_clock::now() - claim1);
                         ++w.cells;
                     }
-                    w.idleSeconds =
-                        // loop:exempt(wall-clock telemetry only)
-                        seconds(std::chrono::steady_clock::now() - born) -
-                        w.busySeconds - w.claimWaitSeconds;
                 });
             }
         } // jthread joins here
     }
+    const double poolSeconds =
+        // loop:exempt(wall-clock telemetry only)
+        seconds(std::chrono::steady_clock::now() - poolStart);
+    for (WorkerTelemetry &w : workerStats)
+        w.idleSeconds = poolSeconds - w.busySeconds - w.claimWaitSeconds;
     setSupervisorStopFlag(nullptr);
     const bool interrupted =
         shutdownRequested.load(std::memory_order_acquire);

@@ -98,11 +98,13 @@ class CampaignPlan
 
 /**
  * Per-worker cost breakdown of one campaign (wall clock). The three
- * buckets partition a worker's lifetime: busy (inside a cell's
- * simulation), claimWait (claiming the next cell from the shared
- * cursor — measurable lock/cache contention shows up here), and idle
- * (everything else: thread startup/teardown and the tail wait while
- * the last cells of an uneven plan finish elsewhere). A healthy
+ * buckets partition the worker pool's lifetime, from before the first
+ * worker starts to the join, so they sum to the same total on every
+ * worker: busy (inside a cell's simulation), claimWait (claiming the
+ * next cell from the shared cursor — measurable lock/cache contention
+ * shows up here), and idle (everything else: thread startup/teardown
+ * and the tail wait while the last cells of an uneven plan finish
+ * elsewhere). A healthy
  * campaign is busy-dominated on every worker; a flat --jobs curve
  * with high busy everywhere points at in-cell contention instead of
  * pool starvation.

@@ -74,11 +74,14 @@ envOverlay()
     return cfg;
 }
 
-/** Defaults < spec overrides < env overlay < programmatic overlay. */
+/** Defaults < spec overrides < env overlay < programmatic overlay.
+ *  The defaults are constants, so they are built once and copied:
+ *  every fingerprint of a warm campaign resolves a config. */
 Config
 effectiveConfig(const RunSpec &spec)
 {
-    Config cfg = defaultFigureConfig();
+    static const Config defaults = defaultFigureConfig();
+    Config cfg = defaults;
     cfg.overlay(spec.overrides);
     cfg.overlay(envOverlay());
     cfg.overlay(runOverlaySnapshot());

@@ -1,5 +1,6 @@
 #include "store/fingerprint.hh"
 
+#include <array>
 #include <bit>
 #include <cstddef>
 
@@ -20,16 +21,6 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint64_t kBasisA = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kBasisB = 0x9ae16a3b2f90404full;
 
-std::uint64_t
-fnv1a(std::uint64_t h, const unsigned char *p, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 constexpr char kHexDigits[] = "0123456789abcdef";
 
 void
@@ -37,6 +28,87 @@ hexU64(std::uint64_t v, std::string &out)
 {
     for (int shift = 60; shift >= 0; shift -= 4)
         out.push_back(kHexDigits[(v >> shift) & 0xf]);
+}
+
+/** kFnvPowers[k] = kFnvPrime^k mod 2^64. FNV-1a of a zero byte is
+ *  (h ^ 0) * P = h * P, so k zero bytes multiply a lane by P^k. */
+constexpr std::array<std::uint64_t, 9> kFnvPowers = [] {
+    std::array<std::uint64_t, 9> p{};
+    p[0] = 1;
+    for (std::size_t k = 1; k < p.size(); ++k)
+        p[k] = p[k - 1] * kFnvPrime;
+    return p;
+}();
+
+/**
+ * Both FNV-1a lanes, held in locals while one field is hashed so the
+ * two serial xor-multiply chains stay in registers and overlap. Every
+ * byte goes through each lane in order, so each lane ends where a
+ * byte-at-a-time pass of its own would.
+ */
+struct Lanes
+{
+    std::uint64_t a;
+    std::uint64_t b;
+
+    void
+    bytes(const unsigned char *p, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            a = (a ^ p[i]) * kFnvPrime;
+            b = (b ^ p[i]) * kFnvPrime;
+        }
+    }
+
+    void
+    zeros(unsigned k)
+    {
+        a *= kFnvPowers[k];
+        b *= kFnvPowers[k];
+    }
+
+    /** The eight in-memory bytes of @p v. On a little-endian host the
+     *  zero bytes at either end (length prefixes, small counts, round
+     *  doubles) fold into one multiply each instead of a chain step
+     *  per byte. */
+    void
+    word(std::uint64_t v)
+    {
+        if constexpr (std::endian::native != std::endian::little) {
+            bytes(reinterpret_cast<const unsigned char *>(&v), sizeof(v));
+        } else if (v == 0) {
+            zeros(8);
+        } else {
+            const unsigned low = std::countr_zero(v) / 8;
+            const unsigned high = 8 - std::countl_zero(v) / 8;
+            zeros(low);
+            for (unsigned i = low; i < high; ++i) {
+                const auto byte = static_cast<unsigned char>(v >> (8 * i));
+                a = (a ^ byte) * kFnvPrime;
+                b = (b ^ byte) * kFnvPrime;
+            }
+            zeros(8 - high);
+        }
+    }
+
+    /** A length-prefixed string: the tag and str() encoding. */
+    void
+    text(std::string_view s)
+    {
+        word(s.size());
+        bytes(reinterpret_cast<const unsigned char *>(s.data()), s.size());
+    }
+};
+
+/** Run @p hash on a local copy of the lanes @p a and @p b. */
+template <typename F>
+void
+withLanes(std::uint64_t &a, std::uint64_t &b, F &&hash)
+{
+    Lanes l{a, b};
+    hash(l);
+    a = l.a;
+    b = l.b;
 }
 
 /** Hash every result-shaping field of one thread's profile. */
@@ -121,34 +193,34 @@ Hasher::Hasher() : a(kBasisA), b(kBasisB) {}
 void
 Hasher::bytes(const void *data, std::size_t n)
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    a = fnv1a(a, p, n);
-    b = fnv1a(b, p, n);
+    withLanes(a, b, [&](Lanes &l) {
+        l.bytes(static_cast<const unsigned char *>(data), n);
+    });
 }
 
 void
 Hasher::tag(std::string_view name)
 {
     // Length-prefix the tag so adjacent fields can never alias.
-    std::uint64_t len = name.size();
-    bytes(&len, sizeof(len));
-    bytes(name.data(), name.size());
+    withLanes(a, b, [&](Lanes &l) { l.text(name); });
 }
 
 void
 Hasher::str(std::string_view name, std::string_view v)
 {
-    tag(name);
-    std::uint64_t len = v.size();
-    bytes(&len, sizeof(len));
-    bytes(v.data(), v.size());
+    withLanes(a, b, [&](Lanes &l) {
+        l.text(name);
+        l.text(v);
+    });
 }
 
 void
 Hasher::u64(std::string_view name, std::uint64_t v)
 {
-    tag(name);
-    bytes(&v, sizeof(v));
+    withLanes(a, b, [&](Lanes &l) {
+        l.text(name);
+        l.word(v);
+    });
 }
 
 void

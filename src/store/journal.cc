@@ -10,8 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "base/logging.hh"
 #include "harness/experiment.hh"
@@ -25,22 +23,8 @@ namespace loopsim::store
 namespace
 {
 
-bool
-readFile(const fs::path &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
-        return false;
-    out = buf.str();
-    return true;
-}
-
 std::uint32_t
-getU32(const std::string &in, std::size_t at)
+getU32(std::string_view in, std::size_t at)
 {
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i)
@@ -51,7 +35,7 @@ getU32(const std::string &in, std::size_t at)
 }
 
 std::uint64_t
-getU64(const std::string &in, std::size_t at)
+getU64(std::string_view in, std::size_t at)
 {
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
@@ -99,7 +83,7 @@ struct ParsedHeader
 };
 
 bool
-parseHeader(const std::string &bytes, ParsedHeader &hdr)
+parseHeader(std::string_view bytes, ParsedHeader &hdr)
 {
     if (bytes.size() < kJournalHeaderBytes)
         return false;
@@ -112,21 +96,25 @@ parseHeader(const std::string &bytes, ParsedHeader &hdr)
     return true;
 }
 
-/**
- * Walk the entry region, decoding each self-validating record into
- * @p replay (latest duplicate wins). Returns the byte length of the
- * valid prefix (header included); anything past it is a torn tail.
- */
+std::mutex journalPathMutex;
+std::string explicitJournalPath;
+bool explicitJournalPathSet = false;
+
+} // anonymous namespace
+
 std::size_t
-replayEntries(const std::string &bytes,
+replayJournal(std::string_view bytes,
               std::map<Fingerprint, RunResult> &replay)
 {
+    if (bytes.size() < kJournalHeaderBytes)
+        return 0;
     std::size_t at = kJournalHeaderBytes;
     while (bytes.size() - at >= 4) {
-        std::uint32_t len = getU32(bytes, at);
+        const std::uint32_t len = getU32(bytes, at);
         if (bytes.size() - at - 4 < len)
             break;
-        std::string record = bytes.substr(at + 4, len);
+        // Each record decodes in place: a view, never a copy.
+        const std::string_view record = bytes.substr(at + 4, len);
         Fingerprint fp;
         std::uint32_t schema = 0;
         RunResult result;
@@ -134,17 +122,11 @@ replayEntries(const std::string &bytes,
             !decodeRecord(record, fp, result)) {
             break;
         }
-        replay[fp] = std::move(result);
+        replay.insert_or_assign(fp, std::move(result));
         at += 4 + len;
     }
     return at;
 }
-
-std::mutex journalPathMutex;
-std::string explicitJournalPath;
-bool explicitJournalPathSet = false;
-
-} // anonymous namespace
 
 CampaignJournal::CampaignJournal(const std::string &dir,
                                  const Fingerprint &plan_fp,
@@ -187,7 +169,7 @@ CampaignJournal::CampaignJournal(const std::string &dir,
         ParsedHeader hdr;
         if (parseHeader(bytes, hdr) && hdr.schema == kSchemaVersion &&
             hdr.planFp == plan_fp && hdr.planCells == plan_cells) {
-            keep = replayEntries(bytes, replay);
+            keep = replayJournal(bytes, replay);
         } else if (!bytes.empty()) {
             warn("journal ", file,
                  " does not match this plan; starting it over");
@@ -226,6 +208,17 @@ CampaignJournal::~CampaignJournal()
 {
     if (fd >= 0)
         ::close(fd);
+}
+
+bool
+CampaignJournal::take(const Fingerprint &fp, RunResult &out)
+{
+    auto it = replay.find(fp);
+    if (it == replay.end())
+        return false;
+    out = std::move(it->second);
+    replay.erase(it);
+    return true;
 }
 
 void
@@ -315,7 +308,7 @@ scanJournals(const std::string &dir)
             Fingerprint::parse(it->path().stem().string(), info.planFp);
 
         std::string bytes;
-        if (readFile(it->path(), bytes)) {
+        if (readFile(it->path().string(), bytes)) {
             ParsedHeader hdr;
             if (parseHeader(bytes, hdr)) {
                 info.schema = hdr.schema;
@@ -326,7 +319,7 @@ scanJournals(const std::string &dir)
             }
             if (info.headerOk) {
                 std::map<Fingerprint, RunResult> replay;
-                info.validBytes = replayEntries(bytes, replay);
+                info.validBytes = replayJournal(bytes, replay);
                 info.entries = replay.size();
                 for (const auto &[fp, result] : replay) {
                     if (result.failed)

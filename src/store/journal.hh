@@ -49,6 +49,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/fingerprint.hh"
@@ -95,6 +96,11 @@ class CampaignJournal
         return replay;
     }
 
+    /** Move the replayed result for @p fp into @p out and drop it from
+     *  replayed(); false (and @p out untouched) when @p fp was not
+     *  replayed. */
+    bool take(const Fingerprint &fp, RunResult &out);
+
     /**
      * Append one finished cell and fsync. Thread-safe; silently drops
      * the entry (with one warning) when the write fails — journal
@@ -111,6 +117,17 @@ class CampaignJournal
     std::map<Fingerprint, RunResult> replay;
     bool writeFailed = false;
 };
+
+/**
+ * Decode the entries of journal image @p bytes (the whole file, header
+ * included; the caller checks the header) into @p replay, latest
+ * duplicate winning. Returns the byte length of the valid prefix,
+ * header included, or 0 for an image shorter than a header; anything
+ * past it is a torn tail. Never trusts a length it cannot see: a
+ * damaged entry ends the prefix.
+ */
+std::size_t replayJournal(std::string_view bytes,
+                          std::map<Fingerprint, RunResult> &replay);
 
 /** @name Process-wide journal configuration
  * Precedence for the directory: setJournalPath() (the bench binaries'

@@ -1,7 +1,12 @@
 #include "store/record.hh"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 
 #include "harness/experiment.hh"
@@ -12,21 +17,45 @@ namespace loopsim::store
 namespace
 {
 
-/** Byte-wise CRC-32 table for polynomial 0xEDB88320, built once. */
-const std::array<std::uint32_t, 256> &
-crcTable()
+/** Slicing-by-8 tables for the reflected polynomial 0xEDB88320:
+ *  kCrcTables[0] is the classic byte-wise table, and kCrcTables[k][i]
+ *  is the CRC register after byte i followed by k zero bytes. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+/** Little-endian load of an unsigned integer at @p p, at any
+ *  alignment: one plain load on a little-endian host. */
+template <typename T>
+T
+loadLe(const char *p)
+{
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(static_cast<unsigned char>(p[i]))
+                 << (8 * i);
+    }
+    return v;
 }
 
 /** Append little-endian scalars / length-prefixed blobs to a string. */
@@ -71,24 +100,23 @@ class Encoder
     std::string &out;
 };
 
-/** Bounds-checked little-endian reader; every getter reports failure
- *  instead of reading past the end, so truncation can never fabricate
- *  a value. */
+/** Bounds-checked little-endian reader over a view; every getter
+ *  reports failure instead of reading past the end, so truncation can
+ *  never fabricate a value, and no length or count is trusted before
+ *  the bytes it claims are known to be there. */
 class Decoder
 {
   public:
-    Decoder(const char *data, std::size_t n) : p(data), end(data + n) {}
+    explicit Decoder(std::string_view bytes)
+        : p(bytes.data()), end(bytes.data() + bytes.size())
+    {}
 
     bool
     u32(std::uint32_t &v)
     {
         if (remaining() < 4)
             return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(p[i]))
-                 << (8 * i);
+        v = loadLe<std::uint32_t>(p);
         p += 4;
         return true;
     }
@@ -98,11 +126,7 @@ class Decoder
     {
         if (remaining() < 8)
             return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(p[i]))
-                 << (8 * i);
+        v = loadLe<std::uint64_t>(p);
         p += 8;
         return true;
     }
@@ -126,14 +150,25 @@ class Decoder
         return true;
     }
 
+    /** A length-prefixed string, as a view into the input. */
     bool
-    str(std::string &s)
+    view(std::string_view &s)
     {
         std::uint32_t len = 0;
         if (!u32(len) || remaining() < len)
             return false;
-        s.assign(p, len);
+        s = std::string_view(p, len);
         p += len;
+        return true;
+    }
+
+    bool
+    str(std::string &s)
+    {
+        std::string_view v;
+        if (!view(v))
+            return false;
+        s.assign(v);
         return true;
     }
 
@@ -141,12 +176,12 @@ class Decoder
     doubles(std::vector<double> &v)
     {
         std::uint32_t count = 0;
-        if (!u32(count) || remaining() < 8ull * count)
+        if (!u32(count) || remaining() / 8 < count)
             return false;
         v.resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            if (!f64(v[i]))
-                return false;
+        for (double &d : v) {
+            d = std::bit_cast<double>(loadLe<std::uint64_t>(p));
+            p += 8;
         }
         return true;
     }
@@ -168,11 +203,19 @@ class Decoder
 std::uint32_t
 crc32(const void *data, std::size_t n)
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    const auto &table = crcTable();
+    const auto *p = static_cast<const char *>(data);
+    const auto &t = kCrcTables;
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    for (; n >= 8; n -= 8, p += 8) {
+        const std::uint32_t lo = loadLe<std::uint32_t>(p) ^ c;
+        const std::uint32_t hi = loadLe<std::uint32_t>(p + 4);
+        c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+            t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^
+            t[0][hi >> 24];
+    }
+    for (; n > 0; --n, ++p)
+        c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -212,10 +255,10 @@ encodeRecord(const Fingerprint &fp, const RunResult &result)
 }
 
 bool
-decodeRecord(const std::string &bytes, const Fingerprint &expect,
+decodeRecord(std::string_view bytes, const Fingerprint &expect,
              RunResult &result)
 {
-    Decoder hdr(bytes.data(), bytes.size());
+    Decoder hdr(bytes);
     std::uint32_t magic = 0;
     std::uint32_t schema = 0;
     Fingerprint fp;
@@ -232,12 +275,12 @@ decodeRecord(const std::string &bytes, const Fingerprint &expect,
     }
     if (bytes.size() != kRecordHeaderBytes + payload_size)
         return false;
-    const char *payload = bytes.data() + kRecordHeaderBytes;
-    if (crc32(payload, payload_size) != payload_crc)
+    const std::string_view payload = bytes.substr(kRecordHeaderBytes);
+    if (crc32(payload.data(), payload.size()) != payload_crc)
         return false;
 
     RunResult out;
-    Decoder dec(payload, payload_size);
+    Decoder dec(payload);
     std::uint64_t cycles = 0;
     std::uint32_t fail_kind = 0;
     std::uint32_t scalar_count = 0;
@@ -255,11 +298,15 @@ decodeRecord(const std::string &bytes, const Fingerprint &expect,
     out.failKind = static_cast<FailKind>(fail_kind);
     out.cycles = cycles;
     for (std::uint32_t i = 0; i < scalar_count; ++i) {
-        std::string name;
+        std::string_view name;
         double value = 0.0;
-        if (!dec.str(name) || !dec.f64(value))
+        if (!dec.view(name) || !dec.f64(value))
             return false;
-        out.scalars.emplace(std::move(name), value);
+        // encodeRecord writes the map in key order, so each name
+        // normally lands at the end; the hint only saves the search,
+        // and an out-of-order or repeated name still inserts (or is
+        // dropped) exactly as a plain emplace would.
+        out.scalars.emplace_hint(out.scalars.end(), name, value);
     }
     if (!dec.done())
         return false;
@@ -269,14 +316,40 @@ decodeRecord(const std::string &bytes, const Fingerprint &expect,
 }
 
 bool
-peekRecord(const std::string &bytes, Fingerprint &fp,
-           std::uint32_t &schema)
+peekRecord(std::string_view bytes, Fingerprint &fp, std::uint32_t &schema)
 {
-    Decoder hdr(bytes.data(), bytes.size());
+    Decoder hdr(bytes);
     std::uint32_t magic = 0;
     if (!hdr.u32(magic) || magic != kRecordMagic)
         return false;
     return hdr.u32(schema) && hdr.u64(fp.hi) && hdr.u64(fp.lo);
+}
+
+bool
+readFile(const std::string &path, std::string &out)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st = {};
+    bool ok = ::fstat(fd, &st) == 0;
+    if (ok) {
+        out.resize(static_cast<std::size_t>(st.st_size));
+        std::size_t got = 0;
+        while (got < out.size()) {
+            const ssize_t r = ::read(fd, out.data() + got, out.size() - got);
+            if (r < 0 && errno == EINTR)
+                continue;
+            if (r <= 0) {
+                ok = r == 0;
+                break;
+            }
+            got += static_cast<std::size_t>(r);
+        }
+        out.resize(got);
+    }
+    ::close(fd);
+    return ok;
 }
 
 } // namespace loopsim::store

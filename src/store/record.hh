@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "store/fingerprint.hh"
 
@@ -46,7 +47,12 @@ namespace store
 constexpr std::uint32_t kRecordMagic = 0x3152534cu; // "LSR1"
 constexpr std::size_t kRecordHeaderBytes = 32;
 
-/** CRC-32 (ISO-HDLC, the zlib polynomial) of @p n bytes at @p data. */
+/**
+ * CRC-32 (ISO-HDLC, the zlib polynomial: reflected 0xEDB88320, init
+ * and xorout 0xFFFFFFFF) of @p n bytes at @p data. Slicing-by-8: eight
+ * table lookups fold eight bytes per step instead of one dependent
+ * lookup per byte, with the same result bit for bit.
+ */
 std::uint32_t crc32(const void *data, std::size_t n);
 
 /** Serialize @p result into a complete record (header + payload). */
@@ -57,7 +63,7 @@ std::string encodeRecord(const Fingerprint &fp, const RunResult &result);
  * the magic, schema version, fingerprint, size and CRC all check out
  * and the payload parses without running off the end.
  */
-bool decodeRecord(const std::string &bytes, const Fingerprint &expect,
+bool decodeRecord(std::string_view bytes, const Fingerprint &expect,
                   RunResult &result);
 
 /**
@@ -65,8 +71,15 @@ bool decodeRecord(const std::string &bytes, const Fingerprint &expect,
  * and schema without validating the payload. Returns false when the
  * buffer is shorter than a header or the magic is wrong.
  */
-bool peekRecord(const std::string &bytes, Fingerprint &fp,
+bool peekRecord(std::string_view bytes, Fingerprint &fp,
                 std::uint32_t &schema);
+
+/**
+ * Read the whole file at @p path into @p out: one open, fstat and
+ * read. Returns false on any error. Shared by the store's record
+ * lookups and the journal's replay.
+ */
+bool readFile(const std::string &path, std::string &out);
 
 } // namespace store
 } // namespace loopsim

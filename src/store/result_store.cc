@@ -26,33 +26,6 @@ namespace loopsim::store
 namespace
 {
 
-/** Read a whole file into @p out; false on any error. */
-bool
-readFile(const fs::path &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
-        return false;
-    out = buf.str();
-    return true;
-}
-
-/** Strip the per-run observability payloads before caching: loop
- *  events and tick profiles describe an *execution*, and a replayed
- *  result has none. */
-RunResult
-cacheable(const RunResult &result)
-{
-    RunResult out = result;
-    out.loopEvents.clear();
-    out.tickProfile.clear();
-    return out;
-}
-
 /** File-scope unique suffix counter for temp names. */
 std::atomic<std::uint64_t> tempCounter{0};
 
@@ -151,24 +124,33 @@ ResultStore::ResultStore(std::string directory) : root(std::move(directory))
 std::string
 ResultStore::recordPath(const Fingerprint &fp) const
 {
-    std::string hex = fp.hex();
-    return (fs::path(root) / hex.substr(0, 2) / (hex.substr(2) + ".lsr"))
-        .string();
+    // <root>/ab/cdef...0123.lsr, spelled exactly as fs::path's
+    // operator/ would join it, without building a path per lookup.
+    const std::string hex = fp.hex();
+    std::string path;
+    path.reserve(root.size() + hex.size() + 6);
+    path += root;
+    if (path.back() != '/')
+        path += '/';
+    path.append(hex, 0, 2);
+    path += '/';
+    path.append(hex, 2);
+    path += ".lsr";
+    return path;
 }
 
 std::optional<RunResult>
 ResultStore::lookup(const Fingerprint &fp)
 {
-    const fs::path path = recordPath(fp);
     std::string bytes;
-    if (!readFile(path, bytes)) {
+    if (!readFile(recordPath(fp), bytes)) {
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.misses;
         return std::nullopt;
     }
 
-    RunResult result;
-    if (!decodeRecord(bytes, fp, result)) {
+    std::optional<RunResult> result(std::in_place);
+    if (!decodeRecord(bytes, fp, *result)) {
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.misses;
         ++counters.crcRejects;
@@ -185,7 +167,9 @@ ResultStore::lookup(const Fingerprint &fp)
 bool
 ResultStore::insert(const Fingerprint &fp, const RunResult &result)
 {
-    const std::string record = encodeRecord(fp, cacheable(result));
+    // encodeRecord never writes loopEvents or tickProfile, so there is
+    // nothing to strip first.
+    const std::string record = encodeRecord(fp, result);
     const fs::path path = recordPath(fp);
 
     // Shared writer lock: holds off a concurrent gcStore() (exclusive)
@@ -261,16 +245,17 @@ ResultMemo::lookup(const Fingerprint &fp)
 }
 
 void
-ResultMemo::insert(const Fingerprint &fp, const RunResult &result)
+ResultMemo::insert(const Fingerprint &fp, RunResult result)
 {
-    // Strip-and-copy outside the lock: the cacheable copy duplicates
-    // the whole scalar/distribution payload, and building it under
-    // the mutex made every concurrent lookup wait out a deep copy
-    // (measurable on the --jobs scaling audit; the hold time should
-    // be one hash-map move, nothing more).
-    RunResult stripped = cacheable(result);
+    // Strip outside the lock, on the caller's copy (or the moved-in
+    // original): loop events and tick profiles describe an execution,
+    // and a replayed result has none. The hold time is one map move;
+    // a deep copy under the mutex made every concurrent lookup wait
+    // (measurable on the --jobs scaling audit).
+    result.loopEvents.clear();
+    result.tickProfile.clear();
     std::lock_guard<std::mutex> lock(mutex);
-    entries.emplace(fp, std::move(stripped));
+    entries.emplace(fp, std::move(result));
 }
 
 std::size_t
@@ -382,7 +367,7 @@ scanStore(const std::string &dir, bool decode)
         bool named_ok = Fingerprint::parse(hex, entry.fp);
 
         std::string bytes;
-        if (named_ok && readFile(it->path(), bytes)) {
+        if (named_ok && readFile(it->path().string(), bytes)) {
             std::uint32_t schema = 0;
             Fingerprint stored;
             if (peekRecord(bytes, stored, schema))

@@ -101,7 +101,9 @@ class ResultMemo
 {
   public:
     std::optional<RunResult> lookup(const Fingerprint &fp);
-    void insert(const Fingerprint &fp, const RunResult &result);
+    /** Cache @p result under @p fp unless an entry is already there.
+     *  Pass an rvalue to move a result in rather than copy it. */
+    void insert(const Fingerprint &fp, RunResult result);
     std::size_t size() const;
     void clear();
 

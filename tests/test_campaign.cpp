@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
 #include "harness/report.hh"
+#include "store/result_store.hh"
 
 using namespace loopsim;
 
@@ -231,4 +233,45 @@ TEST(CampaignTelemetryTest, TotalsAccumulateAcrossCampaigns)
     EXPECT_EQ(totals.runs, 4u);
     resetCampaignTotals();
     EXPECT_EQ(campaignTotals().runs, 0u);
+}
+
+TEST(CampaignTelemetryTest, IdleRunsToThePoolJoin)
+{
+    // One long cell and three short ones on four workers: the workers
+    // that run out of cells early wait out the long one, and that tail
+    // is idle time. Every worker's busy + claim-wait + idle is the
+    // pool's lifetime, so it is the same on all four and at least the
+    // long cell's busy time.
+    store::resetProcessStore(); // every cell must really simulate
+    CampaignPlan plan;
+    plan.add(smallSpec("gcc", 60013));
+    plan.add(smallSpec("swim", 1009));
+    plan.add(smallSpec("go", 1013));
+    plan.add(smallSpec("gcc", 1019));
+    runCampaign(plan, {}, 4);
+
+    const CampaignTelemetry t = lastCampaignTelemetry();
+    ASSERT_EQ(t.simulated, 4u);
+    ASSERT_EQ(t.workers.size(), 4u);
+    double longest = 0.0;
+    for (const WorkerTelemetry &w : t.workers)
+        longest = std::max(longest, w.busySeconds);
+    const double life = t.workers[0].busySeconds +
+                        t.workers[0].claimWaitSeconds +
+                        t.workers[0].idleSeconds;
+    EXPECT_GE(life, longest);
+    for (const WorkerTelemetry &w : t.workers) {
+        EXPECT_GE(w.idleSeconds, 0.0) << "worker " << w.id;
+        EXPECT_NEAR(w.busySeconds + w.claimWaitSeconds + w.idleSeconds,
+                    life, 1e-9)
+            << "worker " << w.id << " ran " << w.cells
+            << " cells, busy " << w.busySeconds << " s, idle "
+            << w.idleSeconds << " s; the long cell took " << longest
+            << " s";
+    }
+    // The three short-cell workers spent most of the pool waiting.
+    std::size_t waited = 0;
+    for (const WorkerTelemetry &w : t.workers)
+        waited += w.idleSeconds > 0.5 * longest ? 1 : 0;
+    EXPECT_GE(waited, 3u);
 }

@@ -14,11 +14,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "harness/figures.hh"
 #include "harness/report.hh"
 #include "store/fingerprint.hh"
+#include "store/journal.hh"
 #include "store/record.hh"
 #include "store/result_store.hh"
 #include "trace/loop_trace.hh"
@@ -388,6 +391,255 @@ TEST(StoreRecord, SchemaVersionBumpInvalidates)
     std::uint32_t schema = 0;
     ASSERT_TRUE(store::peekRecord(bytes, peeked, schema));
     EXPECT_EQ(schema, store::kSchemaVersion + 1);
+}
+
+// On-disk compatibility pins. Every check below fails if any stored
+// byte or any fingerprint moves: stores and journals written by older
+// binaries must keep replaying.
+
+namespace
+{
+
+/** The store's CRC-32 the simple way, one table-free bit loop per
+ *  byte: the reference the production slicing-by-8 must equal. */
+std::uint32_t
+bytewiseCrc32(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+/** A schema-v2 record of a failed (timeout) result, as the original
+ *  byte-at-a-time codec wrote it under fingerprint
+ *  0011223344556677 8899aabbccddeeff. */
+constexpr unsigned char kSchemaV2Record[] = {
+    0x4c, 0x53, 0x52, 0x31, 0x02, 0x00, 0x00, 0x00, 0x77, 0x66, 0x55, 0x44,
+    0x33, 0x22, 0x11, 0x00, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88,
+    0x17, 0x01, 0x00, 0x00, 0x52, 0xcc, 0x98, 0x06, 0x09, 0x00, 0x00, 0x00,
+    0x61, 0x70, 0x73, 0x69, 0x2d, 0x73, 0x77, 0x69, 0x6d, 0x05, 0x00, 0x00,
+    0x00, 0x44, 0x52, 0x41, 0x20, 0x37, 0x89, 0x67, 0x45, 0x23, 0x01, 0x00,
+    0x00, 0x00, 0x2b, 0x4e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x55, 0x55,
+    0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f, 0x01, 0x03, 0x00, 0x00, 0x00, 0x08,
+    0x00, 0x00, 0x00, 0x64, 0x65, 0x61, 0x64, 0x6c, 0x69, 0x6e, 0x65, 0x06,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0, 0x3f, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x80, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x20, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9c,
+    0x75, 0x00, 0x88, 0x3c, 0xe4, 0x37, 0x7e, 0x03, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x03,
+    0x00, 0x00, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x72, 0x65, 0x2e,
+    0x72, 0x65, 0x74, 0x69, 0x72, 0x65, 0x64, 0x00, 0x00, 0x00, 0x00, 0xc0,
+    0x8a, 0xd3, 0x40, 0x0c, 0x00, 0x00, 0x00, 0x64, 0x72, 0x61, 0x2e, 0x63,
+    0x72, 0x63, 0x5f, 0x68, 0x69, 0x74, 0x73, 0x9a, 0x99, 0x99, 0x99, 0x99,
+    0x99, 0xb9, 0x3f, 0x14, 0x00, 0x00, 0x00, 0x6d, 0x65, 0x6d, 0x2e, 0x6c,
+    0x6f, 0x61, 0x64, 0x5f, 0x6d, 0x69, 0x73, 0x73, 0x5f, 0x65, 0x76, 0x65,
+    0x6e, 0x74, 0x73, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1e, 0xc0,
+};
+
+/** The fields the persisted part of two results must agree on,
+ *  doubles compared bit for bit. */
+void
+expectSamePersisted(const RunResult &a, const RunResult &b)
+{
+    auto bits = [](const std::vector<double> &v) {
+        std::vector<std::uint64_t> out;
+        for (double d : v)
+            out.push_back(std::bit_cast<std::uint64_t>(d));
+        return out;
+    };
+    EXPECT_EQ(a.workloadLabel, b.workloadLabel);
+    EXPECT_EQ(a.pipeLabel, b.pipeLabel);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.retired, b.retired);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.ipc),
+              std::bit_cast<std::uint64_t>(b.ipc));
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(a.failKind, b.failKind);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(bits(a.operandSourceFractions),
+              bits(b.operandSourceFractions));
+    EXPECT_EQ(bits(a.operandSourceCounts), bits(b.operandSourceCounts));
+    EXPECT_EQ(bits(a.gapCdf), bits(b.gapCdf));
+    EXPECT_EQ(a.scalars, b.scalars);
+}
+
+} // anonymous namespace
+
+TEST(StoreCompat, Crc32CheckValue)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(store::crc32(check, 9), 0xcbf43926u);
+    EXPECT_EQ(store::crc32(check, 0), 0u);
+}
+
+TEST(StoreCompat, Crc32MatchesBytewiseReference)
+{
+    // Every length 0..4096, each at start offset length % 8, plus every
+    // offset 0..7 for the short lengths where the slicing loop's head
+    // and tail dominate.
+    std::mt19937_64 rng(0x5eed);
+    std::vector<unsigned char> buf(4096 + 8);
+    for (unsigned char &c : buf)
+        c = static_cast<unsigned char>(rng());
+    for (std::size_t len = 0; len <= 4096; ++len) {
+        const unsigned char *p = buf.data() + len % 8;
+        ASSERT_EQ(store::crc32(p, len), bytewiseCrc32(p, len))
+            << "length " << len << " at offset " << len % 8;
+    }
+    for (std::size_t len = 0; len <= 64; ++len) {
+        for (std::size_t off = 0; off < 8; ++off) {
+            const unsigned char *p = buf.data() + off;
+            ASSERT_EQ(store::crc32(p, len), bytewiseCrc32(p, len))
+                << "length " << len << " at offset " << off;
+        }
+    }
+}
+
+TEST_F(StoreEnv, FingerprintsOfFixedSpecsArePinned)
+{
+    RunSpec base;
+    base.workload = resolveWorkload("gcc");
+    base.totalOps = 5000;
+    base.warmupOps = 800;
+    setBasePipeline(base.overrides, 5);
+    EXPECT_EQ(store::fingerprintRun(base, RetryPolicy{}).hex(),
+              "b99589506bd0b27f12ee7baa3a826c69");
+
+    // Two threads, the DRA, a fractional knob and every policy field
+    // away from its default.
+    RunSpec smt;
+    smt.workload = resolveWorkload("apsi-swim");
+    smt.totalOps = 20000;
+    setDraPipeline(smt.overrides, 7);
+    smt.overrides.setDouble("integrity.fault.load_delay", 0.25);
+    RetryPolicy policy;
+    policy.attempts = 2;
+    policy.budgetGrowth = 1.5;
+    policy.seedStride = 17;
+    policy.failSoft = false;
+    EXPECT_EQ(store::fingerprintRun(smt, policy).hex(),
+              "579bed2cba72185453fefa42a5910fdd");
+}
+
+TEST(StoreCompat, SchemaV2RecordDecodesAndReencodesByteIdentically)
+{
+    const std::string bytes(std::begin(kSchemaV2Record),
+                            std::end(kSchemaV2Record));
+    const store::Fingerprint fp{0x0011223344556677ull,
+                                0x8899aabbccddeeffull};
+    RunResult out;
+    ASSERT_TRUE(store::decodeRecord(bytes, fp, out));
+
+    RunResult expect;
+    expect.workloadLabel = "apsi-swim";
+    expect.pipeLabel = "DRA 7";
+    expect.cycles = 0x0123456789ull;
+    expect.retired = 20011;
+    expect.ipc = 1.0 / 3.0;
+    expect.failed = true;
+    expect.failKind = FailKind::Timeout;
+    expect.error = "deadline";
+    expect.operandSourceFractions = {0.5, 0.25, 0.125, 0.0625, 0.0, -0.0};
+    expect.operandSourceCounts = {8, 4, 2, 1, 0, 1e300};
+    expect.gapCdf = {0.0, 0.5, 1.0};
+    expect.scalars["core.retired"] = 20011;
+    expect.scalars["dra.crc_hits"] = 0.1;
+    expect.scalars["mem.load_miss_events"] = -7.5;
+    expectSamePersisted(out, expect);
+
+    EXPECT_EQ(store::encodeRecord(fp, out), bytes);
+    EXPECT_EQ(store::encodeRecord(fp, expect), bytes);
+}
+
+TEST_F(StoreEnv, RepeatedFingerprintsKeepResolveCounts)
+{
+    // One plan that reaches every tier, each fingerprint repeated:
+    // A from the journal, B/C/E from the store, D from the memo, F
+    // simulated. Each repeat counts as its first occurrence's tier
+    // always has: journal repeats as resumed, the rest as memo hits.
+    const fs::path root = freshDir("store_repeats");
+    const std::string store_dir = (root / "store").string();
+    const std::string journal_dir = (root / "journal").string();
+    auto cell = [](const char *workload, unsigned rf) {
+        RunSpec spec = storeSpec(workload, 2000);
+        setBasePipeline(spec.overrides, rf);
+        return spec;
+    };
+    const RunSpec a = cell("gcc", 3), b = cell("gcc", 5), c = cell("swim", 3),
+                  d = cell("swim", 5), e = cell("go", 3), f = cell("go", 5);
+    auto plan_of = [](std::initializer_list<const RunSpec *> specs) {
+        CampaignPlan plan;
+        for (const RunSpec *s : specs)
+            plan.add(*s, "");
+        return plan;
+    };
+    const CampaignPlan plan = plan_of(
+        {&a, &b, &a, &c, &d, &e, &b, &d, &e, &a, &c, &e, &f, &f});
+    auto fresh_memo = [&] {
+        store::resetProcessStore();
+        store::setStorePath(store_dir);
+    };
+
+    // Reference: every cell simulated, no cache of any kind.
+    const std::vector<RunResult> cold = runCampaign(plan, RetryPolicy{}, 1);
+
+    // The store learns B and C.
+    fresh_memo();
+    runCampaign(plan_of({&b, &c}), RetryPolicy{}, 1);
+
+    // A journaled pass over the plan simulates A, D, E and F in that
+    // order (jobs = 1); keep only A's entry, as if it was killed there.
+    fresh_memo();
+    store::setJournalPath(journal_dir);
+    runCampaign(plan, RetryPolicy{}, 1);
+    store::setJournalPath("");
+    const std::string journal =
+        (fs::path(journal_dir) /
+         (fingerprintPlan(plan, RetryPolicy{}).hex() + ".lsj"))
+            .string();
+    {
+        const std::string bytes = readFile(journal);
+        ASSERT_GT(bytes.size(), store::kJournalHeaderBytes + 4);
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= static_cast<std::uint32_t>(static_cast<unsigned char>(
+                       bytes[store::kJournalHeaderBytes + i]))
+                   << (8 * i);
+        fs::resize_file(journal, store::kJournalHeaderBytes + 4 + len);
+    }
+
+    // The memo learns D; F leaves the store.
+    fresh_memo();
+    runCampaign(plan_of({&d}), RetryPolicy{}, 1);
+    fs::remove(store::processStore()->recordPath(
+        store::fingerprintRun(f, RetryPolicy{})));
+
+    store::setJournalPath(journal_dir);
+    const std::vector<RunResult> warm = runCampaign(plan, RetryPolicy{}, 1);
+    store::setJournalPath("");
+    const CampaignTelemetry t = lastCampaignTelemetry();
+    EXPECT_EQ(t.resumed, 3u);
+    EXPECT_EQ(t.store.hits, 3u);
+    EXPECT_EQ(t.memoHits, 7u);
+    EXPECT_EQ(t.simulated, 1u);
+    // One store probe per distinct fingerprint: F's repeat waits for F
+    // instead of probing the store a second time.
+    EXPECT_EQ(t.store.misses, 1u);
+    ASSERT_EQ(warm.size(), cold.size());
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        expectSamePersisted(warm[i], cold[i]);
+    }
 }
 
 TEST_F(StoreEnv, ResultStoreLookupInsertAndCorruptionAsMiss)
