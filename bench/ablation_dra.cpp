@@ -11,15 +11,15 @@ using namespace loopsim;
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv, 100000);
-    benchutil::CampaignRecorder record("ablation_dra", ops, argc, argv);
+    const auto cli = benchutil::parseCli(argc, argv, 100000);
+    benchutil::CampaignRecorder record("ablation_dra", cli);
     auto w = benchutil::ablationWorkloads();
-    printFigure(std::cout, ablationCrcSize(ops, w));
-    printFigure(std::cout, ablationCrcRepl(ops, w), ValueFormat::Percent);
-    printFigure(std::cout, ablationInsertionBits(ops, w),
+    printFigure(std::cout, ablationCrcSize(cli.ops, w));
+    printFigure(std::cout, ablationCrcRepl(cli.ops, w), ValueFormat::Percent);
+    printFigure(std::cout, ablationInsertionBits(cli.ops, w),
                 ValueFormat::Percent);
-    printFigure(std::cout, ablationFwdDepth(ops, w));
-    printFigure(std::cout, ablationCrcTimeout(ops, w),
+    printFigure(std::cout, ablationFwdDepth(cli.ops, w));
+    printFigure(std::cout, ablationCrcTimeout(cli.ops, w),
                 ValueFormat::Percent);
     return 0;
 }

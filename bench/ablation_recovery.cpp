@@ -11,12 +11,11 @@ using namespace loopsim;
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv, 100000);
-    benchutil::CampaignRecorder record("ablation_recovery", ops,
-                                       argc, argv);
+    const auto cli = benchutil::parseCli(argc, argv, 100000);
+    benchutil::CampaignRecorder record("ablation_recovery", cli);
     auto w = benchutil::ablationWorkloads();
-    printFigure(std::cout, ablationLoadRecovery(ops, w));
-    printFigure(std::cout, ablationKillShadow(ops, w));
-    printFigure(std::cout, ablationMemDep(ops, w));
+    printFigure(std::cout, ablationLoadRecovery(cli.ops, w));
+    printFigure(std::cout, ablationKillShadow(cli.ops, w));
+    printFigure(std::cout, ablationMemDep(cli.ops, w));
     return 0;
 }

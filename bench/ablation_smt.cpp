@@ -14,8 +14,8 @@ using namespace loopsim;
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv, 100000);
-    benchutil::CampaignRecorder record("ablation_smt", ops, argc, argv);
+    const auto cli = benchutil::parseCli(argc, argv, 100000);
+    benchutil::CampaignRecorder record("ablation_smt", cli);
 
     FigureData fig;
     fig.title = "Ablation: SMT fetch policy (pair throughput, ICOUNT "
@@ -35,7 +35,7 @@ main(int argc, char **argv)
         for (const char *policy : {"rr", "icount"}) {
             RunSpec spec;
             spec.workload = resolveWorkload(pair);
-            spec.totalOps = ops;
+            spec.totalOps = cli.ops;
             spec.overrides.set("core.fetch_policy", policy);
             plan.add(std::move(spec),
                      std::string(pair) + "/" + policy);
@@ -50,7 +50,7 @@ main(int argc, char **argv)
         fig.columns[0].values.push_back(1.0);
         fig.columns[1].values.push_back(speedup(ic_res, rr_res));
     }
-    if (benchutil::wantCsv(argc, argv))
+    if (cli.csv)
         printCsv(std::cout, fig);
     else
         printFigure(std::cout, fig);

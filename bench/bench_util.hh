@@ -5,16 +5,17 @@
  * Common CLI surface: `<bench> [OPS] [--csv] [--jobs N|auto] [-j N]
  * [--trace PATH] [--profile] [--store DIR] [--isolate]
  * [--deadline-ms N] [--journal DIR]` in any argument order (value
- * flags also take the `--flag=V` form), plus the LOOPSIM_BENCH_OPS,
- * LOOPSIM_JOBS, LOOPSIM_TRACE, LOOPSIM_PROFILE, LOOPSIM_STORE,
- * LOOPSIM_ISOLATE, LOOPSIM_DEADLINE_MS and LOOPSIM_JOURNAL environment
- * variables. detail::kFlags is the only list of accepted flags: an
- * unknown `-`-prefixed argument or a second positional argument exits
- * 2 with usage before any cell runs. `--jobs auto` means the host CPU
- * count. Every binary records campaign telemetry (wall clock,
- * runs/sec, cache activity, supervision counters, and the kernel
- * tick profile when --profile is on) into BENCH_campaign.json on
- * exit — including on a SIGINT/SIGTERM drain, via the campaign
+ * flags also take the `--flag=V` form). parseCli() reads argv once
+ * into the process's RunOptions (base/options.hh), so a flag wins
+ * over its LOOPSIM_* variable; README.md's knob table lists both.
+ * detail::kFlags is the only list of accepted flags: an unknown
+ * `-`-prefixed argument, a bad value or a second positional argument
+ * exits 2 with usage before any cell runs, as does a bad LOOPSIM_*
+ * variable. `--jobs auto` means the host CPU count. Every binary
+ * records campaign telemetry (wall clock, runs/sec, cache activity,
+ * supervision counters, the resolved options, and the kernel tick
+ * profile when --profile is on) into BENCH_campaign.json on exit —
+ * including on a SIGINT/SIGTERM drain, via the campaign
  * interrupt-flush hook; --trace additionally writes the campaign's
  * loop-event trace (Chrome JSON, or CSV for *.csv paths — see
  * src/trace/loop_trace.hh and DESIGN.md §11); --store points the
@@ -38,8 +39,10 @@
 #include <utility>
 #include <vector>
 
+#include "base/debug.hh"
 #include "harness/campaign.hh"
 #include "harness/supervisor.hh"
+#include "sim/feedback_port.hh"
 #include "store/journal.hh"
 #include "store/result_store.hh"
 #include "trace/loop_trace.hh"
@@ -91,230 +94,136 @@ usageError(const char *prog, const std::string &why)
     std::exit(2);
 }
 
-/** Parse a non-negative integer; exits with a diagnostic otherwise. */
+/** A count argument (options.hh's grammar); exits 2 otherwise. */
 inline std::uint64_t
-parseCount(const std::string &text, const char *what)
+countArg(const std::string &text, const char *what)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (text.empty() || end == text.c_str() || *end != '\0' ||
-        text[0] == '-') {
+    std::uint64_t v = 0;
+    if (!parseCount(text, v)) {
         std::fprintf(stderr, "invalid %s: \"%s\" (expected a "
-                     "non-negative integer)\n", what, text.c_str());
+                     "whole unsigned integer)\n", what, text.c_str());
         std::exit(2);
     }
-    return static_cast<std::uint64_t>(v);
+    return v;
 }
 
-/** argv checked against kFlags. */
-struct BenchArgs
+/** A path flag's value; an empty one exits 2. */
+inline const std::string &
+pathValue(const FlagSpec &flag, const std::string &value)
 {
-    /** (flag, value) in argv order; the value is "" for a switch. */
-    std::vector<std::pair<std::string, std::string>> flags;
-    /** The one positional argument (the op count), or null. */
-    const char *positional = nullptr;
-
-    bool
-    has(const std::string &flag) const
-    {
-        for (const auto &f : flags) {
-            if (f.first == flag)
-                return true;
-        }
-        return false;
+    if (value.empty()) {
+        const bool dir = std::string(flag.metavar) == "DIR";
+        std::fprintf(stderr, "%s needs a %s (usage: %s %s or %s=%s)\n",
+                     flag.name, dir ? "directory path" : "path",
+                     flag.name, flag.metavar, flag.name, flag.metavar);
+        std::exit(2);
     }
+    return value;
+}
 
-    /** Value of the first @p flag given, or "" when absent. */
-    std::string
-    value(const std::string &flag) const
-    {
-        for (const auto &f : flags) {
-            if (f.first == flag)
-                return f.second;
+/** @p text as a JSON string literal. */
+inline std::string
+jsonString(const std::string &text)
+{
+    std::string out = "\"";
+    for (const char c : text) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+        } else {
+            out += c;
         }
-        return "";
     }
+    return out + "\"";
+}
+
+} // namespace detail
+
+/** A bench binary's command line, read once. */
+struct BenchCli
+{
+    /** Correct-path ops per run: the positional argument, else
+     *  LOOPSIM_BENCH_OPS, else the binary's default. */
+    std::uint64_t ops = 0;
+    bool csv = false; ///< --csv
+    /** processOptions() with the flags applied. */
+    RunOptions opts;
 };
 
 /**
- * Split argv into flags and the positional argument. An unknown
- * `-`-prefixed argument, a switch given a value, a value flag with
- * nothing after it, or a second positional argument exits 2.
+ * Read argv against kFlags into a BenchCli. An unknown `-`-prefixed
+ * argument, a switch given a value, a value flag with nothing after
+ * it, a bad value, or a second positional argument exits 2; so does a
+ * bad LOOPSIM_* variable, because this resolves the process options
+ * first. Every bench binary calls this before anything else.
  */
-inline BenchArgs
-parseArgs(int argc, char **argv)
+inline BenchCli
+parseCli(int argc, char **argv, std::uint64_t def_ops = 200000)
 {
-    BenchArgs args;
+    BenchCli cli;
+    cli.opts = processOptions();
+    cli.ops = cli.opts.benchOps ? cli.opts.benchOps : def_ops;
+    bool positional = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a.empty() || a[0] != '-') {
-            if (args.positional)
-                usageError(argv[0], "unexpected argument \"" + a + "\"");
-            args.positional = argv[i];
+            if (positional)
+                detail::usageError(argv[0],
+                                   "unexpected argument \"" + a + "\"");
+            positional = true;
+            cli.ops = detail::countArg(a, "op count");
+            if (cli.ops == 0) {
+                std::fprintf(stderr, "op count must be positive\n");
+                std::exit(2);
+            }
             continue;
         }
         const std::size_t eq = a.find('=');
         const std::string name = a.substr(0, eq);
-        const FlagSpec *spec = findFlag(name);
+        const detail::FlagSpec *spec = detail::findFlag(name);
         if (!spec || (eq != std::string::npos && !spec->metavar))
-            usageError(argv[0], "unknown option \"" + a + "\"");
+            detail::usageError(argv[0], "unknown option \"" + a + "\"");
         std::string value;
         if (eq != std::string::npos) {
             value = a.substr(eq + 1);
         } else if (spec->metavar) {
             if (i + 1 >= argc)
-                usageError(argv[0], name + " needs a value");
+                detail::usageError(argv[0], name + " needs a value");
             value = argv[++i];
         }
-        args.flags.emplace_back(name, std::move(value));
-    }
-    return args;
-}
 
-/**
- * A directory flag's value: `--flag DIR` / `--flag=DIR`, else
- * @p fallback when the flag is absent. A flag with an empty path is a
- * usage error (exit 2) rather than a silently disabled feature.
- */
-inline std::string
-dirFlag(int argc, char **argv, const std::string &flag,
-        const std::string &fallback)
-{
-    const BenchArgs args = parseArgs(argc, argv);
-    if (!args.has(flag))
-        return fallback;
-    std::string path = args.value(flag);
-    if (path.empty()) {
-        std::fprintf(stderr, "%s needs a directory path (usage: %s DIR "
-                     "or %s=DIR)\n", flag.c_str(), flag.c_str(),
-                     flag.c_str());
-        std::exit(2);
-    }
-    return path;
-}
-
-} // namespace detail
-
-/**
- * Correct-path ops per run: the positional argument wherever it sits
- * on the command line, else LOOPSIM_BENCH_OPS, else @p def. A
- * non-numeric or zero count is rejected with exit code 2 instead of
- * silently becoming 0 ops. Every bench binary calls this first, so
- * its argv check is what rejects a bad command line before any cell
- * runs.
- */
-inline std::uint64_t
-benchOps(int argc, char **argv, std::uint64_t def = 200000)
-{
-    const detail::BenchArgs args = detail::parseArgs(argc, argv);
-    if (args.positional) {
-        std::uint64_t ops = detail::parseCount(args.positional,
-                                               "op count");
-        if (ops == 0) {
-            std::fprintf(stderr, "op count must be positive\n");
-            std::exit(2);
+        RunOptions &o = cli.opts;
+        if (name == "--csv") {
+            cli.csv = true;
+        } else if (name == "--jobs" || name == "-j") {
+            bool ok = false;
+            o.jobs = parseJobsSpec(value, ok);
+            if (!ok) {
+                std::fprintf(stderr, "invalid job count: \"%s\" "
+                             "(expected a number or \"auto\")\n",
+                             value.c_str());
+                std::exit(2);
+            }
+        } else if (name == "--trace") {
+            o.tracePath = detail::pathValue(*spec, value);
+            o.traceCollection = true;
+        } else if (name == "--profile") {
+            o.profile = true;
+        } else if (name == "--store") {
+            o.storePath = detail::pathValue(*spec, value);
+        } else if (name == "--isolate") {
+            o.isolate = true;
+        } else if (name == "--deadline-ms") {
+            o.deadlineMs = detail::countArg(value, "deadline");
+        } else if (name == "--journal") {
+            o.journalPath = detail::pathValue(*spec, value);
         }
-        return ops;
     }
-    if (const char *env = std::getenv("LOOPSIM_BENCH_OPS")) {
-        std::uint64_t ops = detail::parseCount(env, "LOOPSIM_BENCH_OPS");
-        if (ops > 0)
-            return ops;
-    }
-    return def;
-}
-
-/**
- * Worker count from `--jobs N|auto`, `--jobs=N|auto` or `-j N`; "auto"
- * resolves to the host's hardware thread count. 0 (automatic:
- * LOOPSIM_JOBS, then hardware_concurrency) when absent.
- */
-inline unsigned
-benchJobs(int argc, char **argv)
-{
-    const detail::BenchArgs args = detail::parseArgs(argc, argv);
-    for (const auto &[flag, value] : args.flags) {
-        if (flag != "--jobs" && flag != "-j")
-            continue;
-        bool ok = false;
-        unsigned jobs = parseJobsSpec(value, ok);
-        if (!ok) {
-            std::fprintf(stderr, "invalid job count: \"%s\" (expected "
-                         "a number or \"auto\")\n", value.c_str());
-            std::exit(2);
-        }
-        return jobs;
-    }
-    return 0;
-}
-
-/** True when the user asked for CSV output (--csv anywhere in argv). */
-inline bool
-wantCsv(int argc, char **argv)
-{
-    return detail::parseArgs(argc, argv).has("--csv");
-}
-
-/**
- * Loop-event trace output path: `--trace PATH` / `--trace=PATH`, else
- * the LOOPSIM_TRACE environment variable; "" when tracing is off.
- */
-inline std::string
-benchTrace(int argc, char **argv)
-{
-    std::string path = detail::parseArgs(argc, argv).value("--trace");
-    return !path.empty() ? path : trace::tracePath();
-}
-
-/** Kernel self-profiling: `--profile`, else LOOPSIM_PROFILE. */
-inline bool
-benchProfile(int argc, char **argv)
-{
-    return detail::parseArgs(argc, argv).has("--profile") ||
-           tickProfilingActive();
-}
-
-/**
- * Persistent result-store directory: `--store DIR` / `--store=DIR`,
- * else the LOOPSIM_STORE environment variable; "" when the store is
- * off.
- */
-inline std::string
-benchStore(int argc, char **argv)
-{
-    return detail::dirFlag(argc, argv, "--store", store::storePath());
-}
-
-/** Crash isolation: `--isolate`, else LOOPSIM_ISOLATE. */
-inline bool
-benchIsolate(int argc, char **argv)
-{
-    return detail::parseArgs(argc, argv).has("--isolate") ||
-           isolationActive();
-}
-
-/**
- * Per-cell wall-clock deadline in ms: `--deadline-ms N` /
- * `--deadline-ms=N`, else LOOPSIM_DEADLINE_MS; 0 = no deadline.
- */
-inline std::uint64_t
-benchDeadlineMs(int argc, char **argv)
-{
-    const detail::BenchArgs args = detail::parseArgs(argc, argv);
-    if (args.has("--deadline-ms"))
-        return detail::parseCount(args.value("--deadline-ms"), "deadline");
-    return deadlineMs();
-}
-
-/**
- * Campaign journal directory: `--journal DIR` / `--journal=DIR`, else
- * the LOOPSIM_JOURNAL environment variable; "" when journaling is
- * off.
- */
-inline std::string
-benchJournal(int argc, char **argv)
-{
-    return detail::dirFlag(argc, argv, "--journal", store::journalPath());
+    return cli;
 }
 
 /** Workloads used by ablation benches (a representative subset). */
@@ -329,41 +238,31 @@ ablationWorkloads()
  * BENCH_campaign.json (override the path with LOOPSIM_BENCH_JSON).
  * Construct it at the top of main(); the destructor appends a JSON
  * entry with the cumulative campaign wall clock and runs/sec, so the
- * perf trajectory of the figure suite is recorded run over run. The
- * constructor also installs the --jobs worker count, enables trace
- * collection when --trace/LOOPSIM_TRACE names a path (the destructor
- * writes the collected trace there), turns on kernel tick profiling
- * under --profile/LOOPSIM_PROFILE (recorded as the entry's
- * "tick_profile" array), arms crash isolation / deadlines /
- * journaling from their flags, and registers itself as the campaign
- * interrupt-flush hook so a SIGINT/SIGTERM drain still writes the
- * (partial) telemetry entry before the process exits.
+ * perf trajectory of the figure suite is recorded run over run; the
+ * entry also carries the resolved options and, under --profile, the
+ * "tick_profile" array. The constructor installs the command line's
+ * options through each layer's setter and registers itself as the
+ * campaign interrupt-flush hook, so a SIGINT/SIGTERM drain still
+ * writes the (partial) entry before the process exits. With a trace
+ * path, flushing also writes the collected trace there.
  */
 class CampaignRecorder
 {
   public:
-    CampaignRecorder(std::string bench_name, std::uint64_t ops,
-                     int argc, char **argv)
-        : name(std::move(bench_name)), totalOps(ops),
-          tracePath(benchTrace(argc, argv)),
+    CampaignRecorder(std::string bench_name, const BenchCli &cli)
+        : name(std::move(bench_name)), totalOps(cli.ops),
+          tracePath(cli.opts.tracePath),
           start(std::chrono::steady_clock::now())
     {
-        setCampaignJobs(benchJobs(argc, argv));
-        if (!tracePath.empty()) {
-            trace::setTracePath(tracePath);
-            trace::setCollection(true);
-        }
-        if (benchProfile(argc, argv))
-            setTickProfiling(true);
-        std::string store_dir = benchStore(argc, argv);
-        if (!store_dir.empty())
-            store::setStorePath(store_dir);
-        if (benchIsolate(argc, argv))
-            setIsolation(true);
-        setDeadlineMs(benchDeadlineMs(argc, argv));
-        std::string journal_dir = benchJournal(argc, argv);
-        if (!journal_dir.empty())
-            store::setJournalPath(journal_dir);
+        const RunOptions &o = cli.opts;
+        setCampaignJobs(o.jobs);
+        trace::setTracePath(o.tracePath);
+        trace::setCollection(o.traceCollection);
+        setTickProfiling(o.profile);
+        store::setStorePath(o.storePath);
+        setIsolation(o.isolate);
+        setDeadlineMs(o.deadlineMs);
+        store::setJournalPath(o.journalPath);
         // The campaign executor runs on this thread, so the hook fires
         // with this object alive and no concurrent flush possible.
         setCampaignInterruptFlush([this] { flush(); });
@@ -404,8 +303,9 @@ class CampaignRecorder
               << ", \"process_wall_s\": " << wall.count()
               << ", \"interrupted\": "
               << (t.interrupted ? "true" : "false")
-              << ", \"store\": {\"dir\": \"" << store::storePath()
-              << "\", \"memo_hits\": " << t.memoHits
+              << ", \"store\": {\"dir\": "
+              << detail::jsonString(store::storePath())
+              << ", \"memo_hits\": " << t.memoHits
               << ", \"hits\": " << t.store.hits
               << ", \"misses\": " << t.store.misses
               << ", \"inserts\": " << t.store.inserts
@@ -415,14 +315,29 @@ class CampaignRecorder
               << ", \"supervision\": {\"isolate\": "
               << (isolationActive() ? "true" : "false")
               << ", \"deadline_ms\": " << deadlineMs()
-              << ", \"journal\": \"" << store::journalPath()
-              << "\", \"isolated_runs\": " << t.isolatedRuns
+              << ", \"journal\": "
+              << detail::jsonString(store::journalPath())
+              << ", \"isolated_runs\": " << t.isolatedRuns
               << ", \"crashes\": " << t.crashes
               << ", \"timeouts\": " << t.timeouts
               << ", \"spawn_retries\": " << t.spawnRetries
               << ", \"backoff_waits\": " << t.backoffWaits
               << ", \"backoff_wait_ms\": " << t.backoffWaitMs
               << ", \"resumed\": " << t.resumed << "}";
+        const RunOptions &o = processOptions();
+        entry << ", \"options\": {\"kernel\": \""
+              << (o.denseKernel ? "dense" : "sparse")
+              << "\", \"audit\": " << (o.audit ? "true" : "false")
+              << ", \"profile\": " << (o.profile ? "true" : "false")
+              << ", \"debug\": "
+              << detail::jsonString(debug::flagsText(o.debugFlags))
+              << ", \"overlay\": {";
+        for (auto it = o.overlay.begin(); it != o.overlay.end(); ++it) {
+            entry << (it == o.overlay.begin() ? "" : ", ")
+                  << detail::jsonString(it->first) << ": "
+                  << detail::jsonString(it->second);
+        }
+        entry << "}}";
         if (!t.workers.empty()) {
             entry << ", \"workers\": [";
             for (std::size_t i = 0; i < t.workers.size(); ++i) {
@@ -470,8 +385,9 @@ class CampaignRecorder
     void
     append(const std::string &entry) const
     {
-        const char *env = std::getenv("LOOPSIM_BENCH_JSON");
-        std::string path = env && *env ? env : "BENCH_campaign.json";
+        const std::string &json = processOptions().benchJson;
+        const std::string path = json.empty() ? "BENCH_campaign.json"
+                                              : json;
 
         std::string body;
         {

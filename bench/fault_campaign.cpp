@@ -30,8 +30,8 @@ faulted(const char *key, double rate)
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv, 100000);
-    benchutil::CampaignRecorder record("fault_campaign", ops, argc, argv);
+    const auto cli = benchutil::parseCli(argc, argv, 100000);
+    benchutil::CampaignRecorder record("fault_campaign", cli);
     auto w = benchutil::ablationWorkloads();
 
     Config wedge = faulted("integrity.fault.wakeup_drop", 1.0);
@@ -50,9 +50,9 @@ main(int argc, char **argv)
     FigureData fig = sweepConfigs(
         "Fault-injection campaign: IPC under transient faults "
         "(wakeup-drop is a deliberate permanent wedge)",
-        w, configs, ops);
+        w, configs, cli.ops);
 
-    if (benchutil::wantCsv(argc, argv))
+    if (cli.csv)
         printCsv(std::cout, fig);
     else
         printFigure(std::cout, fig, ValueFormat::Ratio);

@@ -10,11 +10,10 @@ using namespace loopsim;
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv);
-    benchutil::CampaignRecorder record("fig4_pipeline_length", ops,
-                                       argc, argv);
-    FigureData fig = figure4(ops);
-    if (benchutil::wantCsv(argc, argv))
+    const auto cli = benchutil::parseCli(argc, argv);
+    benchutil::CampaignRecorder record("fig4_pipeline_length", cli);
+    FigureData fig = figure4(cli.ops);
+    if (cli.csv)
         printCsv(std::cout, fig);
     else
         printFigure(std::cout, fig);

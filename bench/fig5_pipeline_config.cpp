@@ -10,11 +10,10 @@ using namespace loopsim;
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv);
-    benchutil::CampaignRecorder record("fig5_pipeline_config", ops,
-                                       argc, argv);
-    FigureData fig = figure5(ops);
-    if (benchutil::wantCsv(argc, argv))
+    const auto cli = benchutil::parseCli(argc, argv);
+    benchutil::CampaignRecorder record("fig5_pipeline_config", cli);
+    FigureData fig = figure5(cli.ops);
+    if (cli.csv)
         printCsv(std::cout, fig);
     else
         printFigure(std::cout, fig);

@@ -10,13 +10,12 @@ using namespace loopsim;
 int
 main(int argc, char **argv)
 {
-    auto ops = benchutil::benchOps(argc, argv);
-    benchutil::CampaignRecorder record("fig6_operand_gap_cdf", ops,
-                                       argc, argv);
+    const auto cli = benchutil::parseCli(argc, argv);
+    benchutil::CampaignRecorder record("fig6_operand_gap_cdf", cli);
     // The paper plots turb3d and notes other benchmarks look similar;
     // print a second benchmark to substantiate that claim.
-    FigureData fig = figure6(ops, {"turb3d", "swim"});
-    if (benchutil::wantCsv(argc, argv))
+    FigureData fig = figure6(cli.ops, {"turb3d", "swim"});
+    if (cli.csv)
         printCsv(std::cout, fig);
     else
         printFigure(std::cout, fig);

@@ -1,9 +1,6 @@
 #include "base/debug.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -12,52 +9,14 @@
 namespace loopsim::debug
 {
 
-namespace detail
-{
-
-std::atomic<unsigned> flagMask{kEnvUnread};
-
-} // namespace detail
-
 namespace
 {
 
-// Campaign workers query the mask every traced cycle, inline
-// (debug.hh); all mutation (env parse, explicit setFlags/clearFlags)
-// serialises on one mutex. The flag set is install-then-read:
-// installers run before the sweep, workers only load.
-std::mutex &
-flagMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
 constexpr unsigned allMask =
     (1u << static_cast<unsigned>(Flag::NumFlags)) - 1;
-static_assert((allMask & detail::kEnvUnread) == 0,
-              "debug flags overlap the env-unread bit");
-
-void
-parseEnvOnce()
-{
-    if (!(detail::flagMask.load(std::memory_order_acquire) &
-          detail::kEnvUnread))
-        return;
-    std::lock_guard<std::mutex> lock(flagMutex());
-    if (!(detail::flagMask.load(std::memory_order_relaxed) &
-          detail::kEnvUnread))
-        return;
-    // Guarded by flagMutex and only ever read, never set, by us.
-    const char *env = std::getenv("LOOPSIM_DEBUG"); // NOLINT(concurrency-mt-unsafe)
-    // setFlags marks the environment read itself (before parsing, so
-    // a bad LOOPSIM_DEBUG is reported once, not on every query).
-    if (env)
-        setFlags(env);
-    else
-        detail::flagMask.fetch_and(~detail::kEnvUnread,
-                                   std::memory_order_release);
-}
+static_assert((allMask & (options::kAuditBit | options::kUnresolvedBit)) ==
+                  0,
+              "debug flags overlap the option gate's other bits");
 
 } // anonymous namespace
 
@@ -80,52 +39,67 @@ flagName(Flag flag)
     }
 }
 
-bool
-detail::enabledAfterEnv(unsigned bit)
+unsigned
+parseFlags(const std::string &csv, std::string &bad)
 {
-    parseEnvOnce();
-    return (flagMask.load(std::memory_order_relaxed) & bit) != 0;
-}
-
-bool
-anyEnabled()
-{
-    parseEnvOnce();
-    return detail::flagMask.load(std::memory_order_relaxed) != 0;
-}
-
-void
-setFlags(const std::string &csv)
-{
-    detail::flagMask.fetch_and(~detail::kEnvUnread,
-                               std::memory_order_release);
-    unsigned add = 0;
+    unsigned bits = 0;
+    bad.clear();
     for (const std::string &raw : split(csv, ',')) {
-        std::string name = toLower(trim(raw));
+        const std::string name = toLower(trim(raw));
         if (name.empty())
             continue;
         if (name == "all") {
-            add |= allMask;
+            bits |= allMask;
             continue;
         }
         bool found = false;
         for (unsigned f = 0;
              f < static_cast<unsigned>(Flag::NumFlags); ++f) {
             if (toLower(flagName(static_cast<Flag>(f))) == name) {
-                add |= 1u << f;
+                bits |= 1u << f;
                 found = true;
                 break;
             }
         }
-        fatal_if(!found, "unknown debug flag: ", raw);
+        if (!found && bad.empty())
+            bad = trim(raw);
     }
-    detail::flagMask.fetch_or(add, std::memory_order_relaxed);
+    return bits;
+}
+
+std::string
+flagsText(unsigned bits)
+{
+    std::string out;
+    for (unsigned f = 0; f < static_cast<unsigned>(Flag::NumFlags); ++f) {
+        if (bits & (1u << f))
+            out += std::string(out.empty() ? "" : ",") +
+                   flagName(static_cast<Flag>(f));
+    }
+    return out;
+}
+
+bool
+anyEnabled()
+{
+    return (processOptions().debugFlags & allMask) != 0;
+}
+
+void
+setFlags(const std::string &csv)
+{
+    std::string bad;
+    const unsigned add = parseFlags(csv, bad);
+    fatal_if(!bad.empty(), "unknown debug flag: ", bad);
+    processOptions().debugFlags |= add;
+    options::setGate(add, true);
 }
 
 void
 clearFlags()
 {
-    detail::flagMask.store(0, std::memory_order_release);
+    processOptions().debugFlags = 0;
+    options::setGate(allMask, false);
 }
 
 void

@@ -2,9 +2,9 @@
  * @file
  * Named debug-trace flags, in the spirit of gem5's DPRINTF.
  *
- * Tracing is off by default and costs one boolean test per site. Flags
+ * Tracing is off by default and costs one bit test per site. Flags
  * are enabled programmatically (debug::setFlags) or via the
- * LOOPSIM_DEBUG environment variable, e.g.
+ * LOOPSIM_DEBUG run option (base/options.hh), e.g.
  *
  *   LOOPSIM_DEBUG=Issue,Squash ./build/examples/quickstart gcc
  *
@@ -14,10 +14,10 @@
 #ifndef LOOPSIM_BASE_DEBUG_HH
 #define LOOPSIM_BASE_DEBUG_HH
 
-#include <atomic>
 #include <sstream>
 #include <string>
 
+#include "base/options.hh"
 #include "base/types.hh"
 
 namespace loopsim::debug
@@ -35,45 +35,32 @@ enum class Flag : unsigned
     Kill,
     Dra,
     Mem,
-    Pool, ///< instruction-pool slot transitions (LOOPSIM_TRACE_POOL)
-    Reg,  ///< physical-register transitions (LOOPSIM_TRACE_REG)
+    Pool, ///< instruction-pool slot transitions
+    Reg,  ///< physical-register transitions
     NumFlags
 };
 
 /** Printable name of @p flag. */
 const char *flagName(Flag flag);
 
-namespace detail
-{
-
-/**
- * The enabled flags, one bit per Flag, plus kEnvUnread until
- * LOOPSIM_DEBUG has been read (once, on first use, or never if
- * setFlags()/clearFlags() runs first). Folding the "not read yet"
- * state into the mask keeps enabled() to one load and one test.
- */
-inline constexpr unsigned kEnvUnread = 1u << 31;
-extern std::atomic<unsigned> flagMask;
-
-/** Read LOOPSIM_DEBUG if nobody has yet, then test @p bit. */
-bool enabledAfterEnv(unsigned bit);
-
-} // namespace detail
-
-/** Is @p flag enabled? Inline-cheap: one mask test. */
+/** Is @p flag enabled? Inline-cheap: one relaxed load, one test. */
 inline bool
 enabled(Flag flag)
 {
-    const unsigned bit = 1u << static_cast<unsigned>(flag);
-    const unsigned mask =
-        detail::flagMask.load(std::memory_order_relaxed);
-    if ((mask & (bit | detail::kEnvUnread)) == 0) [[likely]]
-        return false;
-    return (mask & detail::kEnvUnread) ? detail::enabledAfterEnv(bit)
-                                       : true;
+    return options::gateOpen(1u << static_cast<unsigned>(flag));
 }
 
-/** Enable a comma-separated flag list ("Issue,Squash" or "All"). */
+/**
+ * The flag bits named by @p csv ("Issue,Squash" or "All", any case).
+ * The first unknown name lands in @p bad (empty when all are known).
+ */
+unsigned parseFlags(const std::string &csv, std::string &bad);
+
+/** The names of the flags set in @p bits, comma-separated. */
+std::string flagsText(unsigned bits);
+
+/** Enable a comma-separated flag list ("Issue,Squash" or "All");
+ *  fatal() on an unknown name. */
 void setFlags(const std::string &csv);
 
 /** Disable everything. */

@@ -6,8 +6,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
 #ifdef LOOPSIM_WAKE_DIAG
 #include <cstdio>
@@ -547,30 +545,17 @@ Core::handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
         if (miss_mask & (1u << i))
             operandSources->add(sourceBin(OperandSource::Miss));
     }
-    // LOOPSIM_DEBUG_MISS is latched once (this runs per miss, and
-    // getenv is neither cheap nor thread-safe against concurrent
-    // setenv); output goes through debug::emit so parallel campaign
-    // workers cannot interleave mid-line.
-    static const bool debug_miss = [] {
-        return std::getenv("LOOPSIM_DEBUG_MISS") != nullptr; // NOLINT(concurrency-mt-unsafe)
-    }();
-    if (debug_miss) {
-        for (unsigned i = 0; i < 2; ++i) {
-            if (!(miss_mask & (1u << i)))
-                continue;
-            std::ostringstream os;
-            os << "[miss] src r" << inst.op.src[i] << " preg "
-               << inst.physSrc[i] << " produced "
-               << prf.actualReadyAt(inst.physSrc[i]) << " exec "
-               << exec_start << " wb "
-               << prf.writebackAt(inst.physSrc[i]) << " inst "
-               << inst.op.toString();
-            debug::emit(debug::Flag::Dra, exec_start, os.str());
-        }
-    }
-
     LTRACE(Dra, exec_start, inst.op.toString()
            << " operand miss, mask " << miss_mask);
+    for (unsigned i = 0; i < 2; ++i) {
+        if (miss_mask & (1u << i)) {
+            LTRACE(Dra, exec_start, "[miss] src r" << inst.op.src[i]
+                   << " preg " << inst.physSrc[i] << " produced "
+                   << prf.actualReadyAt(inst.physSrc[i]) << " exec "
+                   << exec_start << " wb "
+                   << prf.writebackAt(inst.physSrc[i]));
+        }
+    }
     killInstruction(ref);
     // waitingRecovery makes the queued recheck drop the faulter; the
     // PayloadDelivery handler re-arms it when the wait ends.

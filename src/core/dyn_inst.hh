@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -177,17 +176,6 @@ class InstPool
     std::size_t inUse() const { return slots.size() - freeList.size(); }
     std::size_t capacity() const { return slots.size(); }
 
-    /** Debug aid: LOOPSIM_TRACE_POOL=<idx> logs slot transitions. */
-    static int
-    tracedIdx()
-    {
-        static int idx = [] {
-            const char *env = std::getenv("LOOPSIM_TRACE_POOL");
-            return env ? std::atoi(env) : -1;
-        }();
-        return idx;
-    }
-
     /** Allocate a slot; the entry keeps its bumped generation. */
     InstRef
     alloc()
@@ -209,7 +197,7 @@ class InstPool
         inst.consumers = std::move(recycled);
         inst.gen = gen;
         inst.state = InstState::Renamed;
-        if (static_cast<int>(idx) == tracedIdx()) {
+        if (debug::enabled(debug::Flag::Pool)) [[unlikely]] {
             // Through debug::emit: one write per line, so traces stay
             // unscrambled under parallel campaigns.
             std::ostringstream os;
@@ -225,7 +213,7 @@ class InstPool
     {
         DynInst &inst = get(ref);
         panic_if(inst.state == InstState::Empty, "double release");
-        if (static_cast<int>(ref.idx) == tracedIdx()) {
+        if (debug::enabled(debug::Flag::Pool)) [[unlikely]] {
             std::ostringstream os;
             os << "[pool " << ref.idx << "] release gen " << ref.gen
                << " op " << inst.op.toString() << " physDest "

@@ -1,7 +1,6 @@
 #include "core/register_file.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "base/debug.hh"
@@ -13,20 +12,6 @@ namespace loopsim
 namespace
 {
 
-/**
- * Debug aid: set LOOPSIM_TRACE_REG=<n> to log every state transition
- * of physical register n to stderr.
- */
-int
-tracedReg()
-{
-    static const int reg = [] {
-        const char *env = std::getenv("LOOPSIM_TRACE_REG");
-        return env ? std::atoi(env) : -1;
-    }();
-    return reg;
-}
-
 [[gnu::cold]] void
 emitRegTrace(PhysReg reg, const char *what, std::uint64_t value)
 {
@@ -37,12 +22,12 @@ emitRegTrace(PhysReg reg, const char *what, std::uint64_t value)
     debug::emit(debug::Flag::Reg, os.str());
 }
 
-/** Every scoreboard transition calls this: the untraced case is one
- *  inline compare, and only a match pays for the call. */
+/** Every scoreboard transition calls this (LOOPSIM_DEBUG=Reg): the
+ *  untraced case is one inline bit test. */
 inline void
 traceReg(PhysReg reg, const char *what, std::uint64_t value)
 {
-    if (static_cast<int>(reg) == tracedReg()) [[unlikely]]
+    if (debug::enabled(debug::Flag::Reg)) [[unlikely]]
         emitRegTrace(reg, what, value);
 }
 

@@ -14,6 +14,7 @@
 
 #include "base/annotations.hh"
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "core/machine_config.hh"
 #include "harness/supervisor.hh"
 #include "store/fingerprint.hh"
@@ -54,8 +55,6 @@ LOOPSIM_CAMPAIGN_GUARDED("telemetryMutex")
 CampaignTelemetry lastTelemetry;
 LOOPSIM_CAMPAIGN_GUARDED("telemetryMutex")
 CampaignTelemetry totalTelemetry;
-
-std::atomic<unsigned> explicitJobs{0};
 
 std::mutex flushHookMutex;
 LOOPSIM_CAMPAIGN_GUARDED("flushHookMutex")
@@ -109,21 +108,6 @@ class ShutdownGuard
     struct sigaction oldTerm = {};
     bool restored = false;
 };
-
-/** LOOPSIM_JOBS, parsed once; 0 when unset or unusable. */
-unsigned
-envJobs()
-{
-    static const unsigned jobs = [] {
-        const char *env = std::getenv("LOOPSIM_JOBS");
-        if (!env || !*env)
-            return 0u;
-        bool ok = false;
-        const unsigned v = parseJobsSpec(env, ok);
-        return ok ? v : 0u;
-    }();
-    return jobs;
-}
 
 /**
  * Run one cell. runOnceResilient() already fail-softs SimError; this
@@ -265,48 +249,23 @@ CampaignTelemetry::accumulate(const CampaignTelemetry &other)
 void
 setCampaignJobs(unsigned jobs)
 {
-    explicitJobs.store(jobs, std::memory_order_relaxed);
-}
-
-unsigned
-hostCpus()
-{
-    return std::max(std::thread::hardware_concurrency(), 1u);
-}
-
-unsigned
-parseJobsSpec(const std::string &spec, bool &ok)
-{
-    ok = false;
-    if (spec.empty())
-        return 0;
-    if (spec == "auto") {
-        ok = true;
-        return hostCpus();
-    }
-    char *end = nullptr;
-    unsigned long v = std::strtoul(spec.c_str(), &end, 10);
-    if (end == spec.c_str() || *end != '\0')
-        return 0;
-    ok = true;
-    return static_cast<unsigned>(std::min(v, 1024ul));
+    processOptions().jobs = jobs;
 }
 
 unsigned
 campaignJobs()
 {
-    unsigned jobs = explicitJobs.load(std::memory_order_relaxed);
-    if (jobs == 0)
-        jobs = envJobs();
-    if (jobs == 0)
-        jobs = std::thread::hardware_concurrency();
-    return std::max(jobs, 1u);
+    const unsigned jobs = processOptions().jobs;
+    return jobs ? jobs : hostCpus();
 }
 
 std::vector<RunResult>
 runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             unsigned jobs)
 {
+    // Resolve the run options on the caller's thread: a bad LOOPSIM_*
+    // value exits 2 here, before any worker starts.
+    processOptions();
     if (jobs == 0)
         jobs = campaignJobs();
     jobs = static_cast<unsigned>(
@@ -437,13 +396,10 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
 
     // Resolve each miss's effective configuration once, up front, on
     // this thread. Workers then run against the pre-resolved Config
-    // through runOnceResilientWith(), so the pool never serializes on
-    // the process-wide overlay mutex and never rebuilds the
+    // through runOnceResilientWith(), so the pool never rebuilds the
     // string-map-heavy figure defaults per cell (or per retry
     // attempt) — the first measurable contention point of the --jobs
-    // scaling investigation: with short cells, every worker re-took
-    // the overlay lock and re-built the default Config each time.
-    // This also pins the whole campaign to the overlays in force at
+    // scaling investigation. This also pins the whole campaign to the overlays in force at
     // plan time, matching what the fingerprints hashed. The isolated
     // path resolves per cell in the supervisor instead (the child
     // must run against the pre-fork snapshot), so it skips this.

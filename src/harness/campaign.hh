@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "base/options.hh"
 #include "harness/experiment.hh"
 #include "store/result_store.hh"
 
@@ -182,29 +183,13 @@ struct CampaignTelemetry
     void accumulate(const CampaignTelemetry &other);
 };
 
-/**
- * Install the process-wide worker count: 0 restores automatic
- * resolution. Thread-safe; takes effect for subsequent campaigns.
- */
+/** Set the process-wide worker count (RunOptions::jobs); 0 means the
+ *  host width. Call between campaigns. */
 void setCampaignJobs(unsigned jobs);
 
-/**
- * Resolve the worker count for the next campaign, in decreasing
- * precedence: setCampaignJobs() (the bench binaries' --jobs flag) >
- * the LOOPSIM_JOBS environment variable > hardware_concurrency().
- * Always at least 1.
- */
+/** The worker count for the next campaign: RunOptions::jobs
+ *  (base/options.hh), or hostCpus() when that is 0. */
 unsigned campaignJobs();
-
-/** Hardware threads on this host (>= 1). */
-unsigned hostCpus();
-
-/**
- * Parse a --jobs / LOOPSIM_JOBS value: a number (capped at 1024) or
- * "auto", which resolves to hostCpus(), the full host width. @p ok is
- * false (and 0 returned) on anything else.
- */
-unsigned parseJobsSpec(const std::string &spec, bool &ok);
 
 /**
  * Execute every cell of @p plan and return one RunResult per cell, in
@@ -215,11 +200,10 @@ unsigned parseJobsSpec(const std::string &spec, bool &ok);
  * Lookup-before-simulate: unless loop-event trace collection is on
  * (traces must come from real executions), every cell is first looked
  * up by fingerprint in the in-process memo and then in the persistent
- * store (store/result_store.hh, when --store/LOOPSIM_STORE names a
- * directory). Hits are replayed into the results in plan order —
- * output stays byte-identical to a cold serial sweep at any job
- * count — and only the misses go to the worker pool; fresh results
- * are inserted back. Duplicate plan points within one campaign
+ * store (store/result_store.hh, when a store directory is set). Hits
+ * are replayed into the results in plan order — output stays
+ * byte-identical to a cold serial sweep at any job count — and only
+ * the misses go to the worker pool; fresh results are inserted back. Duplicate plan points within one campaign
  * simulate once.
  */
 std::vector<RunResult> runCampaign(const CampaignPlan &plan,

@@ -1,17 +1,12 @@
 #include "harness/experiment.hh"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
-#include "base/annotations.hh"
 #include "base/logging.hh"
-#include "base/str.hh"
+#include "base/options.hh"
 #include "core/core.hh"
 #include "core/machine_config.hh"
 #include "integrity/fault_injector.hh"
@@ -23,115 +18,42 @@
 namespace loopsim
 {
 
-namespace
-{
-
-/**
- * Process-wide overlay installed by setRunOverlay(). Guarded by a
- * mutex because concurrent campaign workers snapshot it per run;
- * readers take a copy so Config's mutable read-tracking members are
- * never shared across threads.
- */
-std::mutex &
-overlayMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-Config &
-runOverlayLocked()
-{
-    LOOPSIM_CAMPAIGN_GUARDED("overlayMutex(); workers take snapshots")
-    static Config overlay;
-    return overlay;
-}
-
-Config
-runOverlaySnapshot()
-{
-    std::lock_guard<std::mutex> lock(overlayMutex());
-    return runOverlayLocked();
-}
-
-/** Parse LOOPSIM_OVERLAY ("a.b=c,d.e=f" or space-separated) once. */
-const Config &
-envOverlay()
-{
-    static const Config cfg = [] {
-        Config c;
-        const char *env = std::getenv("LOOPSIM_OVERLAY");
-        if (!env)
-            return c;
-        for (const std::string &chunk : split(env, ',')) {
-            for (const std::string &assign : split(chunk, ' ')) {
-                if (!assign.empty())
-                    c.parseAssignment(assign);
-            }
-        }
-        return c;
-    }();
-    return cfg;
-}
-
-/** Defaults < spec overrides < env overlay < programmatic overlay.
- *  The defaults are constants, so they are built once and copied:
- *  every fingerprint of a warm campaign resolves a config. */
-Config
-effectiveConfig(const RunSpec &spec)
-{
-    static const Config defaults = defaultFigureConfig();
-    Config cfg = defaults;
-    cfg.overlay(spec.overrides);
-    cfg.overlay(envOverlay());
-    cfg.overlay(runOverlaySnapshot());
-    return cfg;
-}
-
-/** Kernel self-profiling gate; defaults from LOOPSIM_PROFILE. */
-std::atomic<bool> profilingFlag{false};
-std::atomic<bool> profilingInitialized{false};
-
-} // anonymous namespace
-
 bool
 tickProfilingActive()
 {
-    if (!profilingInitialized.load(std::memory_order_acquire)) {
-        // Benign race: both racers compute the same env-derived value.
-        const char *env = std::getenv("LOOPSIM_PROFILE"); // NOLINT(concurrency-mt-unsafe)
-        profilingFlag.store(env != nullptr && *env != '\0',
-                            std::memory_order_relaxed);
-        profilingInitialized.store(true, std::memory_order_release);
-    }
-    return profilingFlag.load(std::memory_order_relaxed);
+    return processOptions().profile;
 }
 
 void
 setTickProfiling(bool on)
 {
-    profilingInitialized.store(true, std::memory_order_release);
-    profilingFlag.store(on, std::memory_order_relaxed);
+    processOptions().profile = on;
 }
 
 void
 setRunOverlay(const Config &overlay)
 {
-    std::lock_guard<std::mutex> lock(overlayMutex());
-    runOverlayLocked() = overlay;
+    processOptions().overlay = overlay.entries();
 }
 
 void
 clearRunOverlay()
 {
-    std::lock_guard<std::mutex> lock(overlayMutex());
-    runOverlayLocked() = Config{};
+    processOptions().overlay.clear();
 }
 
+/** Defaults < spec overrides < the process overlay. The defaults are
+ *  constants, so they are built once and copied: every fingerprint of
+ *  a warm campaign resolves a config. */
 Config
 effectiveRunConfig(const RunSpec &spec)
 {
-    return effectiveConfig(spec);
+    static const Config defaults = defaultFigureConfig();
+    Config cfg = defaults;
+    cfg.overlay(spec.overrides);
+    for (const auto &[key, value] : processOptions().overlay)
+        cfg.set(key, value);
+    return cfg;
 }
 
 double
@@ -377,13 +299,13 @@ runOnceWith(const RunSpec &spec, Config cfg)
 RunResult
 runOnce(const RunSpec &spec)
 {
-    return runOnceWith(spec, effectiveConfig(spec));
+    return runOnceWith(spec, effectiveRunConfig(spec));
 }
 
 RunResult
 runOnceResilient(const RunSpec &spec, const RetryPolicy &policy)
 {
-    return runOnceResilientWith(spec, effectiveConfig(spec), policy);
+    return runOnceResilientWith(spec, effectiveRunConfig(spec), policy);
 }
 
 RunResult

@@ -121,11 +121,9 @@ struct RunResult
 };
 
 /**
- * Process-wide kernel self-profiling toggle. Defaults to whether the
- * LOOPSIM_PROFILE environment variable is set (latched once); the
- * bench binaries' --profile flag forces it via setTickProfiling().
- * When on, every runOnce() times its components' tick() calls and
- * reports them in RunResult::tickProfile.
+ * Process-wide kernel self-profiling toggle (RunOptions::profile,
+ * base/options.hh). When on, every runOnce() times its components'
+ * tick() calls and reports them in RunResult::tickProfile.
  */
 bool tickProfilingActive();
 void setTickProfiling(bool on);
@@ -160,17 +158,15 @@ void setBasePipeline(Config &cfg, unsigned regfile_latency);
  * invariant violation (see src/integrity/). fatal() is reserved for
  * malformed specifications (empty workload, zero ops).
  *
- * The effective configuration is, in increasing precedence:
- * defaultFigureConfig() < spec.overrides < the LOOPSIM_OVERLAY
- * environment variable (comma/space-separated k=v assignments) < the
- * process-wide overlay installed with setRunOverlay(). The overlays
- * exist so whole figure campaigns can be re-run under fault injection
- * or altered integrity settings without touching driver code.
+ * The effective configuration is effectiveRunConfig(@p spec). The
+ * process overlay exists so whole figure campaigns can be re-run under
+ * fault injection or altered integrity settings without touching
+ * driver code.
  *
  * Thread safety: runOnce() is safe to call concurrently — every run
- * builds its own Core, Simulator, watchdog and statistics, and reads
- * the overlays through an internal mutex (each run takes a private
- * Config snapshot, so Config's read-tracking never crosses threads).
+ * builds its own Core, Simulator, watchdog and statistics, and takes a
+ * private Config snapshot, so Config's read-tracking never crosses
+ * threads.
  * The caller must not mutate @p spec during the call; distinct calls
  * need distinct specs only in the trivial sense that each gets its
  * own copy via the campaign plan or the stack.
@@ -178,24 +174,18 @@ void setBasePipeline(Config &cfg, unsigned regfile_latency);
 RunResult runOnce(const RunSpec &spec);
 
 /**
- * The configuration runOnce() would resolve for @p spec right now:
- * defaults < spec.overrides < LOOPSIM_OVERLAY < the programmatic
- * overlay, as one flat Config. The result store fingerprints this
- * (store/fingerprint.hh), so a run's cache key reflects the overlays
- * in force at plan time, not just the spec.
+ * The configuration runOnce() would resolve for @p spec right now, as
+ * one flat Config: defaultFigureConfig() < spec.overrides < the
+ * process overlay (DESIGN.md §8, "Run options"). The result store
+ * fingerprints this (store/fingerprint.hh), so a run's cache key
+ * reflects the overlay in force at plan time, not just the spec.
  */
 Config effectiveRunConfig(const RunSpec &spec);
 
 /**
- * Install / clear the process-wide configuration overlay.
- *
- * Thread-safety contract: both calls take the same mutex the run path
- * reads through, so an install is atomic with respect to concurrent
- * runOnce() calls — every run observes either the whole old overlay
- * or the whole new one, never a torn mix. Installing while a campaign
- * is in flight is still discouraged (cells before and after the swap
- * would disagree); install before launching the campaign, clear after
- * it drains.
+ * Replace / clear the process overlay (RunOptions::overlay, which
+ * LOOPSIM_OVERLAY fills). Install before launching runs, clear after
+ * they drain: runs read it without a lock.
  */
 void setRunOverlay(const Config &overlay);
 void clearRunOverlay();
@@ -229,9 +219,8 @@ RunResult runOnceResilient(const RunSpec &spec,
 /**
  * runOnceResilient() against an already-resolved configuration
  * (effectiveRunConfig()), skipping overlay resolution entirely. The
- * fork-isolated supervisor uses this in the child so a freshly forked
- * worker never takes the overlay mutex another parent thread might
- * have held at fork time.
+ * campaign executor resolves each cell once on its own thread, and the
+ * fork-isolated supervisor resolves before the fork.
  */
 RunResult runOnceResilientWith(const RunSpec &spec, const Config &resolved,
                                const RetryPolicy &policy = {});

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "core/machine_config.hh"
 #include "store/record.hh"
 
@@ -24,12 +25,6 @@ namespace loopsim
 
 namespace
 {
-
-/** Isolation / deadline gates; env-latched like tickProfilingActive(). */
-std::atomic<bool> isolateFlag{false};
-std::atomic<bool> isolateInit{false};
-std::atomic<std::uint64_t> deadlineMsFlag{0};
-std::atomic<bool> deadlineInit{false};
 
 /** Campaign shutdown flag polled while a child is in flight. */
 std::atomic<const std::atomic<bool> *> stopFlag{nullptr};
@@ -170,9 +165,8 @@ writeAll(int fd, const char *data, std::size_t n)
 
 /**
  * The child half: reset the parent's campaign signal handlers, run the
- * cell against the pre-fork-resolved configuration (never touching the
- * overlay mutex — another parent thread may have held it at fork
- * time), ship the wire record and _exit without running atexit
+ * cell against the pre-fork-resolved configuration, ship the wire
+ * record and _exit without running atexit
  * handlers that belong to the parent's state. It flushes no stdio
  * stream: those hold the parent's unwritten output, which the parent
  * writes itself. Its own diagnostics go to the unbuffered stderr,
@@ -372,16 +366,7 @@ isolationSupported()
 bool
 isolationActive()
 {
-    if (!isolateInit.load(std::memory_order_acquire)) {
-        // Benign race: both racers compute the same env-derived value.
-        const char *env = std::getenv("LOOPSIM_ISOLATE"); // NOLINT(concurrency-mt-unsafe)
-        bool on = env != nullptr && *env != '\0' &&
-                  std::strcmp(env, "0") != 0;
-        isolateFlag.store(on, std::memory_order_relaxed);
-        isolateInit.store(true, std::memory_order_release);
-    }
-    return isolateFlag.load(std::memory_order_relaxed) &&
-           isolationSupported();
+    return processOptions().isolate && isolationSupported();
 }
 
 void
@@ -391,29 +376,19 @@ setIsolation(bool on)
         warn("process isolation is not supported on this platform; "
              "cells will run in-process");
     }
-    isolateInit.store(true, std::memory_order_release);
-    isolateFlag.store(on, std::memory_order_relaxed);
+    processOptions().isolate = on;
 }
 
 std::uint64_t
 deadlineMs()
 {
-    if (!deadlineInit.load(std::memory_order_acquire)) {
-        const char *env = std::getenv("LOOPSIM_DEADLINE_MS"); // NOLINT(concurrency-mt-unsafe)
-        std::uint64_t ms = 0;
-        if (env != nullptr && *env != '\0')
-            ms = std::strtoull(env, nullptr, 10);
-        deadlineMsFlag.store(ms, std::memory_order_relaxed);
-        deadlineInit.store(true, std::memory_order_release);
-    }
-    return deadlineMsFlag.load(std::memory_order_relaxed);
+    return processOptions().deadlineMs;
 }
 
 void
 setDeadlineMs(std::uint64_t ms)
 {
-    deadlineInit.store(true, std::memory_order_release);
-    deadlineMsFlag.store(ms, std::memory_order_relaxed);
+    processOptions().deadlineMs = ms;
 }
 
 void
@@ -429,8 +404,8 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
     fatal_if(!isolationSupported(),
              "runCellSupervised on a platform without fork()");
 
-    // Resolve the configuration before forking: the child must never
-    // take the overlay mutex (see the fork-safety note in the header).
+    // Resolve the configuration before forking (see the fork-safety
+    // note in the header).
     const Config resolved = effectiveRunConfig(spec);
     const SupervisorPolicy sup = SupervisorPolicy::fromConfig(resolved);
 

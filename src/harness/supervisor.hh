@@ -30,8 +30,8 @@
  * Fork-safety: the parent is multi-threaded (campaign workers fork
  * concurrently), so the child must not touch a lock another parent
  * thread held at fork time. The child therefore runs against the
- * configuration resolved *before* the fork (runOnceResilientWith(),
- * no overlay mutex), and glibc's atfork handlers keep malloc usable.
+ * configuration resolved *before* the fork (runOnceResilientWith()),
+ * and glibc's atfork handlers keep malloc usable.
  * Loop-event traces only exist in real in-process executions, so the
  * campaign executor bypasses isolation while trace collection is on
  * (the same contract the result store follows); tick profiles are
@@ -91,10 +91,8 @@ struct SupervisedOutcome
 };
 
 /** @name Process-wide isolation configuration
- * Precedence: setIsolation() (the bench binaries' --isolate flag) >
- * the LOOPSIM_ISOLATE environment variable ("0"/"" = off) > off.
- * The deadline follows the same scheme with --deadline-ms /
- * LOOPSIM_DEADLINE_MS; 0 means no deadline. */
+ * RunOptions::isolate and ::deadlineMs (base/options.hh); a deadline
+ * of 0 means none. */
 /// @{
 bool isolationSupported(); ///< false on platforms without fork()
 void setIsolation(bool on);

@@ -44,11 +44,8 @@ struct WatchdogConfig
     /** Cycles between structural sweeps when enabled. */
     Cycle checkInterval = 64;
 
-    /**
-     * integrity.watchdog.window / .history, integrity.checks.enable /
-     * .interval. The LOOPSIM_CHECK environment variable (non-empty)
-     * also enables structural checks.
-     */
+    /** integrity.watchdog.window / .history, integrity.checks.enable /
+     *  .interval. */
     static WatchdogConfig fromConfig(const Config &cfg);
 };
 

@@ -1,69 +1,28 @@
 /**
  * @file
- * Loop-discipline audit mode: the process-wide toggle FeedbackPort
- * consults, and the out-of-line violation raise.
+ * Loop-discipline audit mode: the setter behind audit::enabled(), and
+ * the out-of-line violation raise.
  *
- * The default comes from the build (the LOOPSIM_AUDIT CMake option
- * defines LOOPSIM_AUDIT_BUILD) or, at runtime, the LOOPSIM_AUDIT
- * environment variable ("0"/"" off, anything else on) — so an audit
- * sweep needs no reconfigure. Tests and the harness may override
- * either with audit::setEnabled(). The flag is one relaxed atomic: the
- * campaign executor runs cores on many threads, and toggles are only
- * expected between campaigns.
+ * The default comes from the LOOPSIM_AUDIT run option
+ * (base/options.hh), so an audit sweep needs no reconfigure. The flag
+ * is one bit of the option gate word: the campaign executor runs
+ * cores on many threads, and toggles are only expected between
+ * campaigns.
  */
 
 #include "sim/feedback_port.hh"
-
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "integrity/sim_error.hh"
 
 namespace loopsim
 {
 
-namespace audit
-{
-
-namespace
-{
-
-bool
-defaultEnabled()
-{
-#ifdef LOOPSIM_AUDIT_BUILD
-    bool on = true;
-#else
-    bool on = false;
-#endif
-    if (const char *env = std::getenv("LOOPSIM_AUDIT"))
-        on = std::strcmp(env, "0") != 0 && std::strcmp(env, "") != 0;
-    return on;
-}
-
-std::atomic<bool> &
-flag()
-{
-    static std::atomic<bool> on{defaultEnabled()};
-    return on;
-}
-
-} // anonymous namespace
-
-bool
-enabled()
-{
-    return flag().load(std::memory_order_relaxed);
-}
-
 void
-setEnabled(bool on)
+audit::setEnabled(bool on)
 {
-    flag().store(on, std::memory_order_relaxed);
+    processOptions().audit = on;
+    options::setGate(options::kAuditBit, on);
 }
-
-} // namespace audit
 
 void
 raiseDisciplineViolation(const std::string &component,

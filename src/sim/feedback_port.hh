@@ -13,9 +13,8 @@
  *  - the *writer* stamps every message with the cycle the outcome was
  *    produced and the loop delay it declared (`send()`), and
  *  - the *reader* unwraps the message through `read(now)`, which in
- *    normal builds is an inline unwrap and in audit builds (the
- *    LOOPSIM_AUDIT CMake option, the LOOPSIM_AUDIT environment
- *    variable, or audit::setEnabled()) verifies
+ *    normal runs is an inline unwrap and in audit mode (the
+ *    LOOPSIM_AUDIT run option or audit::setEnabled()) verifies
  *    `now >= write_cycle + loop_delay`, raising a structured
  *    DisciplineViolation (integrity/sim_error.hh) naming the
  *    component, the signal kind, how many cycles early the read was,
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "base/types.hh"
 
 namespace loopsim
@@ -46,9 +46,13 @@ namespace audit
 {
 
 /** Is loop-discipline auditing on? One relaxed atomic load. */
-bool enabled();
+inline bool
+enabled()
+{
+    return options::gateOpen(options::kAuditBit);
+}
 
-/** Force audit mode on/off (tests, harness); overrides the default. */
+/** Force audit mode on/off (tests, harness); overrides LOOPSIM_AUDIT. */
 void setEnabled(bool on);
 
 /** RAII toggle for test scopes. */

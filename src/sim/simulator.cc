@@ -1,53 +1,25 @@
 #include "sim/simulator.hh"
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "integrity/sim_error.hh"
 
 namespace loopsim
 {
 
-namespace
-{
-
-/** -1: no override; otherwise a KernelMode value. */
-std::atomic<int> modeOverride{-1};
-
-KernelMode
-builtinKernelMode()
-{
-    static const KernelMode resolved = [] {
-        const char *env = std::getenv("LOOPSIM_DENSE_KERNEL");
-        if (env && *env)
-            return KernelMode::Dense;
-#ifdef LOOPSIM_DENSE_KERNEL_DEFAULT
-        return KernelMode::Dense;
-#else
-        return KernelMode::Sparse;
-#endif
-    }();
-    return resolved;
-}
-
-} // anonymous namespace
-
 KernelMode
 defaultKernelMode()
 {
-    int forced = modeOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return static_cast<KernelMode>(forced);
-    return builtinKernelMode();
+    return processOptions().denseKernel ? KernelMode::Dense
+                                        : KernelMode::Sparse;
 }
 
 void
 setDefaultKernelMode(KernelMode mode)
 {
-    modeOverride.store(static_cast<int>(mode),
-                       std::memory_order_relaxed);
+    processOptions().denseKernel = mode == KernelMode::Dense;
 }
 
 void

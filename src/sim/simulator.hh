@@ -18,9 +18,9 @@
  *    for the skipped span inside its next tick() (span-weighted
  *    statistics — see DESIGN.md §14), which makes a sparse run
  *    bit-identical to a dense one.
- *  - Dense (LOOPSIM_DENSE_KERNEL, or setDefaultKernelMode): the
- *    original cycle-by-cycle loop, kept as the differential-testing
- *    reference.
+ *  - Dense (setDefaultKernelMode, or the LOOPSIM_DENSE_KERNEL run
+ *    option): the original cycle-by-cycle loop, kept as the
+ *    differential-testing reference.
  *
  * The kernel cannot see a component cheating its own loop delays.
  * Cross-stage feedback (branch resolution, load hit/miss, DRA operand
@@ -100,12 +100,8 @@ class Clocked
     virtual std::string name() const { return "clocked"; }
 };
 
-/**
- * The process-wide default mode new Simulators start in. Resolution
- * order: setDefaultKernelMode() override, then the LOOPSIM_DENSE_KERNEL
- * environment variable (non-empty enables dense), then the
- * LOOPSIM_DENSE_KERNEL CMake option's compiled-in default, then Sparse.
- */
+/** The process-wide default mode new Simulators start in
+ *  (RunOptions::denseKernel, base/options.hh). */
 KernelMode defaultKernelMode();
 
 /** Override the process-wide default (tests, bench --dense-kernel). */

@@ -256,11 +256,10 @@ fingerprintRun(const RunSpec &spec, const RetryPolicy &policy)
     h.u64("store.schema", kSchemaVersion);
     h.u64("store.epoch", kModelEpoch);
 
-    // The fully-resolved configuration: defaults < spec overrides <
-    // env overlay < programmatic overlay, exactly what runOnce() will
+    // The fully-resolved configuration, exactly what runOnce() will
     // see. Config stores keys sorted, so how the caller spread the
-    // same assignments across overrides and overlays cannot change
-    // the hash.
+    // same assignments across the overrides and the overlay cannot
+    // change the hash.
     const Config cfg = effectiveRunConfig(spec);
     const auto &entries = cfg.entries();
     h.u64("cfg.count", entries.size());

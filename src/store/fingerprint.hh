@@ -4,8 +4,8 @@
  *
  * A fingerprint is a 128-bit content hash over *everything a run's
  * results are a function of*: the fully-resolved configuration
- * (defaults, spec overrides, LOOPSIM_OVERLAY and the programmatic
- * overlay, all already merged — so it is permutation-independent by
+ * (effectiveRunConfig(): defaults, spec overrides and the process
+ * overlay, already merged — so it is permutation-independent by
  * construction), every field of every thread's BenchmarkProfile
  * (seeds included), the op/warmup/cycle budgets, the effective retry
  * policy (retries perturb seeds, so they shape results), and two
@@ -101,9 +101,9 @@ class Hasher
 };
 
 /**
- * Fingerprint one planned run: @p spec resolved against the current
- * defaults + environment + programmatic overlays (the same resolution
- * runOnce() performs), plus @p policy and the schema/epoch constants.
+ * Fingerprint one planned run: @p spec resolved by
+ * effectiveRunConfig() (the same resolution runOnce() performs), plus
+ * @p policy and the schema/epoch constants.
  */
 Fingerprint fingerprintRun(const RunSpec &spec, const RetryPolicy &policy);
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "harness/experiment.hh"
 #include "store/record.hh"
 
@@ -95,10 +96,6 @@ parseHeader(std::string_view bytes, ParsedHeader &hdr)
     hdr.planCells = getU64(bytes, 24);
     return true;
 }
-
-std::mutex journalPathMutex;
-std::string explicitJournalPath;
-bool explicitJournalPathSet = false;
 
 } // anonymous namespace
 
@@ -253,21 +250,13 @@ CampaignJournal::append(const Fingerprint &fp, const RunResult &result)
 void
 setJournalPath(const std::string &dir)
 {
-    std::lock_guard<std::mutex> lock(journalPathMutex);
-    explicitJournalPath = dir;
-    explicitJournalPathSet = true;
+    processOptions().journalPath = dir;
 }
 
 std::string
 journalPath()
 {
-    {
-        std::lock_guard<std::mutex> lock(journalPathMutex);
-        if (explicitJournalPathSet)
-            return explicitJournalPath;
-    }
-    const char *env = std::getenv("LOOPSIM_JOURNAL");
-    return env ? std::string(env) : std::string();
+    return processOptions().journalPath;
 }
 
 bool

@@ -130,9 +130,7 @@ std::size_t replayJournal(std::string_view bytes,
                           std::map<Fingerprint, RunResult> &replay);
 
 /** @name Process-wide journal configuration
- * Precedence for the directory: setJournalPath() (the bench binaries'
- * --journal flag) > the LOOPSIM_JOURNAL environment variable >
- * disabled. */
+ * The directory is RunOptions::journalPath (base/options.hh). */
 /// @{
 void setJournalPath(const std::string &dir); ///< "" disables
 std::string journalPath();

@@ -16,6 +16,7 @@
 
 #include "base/annotations.hh"
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "store/record.hh"
 
 namespace fs = std::filesystem;
@@ -79,8 +80,6 @@ class StoreLock
 };
 
 std::mutex processMutex;
-LOOPSIM_CAMPAIGN_GUARDED("processMutex") std::string explicitPath;
-LOOPSIM_CAMPAIGN_GUARDED("processMutex") bool explicitPathSet = false;
 LOOPSIM_CAMPAIGN_GUARDED("processMutex")
 std::unique_ptr<ResultStore> openedStore;
 LOOPSIM_CAMPAIGN_GUARDED("processMutex") std::string openedPath;
@@ -275,10 +274,9 @@ ResultMemo::clear()
 void
 setStorePath(const std::string &dir)
 {
+    processOptions().storePath = dir;
+    // Re-open on the next processStore() call.
     std::lock_guard<std::mutex> lock(processMutex);
-    explicitPath = dir;
-    explicitPathSet = true;
-    // Re-resolve (and possibly re-open) on next processStore() call.
     openedStore.reset();
     openedPath.clear();
 }
@@ -286,13 +284,7 @@ setStorePath(const std::string &dir)
 std::string
 storePath()
 {
-    {
-        std::lock_guard<std::mutex> lock(processMutex);
-        if (explicitPathSet)
-            return explicitPath;
-    }
-    const char *env = std::getenv("LOOPSIM_STORE");
-    return env ? std::string(env) : std::string();
+    return processOptions().storePath;
 }
 
 bool
@@ -327,13 +319,7 @@ processMemo()
 void
 resetProcessStore()
 {
-    {
-        std::lock_guard<std::mutex> lock(processMutex);
-        explicitPath.clear();
-        explicitPathSet = false;
-        openedStore.reset();
-        openedPath.clear();
-    }
+    setStorePath("");
     processMemo().clear();
 }
 

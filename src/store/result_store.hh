@@ -113,9 +113,8 @@ class ResultMemo
 };
 
 /** @name Process-wide store configuration
- * The campaign executor consults these. Precedence for the directory:
- * setStorePath() (the bench binaries' --store flag) > the
- * LOOPSIM_STORE environment variable > disabled. */
+ * The campaign executor consults these. The directory is
+ * RunOptions::storePath (base/options.hh). */
 /// @{
 void setStorePath(const std::string &dir); ///< "" disables
 std::string storePath();
@@ -124,8 +123,8 @@ bool storeConfigured();
 ResultStore *processStore();
 /** The process-wide memo (always available). */
 ResultMemo &processMemo();
-/** Drop the open store handle and clear the memo (tests; also lets a
- *  binary re-point LOOPSIM_STORE after setStorePath("")). */
+/** Drop the open store handle, disable the store (setStorePath(""))
+ *  and clear the memo. */
 void resetProcessStore();
 /// @}
 

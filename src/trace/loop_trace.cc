@@ -1,17 +1,16 @@
 /**
  * @file
- * Loop-event trace layer: sinks, the process-wide collector, and the
- * LOOPSIM_TRACE knob. See loop_trace.hh for the design overview.
+ * Loop-event trace layer: sinks and the process-wide collector. See
+ * loop_trace.hh for the design overview.
  */
 
 #include "trace/loop_trace.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 
 #include "base/annotations.hh"
+#include "base/options.hh"
 
 namespace loopsim::trace
 {
@@ -218,27 +217,6 @@ writeTraceFile(const std::string &path,
 namespace
 {
 
-/** Trace path state: env default, overridable by --trace. Guarded by
- *  pathMutex because bench binaries set it before spawning workers,
- *  but tests may toggle it around campaigns. */
-std::mutex pathMutex;
-
-std::string &
-pathStorage()
-{
-    LOOPSIM_CAMPAIGN_GUARDED("pathMutex; latched before workers spawn")
-    static std::string path = [] {
-        // Latched once at startup, same pattern as base/debug.cc.
-        const char *env = std::getenv("LOOPSIM_TRACE"); // NOLINT(concurrency-mt-unsafe)
-        return std::string(env ? env : "");
-    }();
-    return path;
-}
-
-/** Collection gate: relaxed atomic, read by every Core constructor. */
-std::atomic<bool> collectFlag{false};
-std::atomic<bool> collectInitialized{false};
-
 /** Collected run traces, appended in plan order by the campaign
  *  executor. loop:exempt(host-side trace buffer; never feeds
  *  simulated time) */
@@ -257,35 +235,25 @@ collected()
 std::string
 tracePath()
 {
-    std::lock_guard<std::mutex> lock(pathMutex);
-    return pathStorage();
+    return processOptions().tracePath;
 }
 
 void
 setTracePath(const std::string &path)
 {
-    std::lock_guard<std::mutex> lock(pathMutex);
-    pathStorage() = path;
+    processOptions().tracePath = path;
 }
 
 bool
 collectionActive()
 {
-    if (!collectInitialized.load(std::memory_order_acquire)) {
-        // First query decides the default from LOOPSIM_TRACE; benign
-        // race — both racers compute the same value.
-        collectFlag.store(!tracePath().empty(),
-                          std::memory_order_relaxed);
-        collectInitialized.store(true, std::memory_order_release);
-    }
-    return collectFlag.load(std::memory_order_relaxed);
+    return processOptions().traceCollection;
 }
 
 void
 setCollection(bool on)
 {
-    collectInitialized.store(true, std::memory_order_release);
-    collectFlag.store(on, std::memory_order_relaxed);
+    processOptions().traceCollection = on;
 }
 
 void

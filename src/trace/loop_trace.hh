@@ -33,10 +33,6 @@
  * (each run is a "process", each loop a track, each event a span from
  * write cycle to consume cycle); CsvTraceSink writes one row per event
  * for ad-hoc analysis. Schema details in DESIGN.md §11.
- *
- * Configuring with -DLOOPSIM_TRACE_DISABLED=ON compiles the recording
- * macro to nothing: the layer then costs literally zero instructions
- * in the simulation path.
  */
 
 #ifndef LOOPSIM_TRACE_LOOP_TRACE_HH
@@ -177,10 +173,9 @@ class CsvTraceSink : public TraceSink
 /**
  * Process-wide trace collection toggle + buffer.
  *
- * collectionActive() is the gate the Core consults at construction
- * (one relaxed atomic load, construction-time only). It defaults to
- * whether LOOPSIM_TRACE names a path, and is forced by
- * setCollection() (the bench binaries' --trace flag, tests).
+ * collectionActive() is the gate the Core consults at construction:
+ * RunOptions::traceCollection (base/options.hh), on when a trace path
+ * is set and forced by setCollection() (tests).
  */
 bool collectionActive();
 void setCollection(bool on);
@@ -208,30 +203,19 @@ void writeTrace(TraceSink &sink, const std::vector<RunTrace> &runs);
 bool writeTraceFile(const std::string &path,
                     const std::vector<RunTrace> &runs);
 
-/**
- * The trace output path: the LOOPSIM_TRACE environment variable,
- * latched once; overridden by setTracePath() (the --trace flag).
- * Empty means tracing is off.
- */
+/** The trace output path (RunOptions::tracePath); "" = no file. */
 std::string tracePath();
 void setTracePath(const std::string &path);
 
 /**
- * The recording hook the Core's feedback read sites use. Compiles to
- * nothing under LOOPSIM_TRACE_DISABLED; otherwise costs one pointer
+ * The recording hook the Core's feedback read sites use: one pointer
  * test when tracing is off.
  */
-#ifdef LOOPSIM_TRACE_DISABLED
-#define LOOPSIM_TRACE_LOOP_EVENT(recorder, ...)                           \
-    do {                                                                  \
-    } while (false)
-#else
 #define LOOPSIM_TRACE_LOOP_EVENT(recorder, ...)                           \
     do {                                                                  \
         if (recorder)                                                     \
             (recorder)->record(__VA_ARGS__);                              \
     } while (false)
-#endif
 
 } // namespace loopsim::trace
 

@@ -918,12 +918,12 @@ TEST(StoreBenchFlag, StoreWithoutPathExitsWithUsage)
     // A trailing bare --store is caught by the generic flag parser,
     // --store= by the store-specific check; both are usage errors.
     char *bare[] = {bench, flagBare};
-    EXPECT_EXIT(benchutil::benchStore(2, bare),
+    EXPECT_EXIT(benchutil::parseCli(2, bare),
                 ::testing::ExitedWithCode(2), "--store needs a");
 
     char flagEq[] = "--store=";
     char *eq[] = {bench, flagEq};
-    EXPECT_EXIT(benchutil::benchStore(2, eq),
+    EXPECT_EXIT(benchutil::parseCli(2, eq),
                 ::testing::ExitedWithCode(2),
                 "--store needs a directory path");
 }
@@ -934,11 +934,13 @@ TEST(StoreBenchFlag, StoreValueParsesInBothSpellings)
     char flag[] = "--store";
     char dir[] = "/tmp/lsr-cli";
     char *split[] = {bench, flag, dir};
-    EXPECT_EQ(benchutil::benchStore(3, split), "/tmp/lsr-cli");
+    EXPECT_EQ(benchutil::parseCli(3, split).opts.storePath,
+              "/tmp/lsr-cli");
 
     char joined[] = "--store=/tmp/lsr-cli2";
     char *eq[] = {bench, joined};
-    EXPECT_EQ(benchutil::benchStore(2, eq), "/tmp/lsr-cli2");
+    EXPECT_EQ(benchutil::parseCli(2, eq).opts.storePath,
+              "/tmp/lsr-cli2");
 }
 
 // ---------------------------------------------------------------------------

@@ -29,18 +29,6 @@ using namespace loopsim::testutil;
 namespace
 {
 
-// End-to-end capture tests need the recording macro compiled in; a
-// -DLOOPSIM_TRACE_DISABLED=ON build correctly records nothing, so
-// they skip themselves there (sinks, collector and stats still run).
-#ifdef LOOPSIM_TRACE_DISABLED
-#define SKIP_WITHOUT_RECORDING() \
-    GTEST_SKIP() << "built with LOOPSIM_TRACE_DISABLED"
-#else
-#define SKIP_WITHOUT_RECORDING() \
-    do {                         \
-    } while (false)
-#endif
-
 /** RAII guard: force trace collection on/off, drain and restore. */
 struct CollectionGuard
 {
@@ -319,7 +307,6 @@ TEST(CoreTrace, OffByDefaultAndCostsNothing)
 
 TEST(CoreTrace, BranchLoopEventsCarryHonestStamps)
 {
-    SKIP_WITHOUT_RECORDING();
     CollectionGuard guard(true);
     auto h = makeHarness(mispredictKernel());
     h.run();
@@ -333,7 +320,6 @@ TEST(CoreTrace, BranchLoopEventsCarryHonestStamps)
 
 TEST(CoreTrace, LoadLoopEventsCarryHonestStamps)
 {
-    SKIP_WITHOUT_RECORDING();
     CollectionGuard guard(true);
     auto h = makeHarness(loadMissKernel());
     h.run();
@@ -344,7 +330,6 @@ TEST(CoreTrace, LoadLoopEventsCarryHonestStamps)
 
 TEST(CoreTrace, OperandLoopEmitsKillAndPayload)
 {
-    SKIP_WITHOUT_RECORDING();
     CollectionGuard guard(true);
     auto h = makeHarness(operandMissKernel(), operandMissConfig());
     h.run();
@@ -383,7 +368,6 @@ TEST(LoopOccupancy, QuietKernelOpensNoLoops)
 
 TEST(CampaignTrace, RunResultsCarryEventsIntoTheCollector)
 {
-    SKIP_WITHOUT_RECORDING();
     CollectionGuard guard(true);
     CampaignPlan plan;
     plan.add(smallSpec("gcc"), "gcc/base");
@@ -406,7 +390,6 @@ TEST(CampaignTrace, RunResultsCarryEventsIntoTheCollector)
 
 TEST(CampaignTrace, AssembledTraceIdenticalAtJobs1And8)
 {
-    SKIP_WITHOUT_RECORDING();
     CollectionGuard guard(true);
     CampaignPlan plan;
     for (const char *w : {"gcc", "swim", "turb3d"}) {
@@ -507,29 +490,35 @@ TEST(BenchCli, TraceFlagNeverMisreadAsOpsOrJobs)
     // count may swallow the path (or a numeric-looking path).
     {
         std::vector<const char *> a{"bench", "--trace", "out.json"};
-        EXPECT_EQ(benchutil::benchJobs(3, argv(a)), 0u);
-        EXPECT_EQ(benchutil::benchOps(3, argv(a), 1234), 1234u);
-        EXPECT_EQ(benchutil::benchTrace(3, argv(a)), "out.json");
+        const benchutil::BenchCli cli =
+            benchutil::parseCli(3, argv(a), 1234);
+        EXPECT_EQ(cli.opts.jobs, 0u);
+        EXPECT_EQ(cli.ops, 1234u);
+        EXPECT_EQ(cli.opts.tracePath, "out.json");
+        EXPECT_TRUE(cli.opts.traceCollection);
     }
     {
         std::vector<const char *> a{"bench", "--trace", "out.json",
                                     "--jobs", "3", "8000"};
-        EXPECT_EQ(benchutil::benchJobs(6, argv(a)), 3u);
-        EXPECT_EQ(benchutil::benchOps(6, argv(a)), 8000u);
+        const benchutil::BenchCli cli = benchutil::parseCli(6, argv(a));
+        EXPECT_EQ(cli.opts.jobs, 3u);
+        EXPECT_EQ(cli.ops, 8000u);
     }
     {
         std::vector<const char *> a{"bench", "--trace=o.csv",
                                     "--jobs=4"};
-        EXPECT_EQ(benchutil::benchJobs(3, argv(a)), 4u);
-        EXPECT_EQ(benchutil::benchTrace(3, argv(a)), "o.csv");
+        const benchutil::BenchCli cli = benchutil::parseCli(3, argv(a));
+        EXPECT_EQ(cli.opts.jobs, 4u);
+        EXPECT_EQ(cli.opts.tracePath, "o.csv");
     }
     {
         // No --trace flag: falls back to the process trace path.
         trace::setTracePath("env.json");
         std::vector<const char *> a{"bench", "4000"};
-        EXPECT_EQ(benchutil::benchTrace(2, argv(a)), "env.json");
+        EXPECT_EQ(benchutil::parseCli(2, argv(a)).opts.tracePath,
+                  "env.json");
         trace::setTracePath("");
-        EXPECT_EQ(benchutil::benchTrace(2, argv(a)), "");
+        EXPECT_EQ(benchutil::parseCli(2, argv(a)).opts.tracePath, "");
     }
 }
 

@@ -31,6 +31,12 @@ shapes that would let a refactor sneak around that layer:
                     one-write-per-line discipline keeps them
                     unscrambled under parallel campaigns.
 
+  ambient-env       getenv()/secure_getenv()/environ outside
+                    base/options.cc. Every LOOPSIM_* setting is read
+                    and checked there, once (base/options.hh); a
+                    module reading the environment itself brings back
+                    an unchecked, untested knob. Not waivable.
+
 A finding is waived by annotating the offending line (or the line
 directly above it) with `// loop:exempt(<reason>)`. The reason is
 mandatory; the annotation is the reviewable record of why the pattern
@@ -67,7 +73,8 @@ SOURCE_SUFFIXES = {".cc", ".hh", ".cpp", ".hpp"}
 EXEMPT_RE = re.compile(r"//\s*loop:exempt\([^)]+\)")
 EXEMPT_REASON_RE = re.compile(r"//\s*loop:exempt\(([^)]+)\)")
 
-ALL_RULES = frozenset({"feedback-bypass", "determinism", "bare-output"})
+ALL_RULES = frozenset({"feedback-bypass", "determinism", "bare-output",
+                       "ambient-env"})
 # Rules with AST successors in loopsim-analyze (tools/analyze); the
 # regex versions retire when the analyzer is available.
 SUPERSEDED_BY_ANALYZER = frozenset({"feedback-bypass", "determinism"})
@@ -109,6 +116,11 @@ OUTPUT_RES = [
     (re.compile(r"\b(std::)?printf\s*\("), "printf()", OUTPUT_ALLOWED),
     (re.compile(r"\bstd::cerr\b"), "std::cerr", CERR_ALLOWED),
 ]
+
+
+# --- ambient-env -----------------------------------------------------
+AMBIENT_ENV_RE = re.compile(r"\b(secure_getenv|getenv)\s*\(|\benviron\b")
+ENV_ALLOWED = ("base/options.cc",)
 
 
 class Finding:
@@ -189,6 +201,15 @@ def lint_file(path, display, findings, rules=ALL_RULES,
                         f"reproducible from their seeds (use the "
                         f"seeded base/random PCG)"))
 
+        if "ambient-env" in rules and display not in ENV_ALLOWED:
+            m = AMBIENT_ENV_RE.search(line)
+            if m:
+                findings.append(Finding(
+                    display, i + 1, "ambient-env",
+                    f"{m.group(0).rstrip('( ')} outside base/options.cc: "
+                    f"add the knob to RunOptions and read it through "
+                    f"processOptions()"))
+
         if "bare-output" not in rules:
             continue
         for pattern, name, allowed in OUTPUT_RES:
@@ -260,6 +281,7 @@ def self_test(fixture_root):
         "feedback-bypass": 3,  # event schedule, case label, struct
         "determinism": 4,      # rand, srand, time, clock::now
         "bare-output": 3,      # std::cout, printf, std::cerr
+        "ambient-env": 3,      # getenv, secure_getenv, environ
     }
     for rule, count in expected.items():
         got = len(by_rule.get(rule, []))
@@ -273,14 +295,14 @@ def self_test(fixture_root):
         failures.append(f"clean/exempted fixture flagged: {f}")
 
     # --analyzer-available retires the superseded rules and nothing
-    # else: only the bare-output findings must remain.
+    # else: only the bare-output and ambient-env findings must remain.
     reduced = lint_tree(fixture_root,
                         rules=ALL_RULES - SUPERSEDED_BY_ANALYZER)
     leftover = {f.rule for f in reduced}
-    if leftover != {"bare-output"}:
+    if leftover != {"bare-output", "ambient-env"}:
         failures.append(
             f"--analyzer-available mode kept rules {sorted(leftover)},"
-            f" expected only bare-output")
+            f" expected only ambient-env and bare-output")
 
     # Stale-waiver detection: the deliberate stale fixture must be
     # the one and only report — live waivers and analyze:-prefixed
