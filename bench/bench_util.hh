@@ -3,7 +3,7 @@
  * Shared helpers for the figure-reproduction bench binaries.
  *
  * Common CLI surface: `<bench> [OPS] [--csv] [--jobs N|auto] [-j N]
- * [--trace PATH] [--profile] [--store DIR] [--isolate]
+ * [--trace PATH] [--store DIR] [--isolate]
  * [--deadline-ms N] [--journal DIR]` in any argument order (value
  * flags also take the `--flag=V` form). parseCli() reads argv once
  * into the process's RunOptions (base/options.hh), so a flag wins
@@ -14,7 +14,7 @@
  * variable. `--jobs auto` means the host CPU count. Every binary
  * records campaign telemetry (wall clock, runs/sec, cache activity,
  * supervision counters, the resolved options, and the kernel tick
- * profile when --profile is on) into BENCH_campaign.json on exit —
+ * profile) into BENCH_campaign.json on exit —
  * including on a SIGINT/SIGTERM drain, via the campaign
  * interrupt-flush hook; --trace additionally writes the campaign's
  * loop-event trace (Chrome JSON, or CSV for *.csv paths — see
@@ -64,9 +64,8 @@ struct FlagSpec
 inline constexpr FlagSpec kFlags[] = {
     {"--csv", nullptr},        {"--jobs", "N|auto"},
     {"-j", "N|auto"},          {"--trace", "PATH"},
-    {"--profile", nullptr},    {"--store", "DIR"},
-    {"--isolate", nullptr},    {"--deadline-ms", "N"},
-    {"--journal", "DIR"},
+    {"--store", "DIR"},        {"--isolate", nullptr},
+    {"--deadline-ms", "N"},    {"--journal", "DIR"},
 };
 
 inline const FlagSpec *
@@ -211,8 +210,6 @@ parseCli(int argc, char **argv, std::uint64_t def_ops = 200000)
         } else if (name == "--trace") {
             o.tracePath = detail::pathValue(*spec, value);
             o.traceCollection = true;
-        } else if (name == "--profile") {
-            o.profile = true;
         } else if (name == "--store") {
             o.storePath = detail::pathValue(*spec, value);
         } else if (name == "--isolate") {
@@ -239,8 +236,8 @@ ablationWorkloads()
  * Construct it at the top of main(); the destructor appends a JSON
  * entry with the cumulative campaign wall clock and runs/sec, so the
  * perf trajectory of the figure suite is recorded run over run; the
- * entry also carries the resolved options and, under --profile, the
- * "tick_profile" array. The constructor installs the command line's
+ * entry also carries the resolved options and the "tick_profile"
+ * array. The constructor installs the command line's
  * options through each layer's setter and registers itself as the
  * campaign interrupt-flush hook, so a SIGINT/SIGTERM drain still
  * writes the (partial) entry before the process exits. With a trace
@@ -258,7 +255,6 @@ class CampaignRecorder
         setCampaignJobs(o.jobs);
         trace::setTracePath(o.tracePath);
         trace::setCollection(o.traceCollection);
-        setTickProfiling(o.profile);
         store::setStorePath(o.storePath);
         setIsolation(o.isolate);
         setDeadlineMs(o.deadlineMs);
@@ -328,7 +324,6 @@ class CampaignRecorder
         entry << ", \"options\": {\"kernel\": \""
               << (o.denseKernel ? "dense" : "sparse")
               << "\", \"audit\": " << (o.audit ? "true" : "false")
-              << ", \"profile\": " << (o.profile ? "true" : "false")
               << ", \"debug\": "
               << detail::jsonString(debug::flagsText(o.debugFlags))
               << ", \"overlay\": {";
@@ -351,11 +346,8 @@ class CampaignRecorder
             entry << "]";
         }
         if (!t.tickProfile.empty()) {
-            // "seconds" is scaled up from the strided sample of tick
-            // timings the kernel actually measures ("measured_ticks"
-            // of "ticks" — see Simulator::setProfilingStride), so it
-            // estimates the full cost while the clock reads that
-            // would have made --profile runs crawl are batched away.
+            // Exact counts, and seconds that sum to the cells' timed
+            // Simulator::run() calls (DESIGN.md §11).
             entry << ", \"tick_profile\": [";
             for (std::size_t i = 0; i < t.tickProfile.size(); ++i) {
                 const ComponentProfile &p = t.tickProfile[i];
@@ -363,7 +355,14 @@ class CampaignRecorder
                       << p.name << "\", \"ticks\": " << p.ticks
                       << ", \"measured_ticks\": " << p.measuredTicks
                       << ", \"scan_ticks\": " << p.scanTicks
-                      << ", \"seconds\": " << p.seconds << "}";
+                      << ", \"seconds\": " << p.seconds
+                      << ", \"counters\": {";
+                for (unsigned k = 0; k < KernelCounters::kCount; ++k) {
+                    entry << (k ? ", " : "") << "\""
+                          << KernelCounters::kNames[k]
+                          << "\": " << p.counters.n[k];
+                }
+                entry << "}}";
             }
             entry << "]";
         }

@@ -9,7 +9,6 @@
  * Usage: loop_length_study [workload] [ops] [k=v overrides...]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -17,14 +16,15 @@
 #include "harness/experiment.hh"
 #include "workload/workload_set.hh"
 
+#include "example_main.hh"
+
 using namespace loopsim;
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "swim";
-    std::uint64_t ops = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
-                                 : 120000;
+    std::uint64_t ops = examples::opsArg(argc, argv, 2, 120000);
     Config extra;
     for (int i = 3; i < argc; ++i)
         extra.parseAssignment(argv[i]);
@@ -77,4 +77,11 @@ main(int argc, char **argv)
                  "diagonal) recovers performance for load-loop-bound "
                  "workloads.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return examples::guardedMain(argv[0],
+                                 [&] { return run(argc, argv); });
 }

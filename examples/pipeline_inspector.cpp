@@ -8,7 +8,6 @@
  * Usage: pipeline_inspector [workload] [ops] [k=v overrides...]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -21,14 +20,15 @@
 #include "workload/profile.hh"
 #include "workload/workload_set.hh"
 
+#include "example_main.hh"
+
 using namespace loopsim;
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string workload_name = argc > 1 ? argv[1] : "swim";
-    std::uint64_t ops = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
-                                 : 200000;
+    std::uint64_t ops = examples::opsArg(argc, argv, 2, 200000);
 
     Config cfg = defaultFigureConfig();
     for (int i = 3; i < argc; ++i)
@@ -103,4 +103,11 @@ main(int argc, char **argv)
                   << hits << " hits, " << misses << " misses)\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return examples::guardedMain(argv[0],
+                                 [&] { return run(argc, argv); });
 }

@@ -7,7 +7,6 @@
  *   e.g. quickstart swim 200000 dra.enable=true core.iq.entries=64
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -15,14 +14,15 @@
 #include "harness/experiment.hh"
 #include "workload/workload_set.hh"
 
+#include "example_main.hh"
+
 using namespace loopsim;
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string workload_name = argc > 1 ? argv[1] : "swim";
-    std::uint64_t ops = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
-                                 : 200000;
+    std::uint64_t ops = examples::opsArg(argc, argv, 2, 200000);
 
     RunSpec spec;
     spec.workload = resolveWorkload(workload_name);
@@ -56,4 +56,11 @@ main(int argc, char **argv)
         std::cout << f << " ";
     std::cout << "\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return examples::guardedMain(argv[0],
+                                 [&] { return run(argc, argv); });
 }

@@ -11,7 +11,6 @@
  *   e.g. smt_throughput 150000 m88-comp go-su2cor apsi-swim
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -19,6 +18,8 @@
 #include "base/str.hh"
 #include "harness/experiment.hh"
 #include "workload/workload_set.hh"
+
+#include "example_main.hh"
 
 using namespace loopsim;
 
@@ -39,10 +40,9 @@ ipcOf(const Workload &w, std::uint64_t ops, unsigned dec_iq,
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    std::uint64_t ops = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                 : 120000;
+    std::uint64_t ops = examples::opsArg(argc, argv, 1, 120000);
     std::vector<std::string> pairs;
     for (int i = 2; i < argc; ++i)
         pairs.push_back(argv[i]);
@@ -93,4 +93,11 @@ main(int argc, char **argv)
                  "worstLoss: the larger solo loss of its two programs "
                  "(paper section 3.1 expects pairLoss <= worstLoss).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return examples::guardedMain(argv[0],
+                                 [&] { return run(argc, argv); });
 }

@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,6 +20,8 @@
 #include "workload/generator.hh"
 #include "workload/trace_file.hh"
 #include "workload/workload_set.hh"
+
+#include "example_main.hh"
 
 using namespace loopsim;
 
@@ -42,11 +43,10 @@ runWith(TraceSource &src)
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "gcc";
-    std::uint64_t ops = argc > 2 ? std::strtoull(argv[2], nullptr, 0)
-                                 : 50000;
+    std::uint64_t ops = examples::opsArg(argc, argv, 2, 50000);
     std::string path = argc > 3 ? argv[3] : "/tmp/loopsim_demo.ltrc";
 
     Workload w = resolveWorkload(workload);
@@ -86,4 +86,11 @@ main(int argc, char **argv)
     }
     std::remove(path.c_str());
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return examples::guardedMain(argv[0],
+                                 [&] { return run(argc, argv); });
 }

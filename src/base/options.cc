@@ -122,7 +122,6 @@ constexpr Knob kKnobs[] = {
      [](const std::string &v, RunOptions &o) {
          return parseOverlay(v, o.overlay);
      }},
-    {"LOOPSIM_PROFILE", kBool, boolKnob<&RunOptions::profile>},
     {"LOOPSIM_STORE", kPath, pathKnob<&RunOptions::storePath>},
     {"LOOPSIM_TRACE", kPath,
      [](const std::string &v, RunOptions &o) {
@@ -136,6 +135,7 @@ constexpr std::pair<const char *, const char *> kRemoved[] = {
     {"LOOPSIM_CHECK",
      "removed; use LOOPSIM_OVERLAY=integrity.checks.enable=true"},
     {"LOOPSIM_DEBUG_MISS", "removed; use LOOPSIM_DEBUG=Dra"},
+    {"LOOPSIM_PROFILE", "removed; the kernel profile is always on"},
     {"LOOPSIM_TRACE_POOL",
      "removed; use LOOPSIM_DEBUG=Pool and grep for one slot"},
     {"LOOPSIM_TRACE_REG",

@@ -42,7 +42,6 @@ struct RunOptions
     unsigned debugFlags = 0;      ///< LOOPSIM_DEBUG: a bit per debug::Flag
     bool audit = false;           ///< LOOPSIM_AUDIT
     bool denseKernel = false;     ///< LOOPSIM_DENSE_KERNEL
-    bool profile = false;         ///< LOOPSIM_PROFILE, --profile
     bool isolate = false;         ///< LOOPSIM_ISOLATE, --isolate
     unsigned jobs = 0;            ///< LOOPSIM_JOBS, --jobs; 0 = host width
     std::uint64_t deadlineMs = 0; ///< LOOPSIM_DEADLINE_MS; 0 = none

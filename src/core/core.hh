@@ -124,6 +124,9 @@ class Core : public Clocked, public IntegrityProbe
      *  (every dense tick; zero under the incremental sparse path). */
     std::uint64_t fullScanTicks() const override { return scanTicks; }
 
+    /** Since construction, warmup included, like the tick counts. */
+    KernelCounters kernelCounters() const override { return counters; }
+
     /** @name Results */
     /// @{
     std::uint64_t retiredOps() const;
@@ -778,6 +781,7 @@ class Core : public Clocked, public IntegrityProbe
     /** Ticks whose issue stage ran the full O(IQ) reference scan
      *  (kernel scan-fraction telemetry; see Clocked::fullScanTicks). */
     std::uint64_t scanTicks = 0;
+    KernelCounters counters; ///< computeWake() and issueIncremental()
     LOOPSIM_WAKE_STATE Cycle iqWakeAt = 0;
     /** Set from prepareKernel(): true under the sparse event wheel
      *  (also the construction default, so a bare core outside any

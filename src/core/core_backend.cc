@@ -7,10 +7,6 @@
 
 #include <algorithm>
 
-#ifdef LOOPSIM_WAKE_DIAG
-#include <cstdio>
-#endif
-
 #include "base/debug.hh"
 #include "base/logging.hh"
 #include "core/core.hh"
@@ -264,37 +260,15 @@ Core::issueWinner(InstRef ref, Cycle now)
              lazyExecEligible(inst.op));
 }
 
-#ifdef LOOPSIM_WAKE_DIAG
-namespace
-{
-unsigned long long diagIncrCalls, diagIncrEvals, diagIncrIssued,
-    diagIncrHeld, diagIncrConfirmPops, diagIncrWakePops,
-    diagIncrBarren;
-struct IncrDump
-{
-    ~IncrDump()
-    {
-        std::fprintf(stderr,
-                     "INCR_DIAG calls=%llu evals=%llu issued=%llu "
-                     "held=%llu confpops=%llu wakepops=%llu "
-                     "barren=%llu\n",
-                     diagIncrCalls, diagIncrEvals, diagIncrIssued,
-                     diagIncrHeld, diagIncrConfirmPops,
-                     diagIncrWakePops, diagIncrBarren);
-    }
-} incrDump;
-} // namespace
-#endif
-
 void
 Core::issueIncremental(Cycle now)
 {
-#ifdef LOOPSIM_WAKE_DIAG
-    ++diagIncrCalls;
-    const unsigned long long diagWork0 =
-        diagIncrIssued + diagIncrConfirmPops + diagIncrWakePops +
-        diagIncrHeld;
-#endif
+    ++counters.n[KernelCounters::IssueCalls];
+    // Issued, confirm pops, wake pops and held loads are this pass's
+    // work: a pass that adds to none of them is barren.
+    const std::uint64_t work_before =
+        counters.sum(KernelCounters::IssueIssued,
+                     KernelCounters::IssueBarren);
     // The sparse issue stage: same confirm-free + wakeup/select
     // semantics as issueScanReference(), but over incrementally
     // maintained candidate sets instead of the whole IQ. Every
@@ -325,9 +299,7 @@ Core::issueIncremental(Cycle now)
     // the next transition (pending events re-arm at their last
     // decrement, InIq reverts re-enter via readyRecheck).
     confirmTimer.drain(now, [this, now](InstRef ref) {
-#ifdef LOOPSIM_WAKE_DIAG
-        ++diagIncrConfirmPops;
-#endif
+        ++counters.n[KernelCounters::IssueConfirmPops];
         if (!pool.live(ref))
             return; // retired or squashed since arming
         DynInst &inst = pool.get(ref);
@@ -365,9 +337,7 @@ Core::issueIncremental(Cycle now)
     // keys by fetchStamp, so duplicates collapse and iteration is
     // oldest-first — the reference arbiter's order.
     wakeTimer.drain(now, [this](InstRef ref) {
-#ifdef LOOPSIM_WAKE_DIAG
-        ++diagIncrWakePops;
-#endif
+        ++counters.n[KernelCounters::IssueWakePops];
         if (!pool.live(ref))
             return;
         const DynInst &inst = pool.get(ref);
@@ -388,9 +358,7 @@ Core::issueIncremental(Cycle now)
         for (std::size_t i = 0; i < cands.size(); ++i) {
             const InstRef ref = cands[i].ref;
             bool keep = false;
-#ifdef LOOPSIM_WAKE_DIAG
-            ++diagIncrEvals;
-#endif
+            ++counters.n[KernelCounters::IssueEvals];
             do {
                 if (!pool.live(ref))
                     break;
@@ -443,9 +411,7 @@ Core::issueIncremental(Cycle now)
                         const Cycle clear = memDep->nextClearAt();
                         if (clear != invalidCycle)
                             noteIqWake(std::max(clear, now + 1));
-#ifdef LOOPSIM_WAKE_DIAG
-                        ++diagIncrHeld;
-#endif
+                        ++counters.n[KernelCounters::IssueHeldLoads];
                         break;
                     }
                 }
@@ -484,9 +450,7 @@ Core::issueIncremental(Cycle now)
             });
         if (it != cands.end() && it->stamp == stamp)
             cands.erase(it);
-#ifdef LOOPSIM_WAKE_DIAG
-        ++diagIncrIssued;
-#endif
+        ++counters.n[KernelCounters::IssueIssued];
         issueWinner(scratchWinner[c], now);
     }
 
@@ -496,13 +460,9 @@ Core::issueIncremental(Cycle now)
     // timer heads arm the next confirm/wake cycles.
     noteIqWake(confirmTimer.nextDue());
     noteIqWake(wakeTimer.nextDue());
-#ifdef LOOPSIM_WAKE_DIAG
-    if (diagIncrIssued + diagIncrConfirmPops + diagIncrWakePops +
-            diagIncrHeld ==
-        diagWork0) {
-        ++diagIncrBarren;
-    }
-#endif
+    if (counters.sum(KernelCounters::IssueIssued,
+                     KernelCounters::IssueBarren) == work_before)
+        ++counters.n[KernelCounters::IssueBarren];
 }
 
 OperandSource

@@ -27,9 +27,7 @@
  */
 
 #include <algorithm>
-#ifdef LOOPSIM_WAKE_DIAG
-#include <cstdio>
-#endif
+#include <bit>
 
 #include "core/core.hh"
 
@@ -89,51 +87,20 @@ Core::accountIdleSpan(Cycle now)
     }
 }
 
-#ifdef LOOPSIM_WAKE_DIAG
-namespace
-{
-unsigned long long diagClause[8];
-unsigned long long diagTicks;
-unsigned long long diagGap[8]; // wake-now histogram: 1,2,3,4+,...
-struct DiagDump
-{
-    ~DiagDump()
-    {
-        std::fprintf(stderr, "WAKE_DIAG ticks=%llu clauses:", diagTicks);
-        const char *names[8] = {"event", "iq",     "retire", "insert",
-                                "rename", "fetch", "lazyret", "?"};
-        for (int i = 0; i < 8; ++i)
-            std::fprintf(stderr, " %s=%llu", names[i], diagClause[i]);
-        std::fprintf(stderr, " gaps:");
-        for (int i = 0; i < 8; ++i)
-            std::fprintf(stderr, " %d=%llu", i + 1, diagGap[i]);
-        std::fprintf(stderr, "\n");
-    }
-} diagDump;
-} // namespace
-#endif
-
 void
 Core::computeWake(Cycle now)
 {
     Cycle wake = invalidCycle;
     const Cycle next = now + 1;
-#ifdef LOOPSIM_WAKE_DIAG
-    int winning = 7;
-    int clause = 7;
-    ++diagTicks;
-    auto consider = [&wake, &winning, &clause](Cycle c) {
+    // The clause that set the earliest wake is this tick's wake
+    // reason (KernelCounters).
+    unsigned winner = KernelCounters::WakeNone;
+    auto consider = [&wake, &winner](Cycle c, unsigned clause) {
         if (c < wake) {
             wake = c;
-            winning = clause;
+            winner = clause;
         }
     };
-#else
-    auto consider = [&wake](Cycle c) {
-        if (c < wake)
-            wake = c;
-    };
-#endif
 
     // Pipeline events: the earliest waking event is the earliest due
     // (processEvents pops everything due, so whatever remains is
@@ -143,18 +110,12 @@ Core::computeWake(Cycle now)
     // ALU op is covered by the retire clause below).
     if (const Cycle ev_wake = events.nextWaking();
         ev_wake != invalidCycle) {
-#ifdef LOOPSIM_WAKE_DIAG
-        clause = 0;
-#endif
-        consider(std::max(ev_wake, next));
+        consider(std::max(ev_wake, next), KernelCounters::WakeEvent);
     }
 
     // The issue stage: its own fused scan (or a hook since then)
     // already knows the earliest cycle it could act.
-#ifdef LOOPSIM_WAKE_DIAG
-    clause = 1;
-#endif
-    consider(std::max(iqWakeAt, next));
+    consider(std::max(iqWakeAt, next), KernelCounters::WakeIq);
 
     // Retire: a ROB head that has finished and waits only on its
     // confirm/produce cycles. Heads blocked on anything else (pending
@@ -173,13 +134,11 @@ Core::computeWake(Cycle now)
             lazyExecEligible(inst.op) &&
             inst.issueCycle != invalidCycle &&
             inst.confirmCycle != invalidCycle) {
-#ifdef LOOPSIM_WAKE_DIAG
-            clause = 6;
-#endif
             consider(std::max({inst.confirmCycle,
                                inst.issueCycle + cfg.iqExLatency +
                                    inst.op.execLatency(),
-                               next}));
+                               next}),
+                     KernelCounters::WakeLazyRetire);
             continue;
         }
         if (inst.state != InstState::Done || !inst.execValid)
@@ -192,19 +151,15 @@ Core::computeWake(Cycle now)
             inst.produceCycle == invalidCycle) {
             continue;
         }
-#ifdef LOOPSIM_WAKE_DIAG
-        clause = 2;
-#endif
-        consider(std::max({inst.confirmCycle, inst.produceCycle, next}));
+        consider(std::max({inst.confirmCycle, inst.produceCycle, next}),
+                 KernelCounters::WakeRetire);
     }
 
     // Insert: the DEC-IQ pipe delivers its head at insertAt. An IQ-full
     // stall clears only through confirm-free/retire/squash (ticks).
     if (!renamePipe.empty() && !iq.full()) {
-#ifdef LOOPSIM_WAKE_DIAG
-        clause = 3;
-#endif
-        consider(std::max(renamePipe.front().insertAt, next));
+        consider(std::max(renamePipe.front().insertAt, next),
+                 KernelCounters::WakeInsert);
     }
 
     // Rename: a fetch-buffer head kept out only by time (its own
@@ -232,11 +187,9 @@ Core::computeWake(Cycle now)
                     continue;
                 }
             }
-#ifdef LOOPSIM_WAKE_DIAG
-            clause = 4;
-#endif
             consider(std::max({fop.renameReadyAt, renameStallUntil,
-                               next}));
+                               next}),
+                     KernelCounters::WakeRename);
         }
     }
 
@@ -252,21 +205,18 @@ Core::computeWake(Cycle now)
             continue;
         if (t.onWrongPath && !cfg.wrongPathFetch)
             continue;
-#ifdef LOOPSIM_WAKE_DIAG
-        clause = 5;
-#endif
-        consider(std::max(t.fetchResumeAt, next));
+        consider(std::max(t.fetchResumeAt, next),
+                 KernelCounters::WakeFetch);
     }
 
-#ifdef LOOPSIM_WAKE_DIAG
-    ++diagClause[winning];
-    if (wake != invalidCycle) {
-        unsigned long long g = wake - now;
-        if (g > 8)
-            g = 8;
-        ++diagGap[g - 1];
-    }
-#endif
+    ++counters.n[winner];
+    // Power-of-two gap bins: 1, 2-3, 4-7, ..., 128+.
+    const unsigned gap_bin =
+        wake == invalidCycle
+            ? KernelCounters::GapNone
+            : KernelCounters::Gap1 +
+                  std::min<unsigned>(std::bit_width(wake - now), 8) - 1;
+    ++counters.n[gap_bin];
     wakeCycle = wake;
 }
 

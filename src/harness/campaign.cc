@@ -41,6 +41,7 @@ mergeTickProfile(std::vector<ComponentProfile> &into,
                 q.measuredTicks += p.measuredTicks;
                 q.seconds += p.seconds;
                 q.scanTicks += p.scanTicks;
+                q.counters += p.counters;
                 merged = true;
                 break;
             }

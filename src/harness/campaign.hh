@@ -162,10 +162,10 @@ struct CampaignTelemetry
      *  directory is configured). */
     store::StoreStats store;
     double wallSeconds = 0.0;
-    /** Kernel self-profile, merged by component name across runs
-     *  (empty unless tick profiling was on — see
-     *  tickProfilingActive()). Host seconds are summed over all
-     *  workers, so they can exceed wallSeconds under --jobs > 1. */
+    /** Kernel self-profile of the simulated cells, merged by
+     *  component name. Host seconds are summed over all workers, so
+     *  they can exceed wallSeconds under --jobs > 1, but never the
+     *  workers' summed busy time. */
     std::vector<ComponentProfile> tickProfile;
     /** Per-worker busy/claim-wait/idle breakdown, by worker id (the
      *  serial fast path reports itself as worker 0). */

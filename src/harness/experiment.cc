@@ -18,18 +18,6 @@
 namespace loopsim
 {
 
-bool
-tickProfilingActive()
-{
-    return processOptions().profile;
-}
-
-void
-setTickProfiling(bool on)
-{
-    processOptions().profile = on;
-}
-
 void
 setRunOverlay(const Config &overlay)
 {
@@ -213,8 +201,7 @@ runOnceWith(const RunSpec &spec, Config cfg)
     Core core(cfg, sources);
     Simulator sim;
     sim.add(&core);
-    if (tickProfilingActive())
-        sim.enableProfiling(true);
+    sim.enableProfiling(true);
 
     std::unique_ptr<InvariantWatchdog> watchdog;
     if (cfg.getBool("integrity.watchdog.enable", true)) {
@@ -286,10 +273,9 @@ runOnceWith(const RunSpec &spec, Config cfg)
             static_cast<double>(fi->totalInjected());
 
     // Observability extractions: the loop-event trace (empty unless
-    // collection is on) and the kernel self-profile (profiling only).
+    // collection is on) and the kernel self-profile.
     res.loopEvents = core.takeLoopTrace();
-    if (sim.profilingEnabled())
-        res.tickProfile = sim.profile();
+    res.tickProfile = sim.profile();
 
     return res;
 }

@@ -111,22 +111,15 @@ struct RunResult
     std::vector<trace::LoopEvent> loopEvents;
 
     /**
-     * Kernel self-profiling: per-component host time spent in tick()
-     * (empty unless tick profiling is on — see tickProfilingActive()).
-     * Wall clock, so NOT deterministic; telemetry only.
+     * Kernel self-profile of a simulated run: per-component tick
+     * counts, kernel counters and host seconds (empty on a cached
+     * result). The seconds are wall clock, so NOT deterministic;
+     * telemetry only.
      */
     std::vector<ComponentProfile> tickProfile;
 
     double scalar(const std::string &name) const;
 };
-
-/**
- * Process-wide kernel self-profiling toggle (RunOptions::profile,
- * base/options.hh). When on, every runOnce() times its components'
- * tick() calls and reports them in RunResult::tickProfile.
- */
-bool tickProfilingActive();
-void setTickProfiling(bool on);
 
 /**
  * Build the default configuration for figure reproduction: the base

@@ -90,8 +90,9 @@ readU64(const std::string &in, std::size_t &at, std::uint64_t &v)
  * Wire format, child -> parent:
  *   [u32 record_len][record]            store codec, kWireFp
  *   [u32 profile_count]                 tick-profile extension —
- *   per entry: [u32 len][name][u64 ticks][u64 scan_ticks]
- *              [u64 seconds bits]
+ *   per entry: [u32 len][name][u64 ticks][u64 measured_ticks]
+ *              [u64 scan_ticks][u64 seconds bits]
+ *              [u64 counter] x KernelCounters::kCount
  * The record codec excludes tickProfile by design (replaying wall
  * clock from the store would fabricate telemetry), but here the
  * profile is this run's real measurement, just taken in the child.
@@ -109,8 +110,11 @@ encodeWire(const RunResult &result)
         appendU32(wire, static_cast<std::uint32_t>(p.name.size()));
         wire.append(p.name);
         appendU64(wire, p.ticks);
+        appendU64(wire, p.measuredTicks);
         appendU64(wire, p.scanTicks);
         appendU64(wire, std::bit_cast<std::uint64_t>(p.seconds));
+        for (const std::uint64_t n : p.counters.n)
+            appendU64(wire, n);
     }
     return wire;
 }
@@ -137,11 +141,16 @@ decodeWire(const std::string &wire, RunResult &result)
         at += len;
         std::uint64_t sec_bits = 0;
         if (!readU64(wire, at, p.ticks) ||
+            !readU64(wire, at, p.measuredTicks) ||
             !readU64(wire, at, p.scanTicks) ||
             !readU64(wire, at, sec_bits)) {
             return false;
         }
         p.seconds = std::bit_cast<double>(sec_bits);
+        for (std::uint64_t &n : p.counters.n) {
+            if (!readU64(wire, at, n))
+                return false;
+        }
         result.tickProfile.push_back(std::move(p));
     }
     return at == wire.size();

@@ -49,20 +49,22 @@ Simulator::setProfilingStride(unsigned stride)
 std::vector<ComponentProfile>
 Simulator::profile() const
 {
+    // Split the exactly timed run() seconds by each component's share
+    // of the sampled tick time, so the rows add up to the kernel's
+    // measured time, wheel bookkeeping included. The first profiled
+    // wheel iteration is always sampled.
+    double sampled = 0.0;
+    for (const double s : tickSeconds)
+        sampled += s;
     std::vector<ComponentProfile> out;
     out.reserve(components.size());
     for (std::size_t i = 0; i < components.size(); ++i) {
-        // Scale the sampled time up to the full tick count; with a
-        // stride of 1 this is exact, otherwise an estimate whose
-        // sampling is part of the published tick_profile schema.
-        double seconds = tickSeconds[i];
-        if (tickMeasured[i] > 0 && tickCounts[i] != tickMeasured[i]) {
-            seconds *= static_cast<double>(tickCounts[i]) /
-                       static_cast<double>(tickMeasured[i]);
-        }
+        const double share = sampled > 0.0 ? tickSeconds[i] / sampled
+                                           : 0.0;
         out.push_back({components[i]->name(), tickCounts[i],
-                       tickMeasured[i], seconds,
-                       components[i]->fullScanTicks()});
+                       tickMeasured[i], runSeconds * share,
+                       components[i]->fullScanTicks(),
+                       components[i]->kernelCounters()});
     }
     return out;
 }
@@ -108,12 +110,24 @@ Simulator::run(Cycle max_cycles)
                        "component can make progress, but the run would "
                        "report hitCycleLimit() == false");
     }
+    using clock = std::chrono::steady_clock;
+    clock::time_point begin;
+    if (profiling) {
+        // loop:exempt(analyze: kernel self-profiling, host time never feeds simulated time)
+        begin = clock::now();
+    }
     // Let components shed (or arm) their sparse-only tick machinery
     // before the first cycle of this run.
     for (Clocked *c : components)
         c->prepareKernel(mode);
-    return mode == KernelMode::Dense ? runDense(max_cycles)
-                                     : runSparse(max_cycles);
+    const Cycle ran = mode == KernelMode::Dense ? runDense(max_cycles)
+                                                : runSparse(max_cycles);
+    if (profiling) {
+        // loop:exempt(analyze: kernel self-profiling, host time never feeds simulated time)
+        runSeconds += std::chrono::duration<double>(clock::now() - begin)
+                          .count();
+    }
+    return ran;
 }
 
 Cycle

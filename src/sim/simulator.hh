@@ -31,6 +31,7 @@
 #ifndef LOOPSIM_SIM_SIMULATOR_HH
 #define LOOPSIM_SIM_SIMULATOR_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,6 +46,57 @@ enum class KernelMode : std::uint8_t
 {
     Sparse, ///< event-wheel kernel (production default)
     Dense,  ///< cycle-by-cycle reference kernel
+};
+
+/**
+ * What a component's sparse-kernel machinery did (DESIGN.md §11):
+ * exact counts, so identical across repeats and --jobs counts, and
+ * zero under the dense kernel. wake.* is the clause that set each
+ * tick's next wake cycle and gap.* that cycle's distance (one of each
+ * per tick; "none": nothing self-scheduled); issue.* counts the
+ * incremental issue pass, where a barren pass freed, drained, held
+ * and issued nothing.
+ */
+struct KernelCounters
+{
+    enum Index : unsigned
+    {
+        WakeEvent, WakeIq, WakeRetire, WakeInsert, WakeRename,
+        WakeFetch, WakeLazyRetire, WakeNone,
+        Gap1, Gap2, Gap4, Gap8, Gap16, Gap32, Gap64, Gap128, GapNone,
+        IssueCalls, IssueEvals, IssueIssued, IssueHeldLoads,
+        IssueConfirmPops, IssueWakePops, IssueBarren,
+        kCount
+    };
+    /** JSON keys, by Index. */
+    static constexpr const char *kNames[kCount] = {
+        "wake.event", "wake.iq", "wake.retire", "wake.insert",
+        "wake.rename", "wake.fetch", "wake.lazy_retire", "wake.none",
+        "gap.1", "gap.2-3", "gap.4-7", "gap.8-15", "gap.16-31",
+        "gap.32-63", "gap.64-127", "gap.128+", "gap.none",
+        "issue.calls", "issue.evals", "issue.issued", "issue.held_loads",
+        "issue.confirm_pops", "issue.wake_pops", "issue.barren",
+    };
+
+    std::array<std::uint64_t, kCount> n{};
+
+    KernelCounters &
+    operator+=(const KernelCounters &other)
+    {
+        for (unsigned i = 0; i < kCount; ++i)
+            n[i] += other.n[i];
+        return *this;
+    }
+
+    /** Sum of the counters in [first, last). */
+    std::uint64_t
+    sum(Index first, Index last) const
+    {
+        std::uint64_t total = 0;
+        for (unsigned i = first; i < last; ++i)
+            total += n[i];
+        return total;
+    }
 };
 
 /** Anything driven by the global clock. */
@@ -96,6 +148,11 @@ class Clocked
      */
     virtual std::uint64_t fullScanTicks() const { return 0; }
 
+    /** Wake-reason and issue-pass counters, published per component
+     *  in the tick profile like fullScanTicks(). Components without a
+     *  sparse wake computation keep the default of all zeros. */
+    virtual KernelCounters kernelCounters() const { return {}; }
+
     /** Human-readable identity for error messages. */
     virtual std::string name() const { return "clocked"; }
 };
@@ -109,22 +166,25 @@ void setDefaultKernelMode(KernelMode mode);
 
 /**
  * Kernel self-profiling result: where the host's time went for one
- * registered component. Wall-clock only — the numbers describe the
- * simulator, never the simulated machine, and cannot feed back into
- * simulated time.
+ * registered component. The seconds are wall clock — they describe
+ * the simulator, never the simulated machine, and cannot feed back
+ * into simulated time; the counts are exact.
  */
 struct ComponentProfile
 {
     std::string name;         ///< Clocked::name() at profiling time
     std::uint64_t ticks = 0;  ///< total tick() invocations
     /** tick() invocations actually timed: the profiler batch-samples
-     *  one wheel iteration in profilingStride(), so `seconds` is the
-     *  measured time scaled by ticks/measuredTicks. */
+     *  one wheel iteration per profiling stride. */
     std::uint64_t measuredTicks = 0;
-    double seconds = 0.0;     ///< estimated host seconds inside tick()
+    /** This component's share of the host seconds spent inside
+     *  Simulator::run(), split by the sampled tick times, so the rows
+     *  of one simulator sum to its profiledSeconds(). */
+    double seconds = 0.0;
     /** Ticks that ran a full state scan (Clocked::fullScanTicks());
      *  scanTicks/ticks is the component's scan fraction. */
     std::uint64_t scanTicks = 0;
+    KernelCounters counters;  ///< Clocked::kernelCounters()
 };
 
 /** The global clock driver. */
@@ -157,20 +217,23 @@ class Simulator
     KernelMode kernelMode() const { return mode; }
 
     /**
-     * Opt-in kernel self-profiling: when enabled, run() batch-samples
-     * tick() durations with the host's monotonic clock (one wheel
-     * iteration in profilingStride() is timed; counts stay exact and
-     * seconds are scaled). Off by default — the unprofiled loop
-     * carries no timing calls at all.
+     * Kernel self-profiling: when enabled, each run() call is timed
+     * with the host's monotonic clock, and one wheel iteration per
+     * profiling stride times every tick() to sample how that time
+     * splits across components. Counts stay exact. runOnce() always
+     * enables it; a bare Simulator starts with it off.
      */
     void enableProfiling(bool on);
     bool profilingEnabled() const { return profiling; }
 
     /** Sampling stride of the batch profiler (>= 1). */
     void setProfilingStride(unsigned stride);
-    unsigned profilingStride() const { return profileStride; }
 
-    /** Per-component host-time estimates accumulated while profiling. */
+    /** Host seconds spent inside run() while profiling was on. */
+    double profiledSeconds() const { return runSeconds; }
+
+    /** Per-component profile: exact counts, and profiledSeconds()
+     *  split by each component's share of the sampled tick time. */
     std::vector<ComponentProfile> profile() const;
 
   private:
@@ -190,6 +253,7 @@ class Simulator
     bool profiling = false;
     unsigned profileStride = 32;
     std::uint64_t profileCursor = 0;
+    double runSeconds = 0.0;
     std::vector<std::uint64_t> tickCounts;
     std::vector<std::uint64_t> tickMeasured;
     std::vector<double> tickSeconds;

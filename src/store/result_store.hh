@@ -19,9 +19,9 @@
  *    the in-process memo while collection is on — traces always come
  *    from real simulations. Traced results are not inserted either,
  *    keeping the traced path completely inert.
- *  - tick profiling (--profile): hits legitimately cost zero kernel
- *    time, so profiling stays usable with a warm store (the profile
- *    covers only the runs that actually simulated).
+ *  - the kernel self-profile: hits legitimately cost zero kernel
+ *    time, so the profile covers only the runs that actually
+ *    simulated.
  *  - failed (fail-soft) results are memoized in-process but never
  *    persisted: a wedge is deterministic within one binary, but
  *    keeping failures out of the store means a later model epoch or

@@ -16,6 +16,11 @@
  * result store memoizes by configuration fingerprint, which does not
  * (and must not — the kernels are equivalent) include the kernel
  * mode, so a cached result would short-circuit the comparison.
+ *
+ * Every comparison also checks the core's kernel counters
+ * (KernelCounters): under the sparse kernel the wake clauses and the
+ * wake-gap bins each account for every core tick, and the dense
+ * kernel, which runs none of that machinery, reports zeros.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "sim/feedback_port.hh"
 #include "sim/simulator.hh"
+#include "store/result_store.hh"
 #include "workload/workload_set.hh"
 
 namespace loopsim
@@ -57,6 +64,37 @@ runWith(KernelMode mode, const RunSpec &spec)
     return runOnce(spec);
 }
 
+/** The "core" row of a tick profile (a failure if there is none). */
+ComponentProfile
+coreRow(const std::vector<ComponentProfile> &profile)
+{
+    for (const ComponentProfile &p : profile) {
+        if (p.name == "core")
+            return p;
+    }
+    ADD_FAILURE() << "the tick profile has no core row";
+    return {};
+}
+
+/** The sparse core's counters account for its ticks; the dense
+ *  core's are zero. */
+void
+expectCountersAddUp(const RunResult &dense, const RunResult &sparse)
+{
+    using K = KernelCounters;
+    EXPECT_EQ(coreRow(dense.tickProfile).counters.n, K{}.n);
+    const ComponentProfile core = coreRow(sparse.tickProfile);
+    const K &c = core.counters;
+    ASSERT_GT(core.ticks, 0u);
+    EXPECT_EQ(c.sum(K::WakeEvent, K::Gap1), core.ticks);
+    EXPECT_EQ(c.sum(K::Gap1, K::IssueCalls), core.ticks);
+    EXPECT_EQ(c.n[K::GapNone], c.n[K::WakeNone]);
+    EXPECT_GT(c.n[K::IssueCalls], 0u);
+    EXPECT_LE(c.n[K::IssueCalls], core.ticks);
+    EXPECT_LE(c.n[K::IssueIssued], c.n[K::IssueEvals]);
+    EXPECT_LE(c.n[K::IssueBarren], c.n[K::IssueCalls]);
+}
+
 /** Assert two runs of the same spec are bit-identical. */
 void
 expectIdentical(const RunResult &dense, const RunResult &sparse,
@@ -65,6 +103,7 @@ expectIdentical(const RunResult &dense, const RunResult &sparse,
     SCOPED_TRACE(what);
     ASSERT_FALSE(dense.failed);
     ASSERT_FALSE(sparse.failed);
+    expectCountersAddUp(dense, sparse);
     EXPECT_EQ(dense.cycles, sparse.cycles);
     EXPECT_EQ(dense.retired, sparse.retired);
     EXPECT_EQ(dense.ipc, sparse.ipc);
@@ -223,6 +262,46 @@ TEST(KernelDifferential, ReadyTrackingStress)
     RunResult dense = runWith(KernelMode::Dense, spec);
     RunResult sparse = runWith(KernelMode::Sparse, spec);
     expectIdentical(dense, sparse, "stress:smt-faulted");
+}
+
+/** The counters are a pure function of the run: identical on a
+ *  repeat, and a campaign's merged profile carries the same counts at
+ *  jobs 1 and jobs 4. */
+TEST(KernelCounters, IdenticalAcrossRepeatsAndJobs)
+{
+    ScopedKernelMode scope(KernelMode::Sparse);
+    const RunSpec spec = specFor(resolveWorkload("swim"));
+    EXPECT_EQ(coreRow(runOnce(spec).tickProfile).counters.n,
+              coreRow(runOnce(spec).tickProfile).counters.n);
+
+    CampaignPlan plan;
+    for (const char *name : {"gcc", "swim", "go", "apsi", "m88-comp"}) {
+        RunSpec cell = specFor(resolveWorkload(name));
+        cell.totalOps = 20000;
+        plan.add(cell, name);
+    }
+    auto merged = [&plan](unsigned jobs) {
+        store::resetProcessStore(); // every cell simulates
+        runCampaign(plan, {}, jobs);
+        const CampaignTelemetry t = lastCampaignTelemetry();
+        EXPECT_EQ(t.simulated, plan.size());
+        return t.tickProfile;
+    };
+    const std::vector<ComponentProfile> one = merged(1);
+    const std::vector<ComponentProfile> four = merged(4);
+    ASSERT_EQ(one.size(), four.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        SCOPED_TRACE(one[i].name);
+        EXPECT_EQ(one[i].name, four[i].name);
+        EXPECT_EQ(one[i].ticks, four[i].ticks);
+        EXPECT_EQ(one[i].scanTicks, four[i].scanTicks);
+        EXPECT_EQ(one[i].counters.n, four[i].counters.n);
+    }
+    const ComponentProfile core = coreRow(four);
+    EXPECT_EQ(core.counters.sum(KernelCounters::WakeEvent,
+                                KernelCounters::Gap1),
+              core.ticks);
+    store::resetProcessStore();
 }
 
 /** Per-Simulator override beats the process default. */

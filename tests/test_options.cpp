@@ -79,8 +79,6 @@ rows()
                                                        {"c.d", "x"}};
          },
          "mem.tlb.walk"},
-        {"LOOPSIM_PROFILE", "1", [](const RunOptions &o) { return o.profile; },
-         "0x"},
         {"LOOPSIM_STORE", "sdir",
          [](const RunOptions &o) { return o.storePath == "sdir"; }, nullptr},
         {"LOOPSIM_TRACE", "t.json",
@@ -100,7 +98,6 @@ expectDefaults(const RunOptions &o)
     EXPECT_EQ(o.debugFlags, d.debugFlags);
     EXPECT_EQ(o.audit, d.audit);
     EXPECT_EQ(o.denseKernel, d.denseKernel);
-    EXPECT_EQ(o.profile, d.profile);
     EXPECT_EQ(o.isolate, d.isolate);
     EXPECT_EQ(o.jobs, d.jobs);
     EXPECT_EQ(o.deadlineMs, d.deadlineMs);
@@ -124,7 +121,7 @@ struct ProcessOptionsScope
 
 TEST(RunOptions, EveryVariableUnsetEmptyGoodAndBad)
 {
-    ASSERT_EQ(rows().size(), 13u);
+    ASSERT_EQ(rows().size(), 12u);
     expectDefaults(resolveOptions({}));
     for (const Row &r : rows()) {
         SCOPED_TRACE(r.name);
@@ -151,9 +148,9 @@ TEST(RunOptions, GrammarsMatchTheirSiblings)
 {
     // Booleans: Config::getBool's words, any case.
     for (const char *on : {"true", "1", "yes", "On"})
-        EXPECT_TRUE(resolveOptions({{"LOOPSIM_PROFILE", on}}).profile);
+        EXPECT_TRUE(resolveOptions({{"LOOPSIM_AUDIT", on}}).audit);
     for (const char *off : {"false", "0", "no", "OFF"}) {
-        EXPECT_FALSE(resolveOptions({{"LOOPSIM_PROFILE", off}}).profile);
+        EXPECT_FALSE(resolveOptions({{"LOOPSIM_AUDIT", off}}).audit);
         EXPECT_FALSE(resolveOptions({{"LOOPSIM_ISOLATE", off}}).isolate);
     }
     // Counts are whole-string decimal: no sign, suffix or hex.
@@ -199,6 +196,7 @@ TEST(RunOptions, UnknownAndRemovedNamesAreRejected)
     const std::vector<std::pair<const char *, const char *>> removed = {
         {"LOOPSIM_CHECK", "integrity.checks.enable=true"},
         {"LOOPSIM_DEBUG_MISS", "LOOPSIM_DEBUG=Dra"},
+        {"LOOPSIM_PROFILE", "always on"},
         {"LOOPSIM_TRACE_POOL", "LOOPSIM_DEBUG=Pool"},
         {"LOOPSIM_TRACE_REG", "LOOPSIM_DEBUG=Reg"},
     };
@@ -227,7 +225,6 @@ TEST(RunOptions, SettersWinOverTheEnvironment)
                                        {"LOOPSIM_JOURNAL", "env-journal"},
                                        {"LOOPSIM_DEADLINE_MS", "99"},
                                        {"LOOPSIM_ISOLATE", "1"},
-                                       {"LOOPSIM_PROFILE", "1"},
                                        {"LOOPSIM_DENSE_KERNEL", "1"}});
     EXPECT_EQ(campaignJobs(), 7u);
     EXPECT_EQ(store::storePath(), "env-store");
@@ -237,13 +234,11 @@ TEST(RunOptions, SettersWinOverTheEnvironment)
     store::setJournalPath("set-journal");
     setDeadlineMs(5);
     setIsolation(false);
-    setTickProfiling(false);
     setDefaultKernelMode(KernelMode::Sparse);
     EXPECT_EQ(campaignJobs(), 2u);
     EXPECT_EQ(store::journalPath(), "set-journal");
     EXPECT_EQ(deadlineMs(), 5u);
     EXPECT_FALSE(isolationActive());
-    EXPECT_FALSE(tickProfilingActive());
     EXPECT_EQ(defaultKernelMode(), KernelMode::Sparse);
 
     // A bench flag wins over the same variable, and an absent flag

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -481,6 +482,50 @@ TEST(SimulatorKernel, ProfilingCountsEveryTick)
     EXPECT_GE(prof[0].seconds, 0.0);
 }
 
+TEST(SimulatorKernel, ProfileSecondsSumToTheTimedRuns)
+{
+    // Unequal tick costs, several run() calls and a stride that
+    // samples one wheel iteration in three: the rows split the timed
+    // run() seconds, so they add up to them exactly, and those fit
+    // inside the caller's own clock around the calls.
+    struct Spin : Clocked
+    {
+        explicit Spin(unsigned n) : work(n) {}
+        void
+        tick(Cycle) override
+        {
+            for (unsigned i = 0; i < work; ++i)
+                sink = sink + i;
+        }
+        bool done() const override { return false; }
+        unsigned work;
+        volatile unsigned sink = 0;
+    };
+
+    Spin light(100), heavy(5000);
+    Simulator sim;
+    sim.add(&light);
+    sim.add(&heavy);
+    EXPECT_EQ(sim.profiledSeconds(), 0.0);
+    sim.enableProfiling(true);
+    sim.setProfilingStride(3);
+    using clock = std::chrono::steady_clock;
+    const clock::time_point begin = clock::now();
+    for (int call = 0; call < 4; ++call)
+        EXPECT_EQ(sim.run(50), 50u);
+    const double outside =
+        std::chrono::duration<double>(clock::now() - begin).count();
+
+    const std::vector<ComponentProfile> prof = sim.profile();
+    ASSERT_EQ(prof.size(), 2u);
+    EXPECT_EQ(prof[0].ticks, 200u);
+    EXPECT_EQ(prof[0].measuredTicks, 67u);
+    const double total = sim.profiledSeconds();
+    EXPECT_GT(total, 0.0);
+    EXPECT_LE(total, outside);
+    EXPECT_NEAR(prof[0].seconds + prof[1].seconds, total, 1e-9 * total);
+}
+
 TEST(BenchCli, TraceFlagNeverMisreadAsOpsOrJobs)
 {
     auto argv = [](std::vector<const char *> args) {
@@ -524,14 +569,15 @@ TEST(BenchCli, TraceFlagNeverMisreadAsOpsOrJobs)
 
 TEST(TickProfiling, RunOnceReportsAMergedProfile)
 {
-    setTickProfiling(true);
-    RunResult r = runOnce(smallSpec("gcc"));
-    setTickProfiling(false);
-    ASSERT_FALSE(r.failed);
-    ASSERT_FALSE(r.tickProfile.empty());
-    EXPECT_GT(r.tickProfile[0].ticks, 0u);
-    EXPECT_FALSE(r.tickProfile[0].name.empty());
-
-    // Off again: the next run carries no profile.
-    EXPECT_TRUE(runOnce(smallSpec("gcc")).tickProfile.empty());
+    // Always on: every simulated run carries its kernel profile, with
+    // a timed sample behind the seconds.
+    for (int run = 0; run < 2; ++run) {
+        RunResult r = runOnce(smallSpec("gcc"));
+        ASSERT_FALSE(r.failed);
+        ASSERT_FALSE(r.tickProfile.empty());
+        EXPECT_EQ(r.tickProfile[0].name, "core");
+        EXPECT_GT(r.tickProfile[0].ticks, 0u);
+        EXPECT_GT(r.tickProfile[0].measuredTicks, 0u);
+        EXPECT_GT(r.tickProfile[0].seconds, 0.0);
+    }
 }

@@ -12,7 +12,11 @@ Runs one small figure campaign twice — once plain, once with
      push_back per delivery when on),
   3. the emitted file is schema-valid Chrome trace JSON in which every
      span satisfies write_cycle + loop_delay == consume_cycle and all
-     three of the paper's loops appear.
+     three of the paper's loops appear,
+  4. each campaign's kernel self-profile reconciles: its components'
+     host seconds sum to at most the workers' summed busy time (the
+     profile splits the timed Simulator::run() calls, which run
+     inside the cells).
 
 CI runs this as the perf-smoke job and uploads the trace as an
 artifact; locally:
@@ -25,9 +29,10 @@ the same figure campaign under both kernels (the dense one selected
 via LOOPSIM_DENSE_KERNEL=1), asserts the figure output is
 byte-identical between them, and writes BENCH_kernel.json with both
 kernels' median runs/sec with its quartiles, ops/sec (measured plus
-warmup ops per run), p50 campaign wall time, core
-scan fraction (from one extra self-profiled run per kernel), and
-the host context the numbers were measured on. The
+warmup ops per run), p50 campaign wall time, and the core's scan
+fraction and kernel counters (read from the timed runs' own tick
+profiles, which must reconcile as above), and the host context the
+numbers were measured on. The
 sparse kernel must not be slower than --min-kernel-ratio times the
 dense kernel measured in the same job — a same-machine comparison,
 so CI noise cancels out of the ratio:
@@ -99,7 +104,6 @@ def run_bench(bench, ops, jobs, bench_json, extra_args, extra_env=None):
     env = dict(os.environ)
     env["LOOPSIM_BENCH_JSON"] = str(bench_json)
     env.pop("LOOPSIM_TRACE", None)
-    env.pop("LOOPSIM_PROFILE", None)
     env.pop("LOOPSIM_DENSE_KERNEL", None)
     if extra_env:
         env.update(extra_env)
@@ -168,6 +172,26 @@ def check_trace(path, failures):
           f"{sorted(seen_kinds)}")
 
 
+def core_profile(entry, label, failures):
+    """The campaign entry's core tick-profile row, after checking that
+    the profile reconciles with the workers' busy time; None (with a
+    failure recorded) when there is no core row."""
+    rows = entry.get("tick_profile", [])
+    profiled = sum(row.get("seconds", 0.0) for row in rows)
+    busy = sum(w.get("busy_s", 0.0) for w in entry.get("workers", []))
+    # The telemetry prints six significant digits.
+    if profiled > busy * (1 + 1e-5):
+        failures.append(
+            f"{label}: tick profile claims {profiled:.4f} s of kernel "
+            f"time, more than the workers' {busy:.4f} s busy time")
+    for row in rows:
+        if row.get("component") == "core" and row.get("ticks"):
+            return row
+    failures.append(f"{label}: the campaign recorded no core tick "
+                    f"profile")
+    return None
+
+
 def median(values):
     ordered = sorted(values)
     mid = len(ordered) // 2
@@ -193,6 +217,7 @@ def measure_kernel(args, label, extra_env, failures, tmp):
     walls, rps = [], []
     runs = 0
     warmup_ops = 0
+    core_rows = []
     for rep in range(args.repeats):
         bench_json = Path(tmp) / f"{label}_{rep}.json"
         out = run_bench(args.bench, args.ops, args.jobs, bench_json,
@@ -207,10 +232,14 @@ def measure_kernel(args, label, extra_env, failures, tmp):
         rps.append(entry.get("runs_per_s", 0.0))
         runs = entry.get("runs", 0)
         warmup_ops = entry.get("warmup_ops", 0)
+        core_rows.append(
+            core_profile(entry, f"{label} kernel, repeat {rep}",
+                         failures))
     if len(set(outputs)) != 1:
         failures.append(
             f"{label} kernel: figure output varies across repeats — "
             f"the campaign is not deterministic")
+    core = core_rows[0]
     med_rps = median(rps)
     q1_rps, q3_rps = quartiles(rps)
     # Each run simulates its warmup as well as its measured ops.
@@ -222,27 +251,11 @@ def measure_kernel(args, label, extra_env, failures, tmp):
         "runs_per_s_q3": q3_rps,
         "ops_per_s": med_rps * (args.ops + warmup_ops),
         "p50_wall_s": median(walls),
+        "core_ticks": core["ticks"] if core else None,
+        "scan_fraction": (core.get("scan_ticks", 0) / core["ticks"]
+                          if core else None),
+        "core_counters": core.get("counters") if core else None,
     }
-
-
-def measure_scan_fraction(args, label, extra_env, failures, tmp):
-    """One profiled campaign run under one kernel; return the core's
-    scan fraction (full-IQ-scan ticks / total core ticks) or None if
-    the profile lacks a core component. The profiled run is separate
-    from the timing repeats: self-profiling adds clock reads that
-    would contaminate the runs/sec medians."""
-    env = dict(extra_env or {})
-    env["LOOPSIM_PROFILE"] = "1"
-    bench_json = Path(tmp) / f"{label}_profile.json"
-    run_bench(args.bench, args.ops, args.jobs, bench_json, [], env)
-    entry = last_entry(bench_json)
-    for comp in entry.get("tick_profile", []):
-        if comp.get("component") == "core" and comp.get("ticks"):
-            return comp.get("scan_ticks", 0) / comp["ticks"]
-    failures.append(
-        f"{label} kernel: profiled run produced no core tick profile "
-        f"(scan-fraction telemetry is broken)")
-    return None
 
 
 def run_baseline(args):
@@ -264,11 +277,6 @@ def run_baseline(args):
         dense_out, dense = measure_kernel(
             args, "dense", {"LOOPSIM_DENSE_KERNEL": "1"}, failures, tmp)
         sparse_out, sparse = measure_kernel(
-            args, "sparse", None, failures, tmp)
-        dense["scan_fraction"] = measure_scan_fraction(
-            args, "dense", {"LOOPSIM_DENSE_KERNEL": "1"}, failures,
-            tmp)
-        sparse["scan_fraction"] = measure_scan_fraction(
             args, "sparse", None, failures, tmp)
 
     if dense_out != sparse_out:
@@ -292,7 +300,20 @@ def run_baseline(args):
             f"sparse kernel regressed: {sparse['runs_per_s']:.2f} < "
             f"{args.min_kernel_ratio} * {dense['runs_per_s']:.2f} "
             f"runs/s (speedup {speedup:.3f}x)")
-    if sparse["scan_fraction"] is not None:
+    counters = sparse["core_counters"]
+    if counters and dense["core_ticks"]:
+        # DESIGN.md §14's tick-floor figures, from the sparse core.
+        ticks = sparse["core_ticks"]
+        calls = counters.get("issue.calls", 0) or 1
+        print(f"perf_smoke: sparse core ticks "
+              f"{ticks / dense['core_ticks']:.1%} of dense; wake "
+              f"clauses event {counters['wake.event'] / ticks:.1%}, "
+              f"iq {counters['wake.iq'] / ticks:.1%}; wakes at now+1 "
+              f"{counters['gap.1'] / ticks:.1%}; issue pass "
+              f"{counters['issue.evals'] / calls:.2f} evals/call, "
+              f"barren {counters['issue.barren'] / calls:.1%}")
+    if (sparse["scan_fraction"] is not None and
+            dense["scan_fraction"] is not None):
         print(f"perf_smoke: core scan fraction — "
               f"dense {dense['scan_fraction']:.4f}, "
               f"sparse {sparse['scan_fraction']:.4f}")
@@ -397,11 +418,12 @@ def main(argv):
 
         plain = last_entry(plain_json)
         traced = last_entry(traced_json)
-        for entry in (plain, traced):
+        for name, entry in (("untraced", plain), ("traced", traced)):
             if entry.get("failures", 0):
                 failures.append(
                     f"campaign reported {entry['failures']} failed "
                     f"run(s) in {entry.get('bench')}")
+            core_profile(entry, f"{name} campaign", failures)
         plain_rps = plain.get("runs_per_s", 0.0)
         traced_rps = traced.get("runs_per_s", 0.0)
         print(f"perf_smoke: untraced {plain_rps:.2f} runs/s, "
