@@ -4,7 +4,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
 #include "harness/report.hh"
@@ -17,39 +16,30 @@ main(int argc, char **argv)
     const auto cli = benchutil::parseCli(argc, argv, 100000);
     benchutil::CampaignRecorder record("ablation_smt", cli);
 
-    FigureData fig;
-    fig.title = "Ablation: SMT fetch policy (pair throughput, ICOUNT "
-                "relative to round-robin)";
-    fig.valueUnit = "speedup";
-    fig.columns.push_back(Series{"roundrobin", {}});
-    fig.columns.push_back(Series{"icount", {}});
-
-    const std::vector<const char *> pairs = {
-        "m88-comp", "go-su2cor", "apsi-swim", "swim-swim", "gcc-gcc"};
-
-    // Enumerate both fetch policies per pairing into one plan so the
-    // whole ablation runs on the campaign pool; results land by plan
-    // index, so the figure is identical at any --jobs value.
-    CampaignPlan plan;
-    for (const char *pair : pairs) {
-        for (const char *policy : {"rr", "icount"}) {
-            RunSpec spec;
-            spec.workload = resolveWorkload(pair);
-            spec.totalOps = cli.ops;
-            spec.overrides.set("core.fetch_policy", policy);
-            plan.add(std::move(spec),
-                     std::string(pair) + "/" + policy);
-        }
+    SweepSpec sweep{"Ablation: SMT fetch policy (pair throughput, ICOUNT "
+                    "relative to round-robin)",
+                    "speedup", {}, {}};
+    for (const char *policy : {"rr", "icount"}) {
+        Config cfg;
+        cfg.set("core.fetch_policy", policy);
+        sweep.cells.push_back(SweepCell{
+            cfg, [policy](const Workload &pair) {
+                return pair.label + "/" + policy;
+            }});
     }
+    sweep.columns.push_back(
+        sweepColumn("roundrobin", [](SweepRow) { return 1.0; }));
+    sweep.columns.push_back(sweepColumn("icount", [](SweepRow row) {
+        return speedup(row[1], row[0]);
+    }));
 
-    std::vector<RunResult> results = runPlan(fig, plan);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        fig.rowLabels.push_back(pairs[i]);
-        const RunResult &rr_res = results[i * 2];
-        const RunResult &ic_res = results[i * 2 + 1];
-        fig.columns[0].values.push_back(1.0);
-        fig.columns[1].values.push_back(speedup(ic_res, rr_res));
-    }
+    // Each pairing is its own row label (figureLabel keeps pair names).
+    std::vector<Workload> pairs;
+    for (const char *pair :
+         {"m88-comp", "go-su2cor", "apsi-swim", "swim-swim", "gcc-gcc"})
+        pairs.push_back(resolveWorkload(pair));
+
+    const FigureData fig = runSweep(sweep, pairs, cli.ops);
     if (cli.csv)
         printCsv(std::cout, fig);
     else

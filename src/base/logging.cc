@@ -43,13 +43,12 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::ostringstream os;
-    os << "fatal: " << msg << " @ " << file << ":" << line;
+    const std::string report = "fatal: " + msg;
     if (!quiet())
-        std::cerr << os.str() + "\n";
-    throw FatalError(os.str());
+        std::cerr << report + "\n";
+    throw FatalError(report);
 }
 
 void

@@ -53,8 +53,8 @@ formatMessage(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/** A user error names no source location: the message is the report. */
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -99,8 +99,7 @@ class DiagContext
         __FILE__, __LINE__, ::loopsim::detail::formatMessage(__VA_ARGS__))
 
 #define fatal(...)                                                          \
-    ::loopsim::detail::fatalImpl(                                           \
-        __FILE__, __LINE__, ::loopsim::detail::formatMessage(__VA_ARGS__))
+    ::loopsim::detail::fatalImpl(::loopsim::detail::formatMessage(__VA_ARGS__))
 
 #define warn(...)                                                           \
     ::loopsim::detail::warnImpl(::loopsim::detail::formatMessage(__VA_ARGS__))

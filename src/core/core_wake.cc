@@ -106,8 +106,10 @@ Core::computeWake(Cycle now)
     // (processEvents pops everything due, so whatever remains is
     // strictly future). Lazy events are deliberately absent — they
     // have no observable effect until some later tick reads the
-    // timestamps they carry (retire eligibility of a lazily executed
-    // ALU op is covered by the retire clause below).
+    // timestamps they carry. A ROB head whose lazy ExecStart has not
+    // drained needs no clause of its own: its confirm timer keeps the
+    // iq clause below at or before the earliest cycle it could retire,
+    // and that tick drains the event.
     if (const Cycle ev_wake = events.nextWaking();
         ev_wake != invalidCycle) {
         consider(std::max(ev_wake, next), KernelCounters::WakeEvent);
@@ -125,22 +127,6 @@ Core::computeWake(Cycle now)
         if (t.rob.empty())
             continue;
         const DynInst &inst = pool.get(t.rob.head());
-        // A head whose ExecStart is lazy and not yet drained is still
-        // Issued here; it turns Done (with produce = exec start +
-        // latency and no pending events) the moment that event
-        // drains, so its retire cycle is already computable. A
-        // poisoned execution makes this an early wake — harmless.
-        if (inst.state == InstState::Issued &&
-            lazyExecEligible(inst.op) &&
-            inst.issueCycle != invalidCycle &&
-            inst.confirmCycle != invalidCycle) {
-            consider(std::max({inst.confirmCycle,
-                               inst.issueCycle + cfg.iqExLatency +
-                                   inst.op.execLatency(),
-                               next}),
-                     KernelCounters::WakeLazyRetire);
-            continue;
-        }
         if (inst.state != InstState::Done || !inst.execValid)
             continue;
         if (inst.pendingEvents != 0)

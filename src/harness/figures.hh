@@ -1,14 +1,17 @@
 /**
  * @file
  * Per-figure experiment drivers. Each function regenerates the data of
- * one figure of the paper's evaluation; the bench binaries print the
- * results via report.hh.
+ * one figure of the paper's evaluation as a SweepSpec description run
+ * by runSweep(), which every figure shares; the bench binaries print
+ * the results via report.hh.
  */
 
 #ifndef LOOPSIM_HARNESS_FIGURES_HH
 #define LOOPSIM_HARNESS_FIGURES_HH
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,11 +110,62 @@ FigureData ablationCrcTimeout(std::uint64_t total_ops,
  * Execute @p plan on the campaign thread pool (harness/campaign.hh)
  * and append a failure-footer line to @p fig for every fail-soft cell.
  * Results and footer lines are in plan order regardless of job count,
- * so assembled figures are byte-identical to a serial sweep. All the
- * figure drivers above run through this; it is exposed for bench
- * binaries and tests that assemble their own FigureData.
+ * so assembled figures are byte-identical to a serial sweep. runSweep()
+ * runs every figure through this; it is exposed for tests that
+ * assemble their own FigureData.
  */
 std::vector<RunResult> runPlan(FigureData &fig, const CampaignPlan &plan);
+
+/** One row's results, one per SweepCell, in cell order. */
+using SweepRow = std::span<const RunResult>;
+
+/** One machine configuration that every row of a sweep runs. */
+struct SweepCell
+{
+    /** Configuration overlaid on the figure defaults. */
+    Config overrides;
+    /** Plan label for diagnostics and traces (empty: none); it may
+     *  name the row's workload. */
+    std::function<std::string(const Workload &row)> label;
+};
+
+/** One column of a sweep: a header and a value per row. */
+struct SweepColumn
+{
+    /** The header, computed from the first row's results. */
+    std::function<std::string(SweepRow first)> label;
+    /** This column's value for one row. */
+    std::function<double(SweepRow row)> value;
+};
+
+/** A column whose header is @p label whatever the first row holds. */
+SweepColumn sweepColumn(std::string label,
+                        std::function<double(SweepRow row)> value);
+
+/**
+ * A figure described as a sweep: every row workload runs the same
+ * cells, and each column is computed from one row's results alone.
+ * Figures 4 to 9 (figure6 transposes its result), the DESIGN.md §5
+ * ablations and sweepConfigs() are all descriptions handed to
+ * runSweep().
+ */
+struct SweepSpec
+{
+    std::string title;
+    std::string valueUnit;
+    std::vector<SweepCell> cells;
+    std::vector<SweepColumn> columns;
+};
+
+/**
+ * Run @p sweep over @p rows at @p total_ops measured ops per cell. The
+ * plan is workload-major (row 0's cells, then row 1's, ...) and runs
+ * through runPlan(), so the failure footer and fail-soft cells behave
+ * as in any campaign. Rows are labelled with figureLabel(). A sweep
+ * over no rows has no columns, since headers come from the first row.
+ */
+FigureData runSweep(const SweepSpec &sweep, const std::vector<Workload> &rows,
+                    std::uint64_t total_ops);
 
 /**
  * Generic sweep: one row per workload, one labelled configuration per

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -18,6 +17,7 @@
 #include "base/logging.hh"
 #include "base/options.hh"
 #include "core/machine_config.hh"
+#include "store/codec.hh"
 #include "store/record.hh"
 
 namespace loopsim
@@ -44,48 +44,6 @@ stopRequested()
 const store::Fingerprint kWireFp{0x6c6f6f7073696d00ull,
                                  0x00737570657276ull};
 
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-bool
-readU32(const std::string &in, std::size_t &at, std::uint32_t &v)
-{
-    if (in.size() - at < 4)
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    at += 4;
-    return true;
-}
-
-bool
-readU64(const std::string &in, std::size_t &at, std::uint64_t &v)
-{
-    if (in.size() - at < 8)
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    at += 8;
-    return true;
-}
-
 /**
  * Wire format, child -> parent:
  *   [u32 record_len][record]            store codec, kWireFp
@@ -100,60 +58,48 @@ readU64(const std::string &in, std::size_t &at, std::uint64_t &v)
 std::string
 encodeWire(const RunResult &result)
 {
-    std::string rec = store::encodeRecord(kWireFp, result);
+    const std::string rec = store::encodeRecord(kWireFp, result);
     std::string wire;
     wire.reserve(4 + rec.size() + 64);
-    appendU32(wire, static_cast<std::uint32_t>(rec.size()));
-    wire.append(rec);
-    appendU32(wire, static_cast<std::uint32_t>(result.tickProfile.size()));
+    store::Encoder out(wire);
+    out.str(rec);
+    out.u32(static_cast<std::uint32_t>(result.tickProfile.size()));
     for (const ComponentProfile &p : result.tickProfile) {
-        appendU32(wire, static_cast<std::uint32_t>(p.name.size()));
-        wire.append(p.name);
-        appendU64(wire, p.ticks);
-        appendU64(wire, p.measuredTicks);
-        appendU64(wire, p.scanTicks);
-        appendU64(wire, std::bit_cast<std::uint64_t>(p.seconds));
+        out.str(p.name);
+        out.u64(p.ticks);
+        out.u64(p.measuredTicks);
+        out.u64(p.scanTicks);
+        out.f64(p.seconds);
         for (const std::uint64_t n : p.counters.n)
-            appendU64(wire, n);
+            out.u64(n);
     }
     return wire;
 }
 
 bool
-decodeWire(const std::string &wire, RunResult &result)
+decodeWire(std::string_view wire, RunResult &result)
 {
-    std::size_t at = 0;
-    std::uint32_t rec_len = 0;
-    if (!readU32(wire, at, rec_len) || wire.size() - at < rec_len)
+    store::Decoder in(wire);
+    std::string_view rec;
+    if (!in.view(rec) || !store::decodeRecord(rec, kWireFp, result))
         return false;
-    if (!store::decodeRecord(wire.substr(at, rec_len), kWireFp, result))
-        return false;
-    at += rec_len;
     std::uint32_t profiles = 0;
-    if (!readU32(wire, at, profiles))
+    if (!in.u32(profiles))
         return false;
     for (std::uint32_t i = 0; i < profiles; ++i) {
         ComponentProfile p;
-        std::uint32_t len = 0;
-        if (!readU32(wire, at, len) || wire.size() - at < len)
-            return false;
-        p.name.assign(wire, at, len);
-        at += len;
-        std::uint64_t sec_bits = 0;
-        if (!readU64(wire, at, p.ticks) ||
-            !readU64(wire, at, p.measuredTicks) ||
-            !readU64(wire, at, p.scanTicks) ||
-            !readU64(wire, at, sec_bits)) {
+        if (!in.str(p.name) || !in.u64(p.ticks) ||
+            !in.u64(p.measuredTicks) || !in.u64(p.scanTicks) ||
+            !in.f64(p.seconds)) {
             return false;
         }
-        p.seconds = std::bit_cast<double>(sec_bits);
         for (std::uint64_t &n : p.counters.n) {
-            if (!readU64(wire, at, n))
+            if (!in.u64(n))
                 return false;
         }
         result.tickProfile.push_back(std::move(p));
     }
-    return at == wire.size();
+    return in.done();
 }
 
 bool

@@ -62,7 +62,7 @@ struct KernelCounters
     enum Index : unsigned
     {
         WakeEvent, WakeIq, WakeRetire, WakeInsert, WakeRename,
-        WakeFetch, WakeLazyRetire, WakeNone,
+        WakeFetch, WakeNone,
         Gap1, Gap2, Gap4, Gap8, Gap16, Gap32, Gap64, Gap128, GapNone,
         IssueCalls, IssueEvals, IssueIssued, IssueHeldLoads,
         IssueConfirmPops, IssueWakePops, IssueBarren,
@@ -71,7 +71,7 @@ struct KernelCounters
     /** JSON keys, by Index. */
     static constexpr const char *kNames[kCount] = {
         "wake.event", "wake.iq", "wake.retire", "wake.insert",
-        "wake.rename", "wake.fetch", "wake.lazy_retire", "wake.none",
+        "wake.rename", "wake.fetch", "wake.none",
         "gap.1", "gap.2-3", "gap.4-7", "gap.8-15", "gap.16-31",
         "gap.32-63", "gap.64-127", "gap.128+", "gap.none",
         "issue.calls", "issue.evals", "issue.issued", "issue.held_loads",

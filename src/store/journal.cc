@@ -14,6 +14,7 @@
 #include "base/logging.hh"
 #include "base/options.hh"
 #include "harness/experiment.hh"
+#include "store/codec.hh"
 #include "store/record.hh"
 
 namespace fs = std::filesystem;
@@ -23,42 +24,6 @@ namespace loopsim::store
 
 namespace
 {
-
-std::uint32_t
-getU32(std::string_view in, std::size_t at)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(std::string_view in, std::size_t at)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    return v;
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
 
 bool
 writeAll(int fd, const char *data, std::size_t n)
@@ -86,15 +51,11 @@ struct ParsedHeader
 bool
 parseHeader(std::string_view bytes, ParsedHeader &hdr)
 {
-    if (bytes.size() < kJournalHeaderBytes)
-        return false;
-    if (getU32(bytes, 0) != kJournalMagic)
-        return false;
-    hdr.schema = getU32(bytes, 4);
-    hdr.planFp.hi = getU64(bytes, 8);
-    hdr.planFp.lo = getU64(bytes, 16);
-    hdr.planCells = getU64(bytes, 24);
-    return true;
+    Decoder in(bytes);
+    std::uint32_t magic = 0;
+    return in.u32(magic) && magic == kJournalMagic &&
+           in.u32(hdr.schema) && in.u64(hdr.planFp.hi) &&
+           in.u64(hdr.planFp.lo) && in.u64(hdr.planCells);
 }
 
 } // anonymous namespace
@@ -105,13 +66,12 @@ replayJournal(std::string_view bytes,
 {
     if (bytes.size() < kJournalHeaderBytes)
         return 0;
-    std::size_t at = kJournalHeaderBytes;
-    while (bytes.size() - at >= 4) {
-        const std::uint32_t len = getU32(bytes, at);
-        if (bytes.size() - at - 4 < len)
-            break;
-        // Each record decodes in place: a view, never a copy.
-        const std::string_view record = bytes.substr(at + 4, len);
+    // Each entry is a length-prefixed record, decoded in place: a
+    // view, never a copy.
+    Decoder in(bytes.substr(kJournalHeaderBytes));
+    std::size_t valid = 0;
+    std::string_view record;
+    while (in.view(record)) {
         Fingerprint fp;
         std::uint32_t schema = 0;
         RunResult result;
@@ -120,9 +80,9 @@ replayJournal(std::string_view bytes,
             break;
         }
         replay.insert_or_assign(fp, std::move(result));
-        at += 4 + len;
+        valid = in.offset();
     }
-    return at;
+    return kJournalHeaderBytes + valid;
 }
 
 CampaignJournal::CampaignJournal(const std::string &dir,
@@ -185,11 +145,12 @@ CampaignJournal::CampaignJournal(const std::string &dir,
     if (keep == 0) {
         std::string hdr;
         hdr.reserve(kJournalHeaderBytes);
-        putU32(hdr, kJournalMagic);
-        putU32(hdr, kSchemaVersion);
-        putU64(hdr, plan_fp.hi);
-        putU64(hdr, plan_fp.lo);
-        putU64(hdr, plan_cells);
+        Encoder out(hdr);
+        out.u32(kJournalMagic);
+        out.u32(kSchemaVersion);
+        out.u64(plan_fp.hi);
+        out.u64(plan_fp.lo);
+        out.u64(plan_cells);
         if (!writeAll(fd, hdr.data(), hdr.size())) {
             warn("cannot write journal header ", file, ": ",
                  std::strerror(errno));
@@ -225,11 +186,10 @@ CampaignJournal::append(const Fingerprint &fp, const RunResult &result)
         return;
     // The record codec never serializes loopEvents/tickProfile, so the
     // journal naturally stores only replayable measurement state.
-    std::string record = encodeRecord(fp, result);
+    const std::string record = encodeRecord(fp, result);
     std::string entry;
     entry.reserve(4 + record.size());
-    putU32(entry, static_cast<std::uint32_t>(record.size()));
-    entry.append(record);
+    Encoder(entry).str(record);
 
     std::lock_guard<std::mutex> lock(mutex);
     if (!writeAll(fd, entry.data(), entry.size())) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -144,6 +145,76 @@ TEST(Figures, AblationDriversRunOnTinyInputs)
     EXPECT_EQ(bits.columns.size(), 3u);
     for (const auto &col : bits.columns)
         EXPECT_LE(col.values[0], 1.0);
+}
+
+TEST(Figures, SweepRunsWorkloadMajorWithHeadersFromTheFirstRow)
+{
+    // At 500 ops, one attempt, turb3d's measured window on the 3_9
+    // reference machine is empty, so its reference cell fails; go's
+    // cells all retire ops.
+    Config ref;
+    ref.setUint("integrity.retry.attempts", 1);
+    Config test = ref;
+    setPipeline(ref, 3, 9);
+    setPipeline(test, 5, 7);
+
+    std::vector<std::string> planLabels;
+    auto labelled = [&planLabels](const Config &cfg, std::string tag) {
+        return SweepCell{cfg, [&planLabels, tag](const Workload &row) {
+                             planLabels.push_back(row.label + "/" + tag);
+                             return planLabels.back();
+                         }};
+    };
+    std::vector<std::string> cellOrder;
+    unsigned headerCalls = 0;
+    SweepSpec sweep{"sweep", "speedup",
+                    {labelled(ref, "ref"), labelled(test, "test")},
+                    {}};
+    sweep.columns.push_back(SweepColumn{
+        [&headerCalls](SweepRow first) {
+            ++headerCalls;
+            return first[0].workloadLabel + " " + first[1].pipeLabel;
+        },
+        [](SweepRow row) {
+            return row[0].failed ? failPoint(row[0].failKind) : 1.0;
+        }});
+    sweep.columns.push_back(sweepColumn(
+        "speedup", [](SweepRow row) { return speedup(row[1], row[0]); }));
+    sweep.columns.push_back(sweepColumn("order", [&cellOrder](SweepRow row) {
+        for (const RunResult &r : row)
+            cellOrder.push_back(r.workloadLabel);
+        return 0.0;
+    }));
+
+    const FigureData fig = runSweep(
+        sweep, {resolveWorkload("turb3d"), resolveWorkload("go")}, 500);
+
+    EXPECT_EQ(planLabels,
+              (std::vector<std::string>{"turb3d/ref", "turb3d/test",
+                                        "go/ref", "go/test"}));
+    EXPECT_EQ(cellOrder,
+              (std::vector<std::string>{"turb3d", "turb3d", "go", "go"}));
+    EXPECT_EQ(fig.rowLabels, (std::vector<std::string>{"turb3d", "go"}));
+    ASSERT_EQ(fig.columns.size(), 3u);
+    EXPECT_EQ(headerCalls, 1u);
+    EXPECT_EQ(fig.columns[0].label, "turb3d 5_7");
+    EXPECT_EQ(fig.columns[1].label, "speedup");
+
+    // turb3d's failed reference renders as its fail point in every
+    // column computed from it; go's row stays numeric.
+    for (std::size_t c = 0; c < 2; ++c) {
+        ASSERT_EQ(fig.columns[c].values.size(), 2u);
+        EXPECT_EQ(pointFailKind(fig.columns[c].values[0]), FailKind::Sim);
+        EXPECT_TRUE(std::isfinite(fig.columns[c].values[1]));
+    }
+    EXPECT_DOUBLE_EQ(fig.columns[0].values[1], 1.0);
+    ASSERT_FALSE(fig.failures.empty());
+    EXPECT_EQ(fig.failures[0].rfind("turb3d [3_9]: ", 0), 0u);
+
+    // No rows: no first row to head the columns with.
+    const FigureData empty = runSweep(sweep, {}, 500);
+    EXPECT_TRUE(empty.rowLabels.empty());
+    EXPECT_TRUE(empty.columns.empty());
 }
 
 TEST(Report, PrintFigureAlignsAndFormats)

@@ -11,19 +11,24 @@
  *
  * The store directory comes from --store or the LOOPSIM_STORE
  * environment variable, the journal directory from --journal or
- * LOOPSIM_JOURNAL, matching the bench binaries. Exit status: 0 on
- * success (verify: everything fully valid), 1 when verify found
+ * LOOPSIM_JOURNAL, matching the bench binaries. N is a decimal count
+ * (base/options.hh's grammar). A flag another command takes, any
+ * unknown flag and any stray argument are usage errors. Exit status:
+ * 0 on success (verify: everything fully valid), 1 when verify found
  * corrupt records / journals, 2 on usage errors.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/options.hh"
 #include "store/fingerprint.hh"
 #include "store/journal.hh"
 #include "store/result_store.hh"
@@ -60,35 +65,70 @@ usage(std::ostream &os, int exit_code)
           "  --store DIR          store directory (default: "
           "$LOOPSIM_STORE)\n"
           "  --journal DIR        journal directory (default: "
-          "$LOOPSIM_JOURNAL)\n";
+          "$LOOPSIM_JOURNAL)\n"
+          "  --max-bytes N        gc's byte budget, a decimal count\n";
     return exit_code;
 }
 
-/** Value of `--flag V` / `--flag=V`; exit 2 when the value is absent. */
-std::string
-flagValue(const std::vector<std::string> &args, const std::string &flag)
+/** Print @p why and the usage text, then exit 2. */
+[[noreturn]] void
+usageError(const std::string &why)
 {
-    const std::string prefix = flag + "=";
+    std::cerr << "loopsim-store: " << why << "\n";
+    std::exit(usage(std::cerr, 2));
+}
+
+/** One command's options. */
+struct Options
+{
+    std::string store;
+    std::string journal;
+    std::string maxBytes;
+    bool json = false;
+};
+
+/**
+ * Parse @p args, which may hold only the flags in @p accepted: value
+ * flags as `--flag V` or `--flag=V`, `--json` bare. An unknown flag, a
+ * stray argument or a missing or empty value is a usage error.
+ */
+Options
+parseOptions(const std::vector<std::string> &args,
+             std::initializer_list<std::string_view> accepted)
+{
+    Options o;
     for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i].rfind(prefix, 0) == 0)
-            return args[i].substr(prefix.size());
-        if (args[i] != flag)
+        const std::string &arg = args[i];
+        const std::size_t eq = arg.find('=');
+        const std::string name = arg.substr(0, eq);
+        if (name.empty() || name[0] != '-')
+            usageError("unexpected argument \"" + arg + "\"");
+        if (std::find(accepted.begin(), accepted.end(), name) ==
+            accepted.end())
+            usageError("unknown option \"" + arg + "\"");
+        if (name == "--json") {
+            if (eq != std::string::npos)
+                usageError("--json takes no value");
+            o.json = true;
             continue;
-        if (i + 1 >= args.size()) {
-            std::cerr << flag << " needs a value\n";
-            std::exit(2);
         }
-        return args[i + 1];
+        std::string &value = name == "--store"     ? o.store
+                             : name == "--journal" ? o.journal
+                                                   : o.maxBytes;
+        if (eq != std::string::npos)
+            value = arg.substr(eq + 1);
+        else if (i + 1 < args.size())
+            value = args[++i];
+        if (value.empty())
+            usageError(name + " needs a value");
     }
-    return "";
+    return o;
 }
 
 std::string
-resolveDir(const std::vector<std::string> &args)
+resolveDir(const Options &o)
 {
-    std::string dir = flagValue(args, "--store");
-    if (dir.empty())
-        dir = store::storePath();
+    std::string dir = o.store.empty() ? store::storePath() : o.store;
     if (dir.empty()) {
         std::cerr << "loopsim-store: no store directory (pass --store "
                      "DIR or set LOOPSIM_STORE)\n";
@@ -118,17 +158,6 @@ cmdList(const std::string &dir)
     }
     std::cout << entries.size() << " record(s) in " << dir << "\n";
     return 0;
-}
-
-/** Whether a bare flag (no value) is present. */
-bool
-hasFlag(const std::vector<std::string> &args, const std::string &flag)
-{
-    for (const std::string &arg : args) {
-        if (arg == flag)
-            return true;
-    }
-    return false;
 }
 
 int
@@ -175,19 +204,14 @@ cmdVerify(const std::string &dir)
 }
 
 int
-cmdGc(const std::string &dir, const std::vector<std::string> &args)
+cmdGc(const std::string &dir, const std::string &budget)
 {
-    std::string text = flagValue(args, "--max-bytes");
-    if (text.empty()) {
-        std::cerr << "gc needs --max-bytes N\n";
-        return 2;
-    }
-    char *end = nullptr;
-    unsigned long long max_bytes = std::strtoull(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0' || text[0] == '-') {
-        std::cerr << "invalid --max-bytes: \"" << text
-                  << "\" (expected a non-negative byte count)\n";
-        return 2;
+    if (budget.empty())
+        usageError("gc needs --max-bytes N");
+    std::uint64_t max_bytes = 0;
+    if (!parseCount(budget, max_bytes)) {
+        usageError("invalid --max-bytes: \"" + budget +
+                   "\" (expected a whole unsigned integer)");
     }
     const store::GcReport report = store::gcStore(dir, max_bytes);
     std::cout << "scanned " << report.scanned << " record(s), removed "
@@ -198,11 +222,9 @@ cmdGc(const std::string &dir, const std::vector<std::string> &args)
 }
 
 std::string
-resolveJournalDir(const std::vector<std::string> &args)
+resolveJournalDir(const Options &o)
 {
-    std::string dir = flagValue(args, "--journal");
-    if (dir.empty())
-        dir = store::journalPath();
+    std::string dir = o.journal.empty() ? store::journalPath() : o.journal;
     if (dir.empty()) {
         std::cerr << "loopsim-store: no journal directory (pass "
                      "--journal DIR or set LOOPSIM_JOURNAL)\n";
@@ -306,14 +328,12 @@ cmdJournalPrune(const std::string &dir)
 int
 cmdJournal(const std::vector<std::string> &args)
 {
-    if (args.empty()) {
-        std::cerr << "journal needs a subcommand "
-                     "(list|stat|verify|prune)\n";
-        return 2;
-    }
+    if (args.empty())
+        usageError("journal needs a subcommand (list|stat|verify|prune)");
     const std::string sub = args[0];
-    std::vector<std::string> rest(args.begin() + 1, args.end());
-    const std::string dir = resolveJournalDir(rest);
+    const std::string dir = resolveJournalDir(parseOptions(
+        std::vector<std::string>(args.begin() + 1, args.end()),
+        {"--journal"}));
     if (sub == "list")
         return cmdJournalList(dir);
     if (sub == "stat")
@@ -322,9 +342,7 @@ cmdJournal(const std::vector<std::string> &args)
         return cmdJournalVerify(dir);
     if (sub == "prune")
         return cmdJournalPrune(dir);
-    std::cerr << "loopsim-store: unknown journal subcommand \"" << sub
-              << "\"\n";
-    return 2;
+    usageError("unknown journal subcommand \"" + sub + "\"");
 }
 
 } // anonymous namespace
@@ -338,22 +356,20 @@ main(int argc, char **argv)
     if (command == "--help" || command == "-h" || command == "help")
         return usage(std::cout, 0);
 
-    std::vector<std::string> args(argv + 2, argv + argc);
+    const std::vector<std::string> args(argv + 2, argv + argc);
     if (command == "journal")
         return cmdJournal(args);
-
-    const std::string dir = resolveDir(args);
-
     if (command == "list")
-        return cmdList(dir);
-    if (command == "stat")
-        return cmdStat(dir, hasFlag(args, "--json"));
+        return cmdList(resolveDir(parseOptions(args, {"--store"})));
+    if (command == "stat") {
+        const Options o = parseOptions(args, {"--store", "--json"});
+        return cmdStat(resolveDir(o), o.json);
+    }
     if (command == "verify")
-        return cmdVerify(dir);
-    if (command == "gc")
-        return cmdGc(dir, args);
-
-    std::cerr << "loopsim-store: unknown command \"" << command
-              << "\"\n";
-    return usage(std::cerr, 2);
+        return cmdVerify(resolveDir(parseOptions(args, {"--store"})));
+    if (command == "gc") {
+        const Options o = parseOptions(args, {"--store", "--max-bytes"});
+        return cmdGc(resolveDir(o), o.maxBytes);
+    }
+    usageError("unknown command \"" + command + "\"");
 }
