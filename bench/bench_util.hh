@@ -253,7 +253,6 @@ class CampaignRecorder
     {
         const RunOptions &o = cli.opts;
         setCampaignJobs(o.jobs);
-        trace::setTracePath(o.tracePath);
         trace::setCollection(o.traceCollection);
         store::setStorePath(o.storePath);
         setIsolation(o.isolate);

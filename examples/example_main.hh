@@ -36,12 +36,12 @@ opsArg(int argc, char **argv, int i, std::uint64_t def)
 /**
  * Run @p body with stdout held back. On success print what it wrote
  * and return its status. On a FatalError (which fatal() has already
- * reported on stderr) or a SimError (reported here) print nothing on
- * stdout and return 2.
+ * reported on stderr; a usage line naming @p args follows it) or a
+ * SimError (reported here) print nothing on stdout and return 2.
  */
 template <class Body>
 int
-guardedMain(const char *prog, Body body)
+guardedMain(const char *prog, const char *args, Body body)
 {
     std::ostringstream held;
     std::streambuf *const stdout_buf = std::cout.rdbuf(held.rdbuf());
@@ -54,6 +54,7 @@ guardedMain(const char *prog, Body body)
         std::cerr << prog << ": " << err.what() << "\n";
     } catch (const FatalError &) {
         // fatal() has reported it.
+        std::cerr << "usage: " << prog << " " << args << "\n";
     }
     std::cout.rdbuf(stdout_buf);
     return 2;

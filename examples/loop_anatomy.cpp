@@ -2,11 +2,11 @@
  * @file
  * Loop anatomy: run three tiny kernels — a clean dependent chain, a
  * load that misses the L1 (the load resolution loop), and a
- * mispredicted branch (the branch resolution loop) — with the pipeline
- * timeline recorder on, and print what actually happened cycle by
- * cycle. Reissued instructions show a second issue mark 'I'; the
- * distance between 'q' (IQ insert) and 'e' (execute) is the IQ-EX path
- * this paper is about.
+ * mispredicted branch (the branch resolution loop) — with the Core
+ * keeping its event stream, and print what actually happened cycle by
+ * cycle as the stream's Gantt view. Reissued instructions show a
+ * second issue mark 'I'; the distance between 'q' (IQ insert) and 'e'
+ * (execute) is the IQ-EX path this paper is about.
  */
 
 #include <iostream>
@@ -26,17 +26,16 @@ namespace
 void
 runKernel(const std::string &title, std::vector<MicroOp> ops)
 {
-    Config cfg;
-    cfg.setUint("core.timeline", 64);
     ProgrammedTraceSource src(std::move(ops));
     std::vector<TraceSource *> srcs{&src};
-    Core core(cfg, srcs);
+    Core core(Config{}, srcs);
+    const std::vector<trace::Event> &events = core.recordEvents();
     Simulator sim;
     sim.add(&core);
     sim.run(100000);
 
     std::cout << "=== " << title << " ===\n";
-    core.timeline()->print(std::cout);
+    trace::printGantt(std::cout, events);
     std::cout << "\n";
 }
 

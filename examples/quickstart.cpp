@@ -61,6 +61,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return examples::guardedMain(argv[0],
+    return examples::guardedMain(argv[0], "[workload] [ops] [k=v...]",
                                  [&] { return run(argc, argv); });
 }

@@ -98,6 +98,6 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return examples::guardedMain(argv[0],
+    return examples::guardedMain(argv[0], "[ops] [pairs...]",
                                  [&] { return run(argc, argv); });
 }

@@ -1,9 +1,7 @@
 #include "base/debug.hh"
 
-#include <iostream>
-#include <sstream>
-
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "base/str.hh"
 
 namespace loopsim::debug
@@ -14,29 +12,19 @@ namespace
 
 constexpr unsigned allMask =
     (1u << static_cast<unsigned>(Flag::NumFlags)) - 1;
-static_assert((allMask & (options::kAuditBit | options::kUnresolvedBit)) ==
-                  0,
-              "debug flags overlap the option gate's other bits");
+
+constexpr const char *names[] = {"Fetch",  "Rename", "Issue", "Exec",
+                                 "Retire", "Squash", "Kill",  "Dra",
+                                 "Mem",    "Pool",   "Reg"};
+static_assert(std::size(names) == static_cast<unsigned>(Flag::NumFlags));
 
 } // anonymous namespace
 
 const char *
 flagName(Flag flag)
 {
-    switch (flag) {
-      case Flag::Fetch: return "Fetch";
-      case Flag::Rename: return "Rename";
-      case Flag::Issue: return "Issue";
-      case Flag::Exec: return "Exec";
-      case Flag::Retire: return "Retire";
-      case Flag::Squash: return "Squash";
-      case Flag::Kill: return "Kill";
-      case Flag::Dra: return "Dra";
-      case Flag::Mem: return "Mem";
-      case Flag::Pool: return "Pool";
-      case Flag::Reg: return "Reg";
-      default: panic("unknown debug flag");
-    }
+    panic_if(flag >= Flag::NumFlags, "unknown debug flag");
+    return names[static_cast<unsigned>(flag)];
 }
 
 unsigned
@@ -79,12 +67,6 @@ flagsText(unsigned bits)
     return out;
 }
 
-bool
-anyEnabled()
-{
-    return (processOptions().debugFlags & allMask) != 0;
-}
-
 void
 setFlags(const std::string &csv)
 {
@@ -92,32 +74,12 @@ setFlags(const std::string &csv)
     const unsigned add = parseFlags(csv, bad);
     fatal_if(!bad.empty(), "unknown debug flag: ", bad);
     processOptions().debugFlags |= add;
-    options::setGate(add, true);
 }
 
 void
 clearFlags()
 {
     processOptions().debugFlags = 0;
-    options::setGate(allMask, false);
-}
-
-void
-emit(Flag flag, Cycle cycle, const std::string &message)
-{
-    // One formatted string per line so concurrent workers cannot
-    // interleave mid-line.
-    std::ostringstream os;
-    os << cycle << ": " << flagName(flag) << ": " << message << "\n";
-    std::cerr << os.str();
-}
-
-void
-emit(Flag flag, const std::string &message)
-{
-    std::ostringstream os;
-    os << "-: " << flagName(flag) << ": " << message << "\n";
-    std::cerr << os.str();
 }
 
 } // namespace loopsim::debug

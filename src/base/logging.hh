@@ -116,11 +116,12 @@ class DiagContext
         }                                                                   \
     } while (false)
 
-/** fatal() unless the stated user-facing requirement holds. */
+/** fatal() with the message alone when @p cond holds: a user error
+ *  reads as what was wrong, not as the source text that caught it. */
 #define fatal_if(cond, ...)                                                 \
     do {                                                                    \
         if (cond) {                                                         \
-            fatal("fatal condition (" #cond ") occurred: ", __VA_ARGS__);   \
+            fatal(__VA_ARGS__);                                             \
         }                                                                   \
     } while (false)
 

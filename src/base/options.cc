@@ -182,7 +182,7 @@ storage()
 unsigned
 gateBits(const RunOptions &o)
 {
-    return o.debugFlags | (o.audit ? options::kAuditBit : 0u);
+    return o.audit ? options::kAuditBit : 0u;
 }
 
 /** Resolve from the real environment once; exit 2 on a bad value. */

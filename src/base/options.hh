@@ -18,10 +18,10 @@
  * debug::setFlags, ...) are plain writes into it, so a setter always
  * wins over the environment.
  *
- * The two per-cycle gates, debug::enabled() and audit::enabled(), read
- * one relaxed atomic word instead: one bit per debug flag, one for
- * audit, and one that says the options are not resolved yet, so a
- * first use anywhere still resolves.
+ * The per-cycle gate, audit::enabled(), reads one relaxed atomic word
+ * instead: one bit for audit and one that says the options are not
+ * resolved yet, so a first use anywhere still resolves. The debug
+ * flags need no gate: a Core reads them once, when it is built.
  */
 
 #ifndef LOOPSIM_BASE_OPTIONS_HH
@@ -99,7 +99,7 @@ unsigned parseJobsSpec(const std::string &spec, bool &ok);
 namespace options
 {
 
-/** Gate-word bits beside the debug flags (which start at bit 0). */
+/** Gate-word bits. */
 inline constexpr unsigned kAuditBit = 1u << 30;
 inline constexpr unsigned kUnresolvedBit = 1u << 31;
 

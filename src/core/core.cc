@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "integrity/fault_injector.hh"
 #include "sim/config.hh"
 
@@ -27,8 +27,6 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
             parseCrcRepl(cfg.crcRepl), cfg.insertionTableBits,
             cfg.crcTimeout);
     }
-    if (cfg.timelineDepth > 0)
-        timelineRec = std::make_unique<TimelineRecorder>(cfg.timelineDepth);
     if (cfg.memOrderTraps) {
         memDep = std::make_unique<MemDepPredictor>(cfg.memDepEntries,
                                                    cfg.memDepClear);
@@ -46,6 +44,16 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
     // Sized here, not only in prepareKernel(): a bare core outside
     // any Simulator defaults to the sparse code paths.
     clusterReady.resize(cfg.numClusters);
+
+    // The event stream exists only when a view is on (LOOPSIM_DEBUG, or
+    // trace collection), and before the rename maps' boot allocations.
+    const unsigned print = processOptions().debugFlags;
+    const unsigned keep = trace::collectionActive()
+                              ? trace::kindBit(trace::EventKind::Loop)
+                              : 0;
+    if (print | keep)
+        recorder = std::make_unique<trace::RunRecorder>(print, keep);
+    pool.recorder = prf.recorder = recorder.get();
 
     // One thread can hold the whole window. Its replay queue holds only
     // correct-path ops not yet retired, and those grow only by fetching
@@ -69,22 +77,26 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
     }
 
     buildStats();
-
-    // Trace collection is a process-wide choice (the --trace knob /
-    // LOOPSIM_TRACE); a null recorder keeps untraced runs at one
-    // pointer test per feedback delivery.
-    if (trace::collectionActive())
-        loopTrace = std::make_unique<trace::RunRecorder>();
 }
 
 Core::~Core() = default;
 
+const std::vector<trace::Event> &
+Core::recordEvents()
+{
+    if (!recorder) {
+        recorder = std::make_unique<trace::RunRecorder>(0, 0);
+        pool.recorder = prf.recorder = recorder.get();
+    }
+    recorder->keep(~0u);
+    return recorder->events();
+}
+
 std::vector<trace::LoopEvent>
 Core::takeLoopTrace()
 {
-    if (!loopTrace)
-        return {};
-    return loopTrace->take();
+    return recorder ? recorder->takeLoopEvents()
+                    : std::vector<trace::LoopEvent>{};
 }
 
 void
@@ -203,6 +215,26 @@ Core::schedule(Event ev, bool lazy)
     events.push(ev, lazy);
 }
 
+template <class Msg>
+void
+Core::recordLoop(trace::LoopEventType type, const DelayedSignal<Msg> &sig,
+                 InstRef ref, Cycle now)
+{
+    if (!recorder)
+        return;
+    const bool live = pool.live(ref);
+    ThreadId tid = live ? pool.get(ref).op.tid : ThreadId{0};
+    if constexpr (requires { sig.value.tid; })
+        tid = sig.value.tid;
+    recorder->record({.kind = trace::EventKind::Loop,
+                      .what = static_cast<std::uint8_t>(type),
+                      .tid = tid,
+                      .cycle = now,
+                      .id = live ? pool.get(ref).fetchStamp : 0,
+                      .a = sig.writeCycle,
+                      .b = sig.loopDelay});
+}
+
 void
 Core::processEvents(Cycle now)
 {
@@ -255,13 +287,10 @@ Core::processEvents(Cycle now)
             // before any staleness early-out, so every signal sent is
             // read exactly once. readStamped keeps the write stamp so
             // the trace row carries the full loop geometry.
-            [[maybe_unused]] const DelayedSignal<LoadResolveMsg> sig =
+            const DelayedSignal<LoadResolveMsg> sig =
                 loadPort.readStamped(ev.signalId, now,
                                      violation_context);
-            LOOPSIM_TRACE_LOOP_EVENT(
-                loopTrace.get(), trace::LoopEventType::LoadKill,
-                sig.value.tid, sig.writeCycle, sig.loopDelay, now,
-                pool.live(ev.ref) ? pool.get(ev.ref).fetchStamp : 0);
+            recordLoop(trace::LoopEventType::LoadKill, sig, ev.ref, now);
             if (!pool.live(ev.ref))
                 break;
             DynInst &inst = pool.get(ev.ref);
@@ -278,15 +307,10 @@ Core::processEvents(Cycle now)
           case EventType::OperandMissKill: {
             // The DRA operand loop's fault notification reaches the
             // IQ; stays valid across the faulter's revert (§5.4).
-            [[maybe_unused]] const DelayedSignal<OperandMissMsg> sig =
+            const DelayedSignal<OperandMissMsg> sig =
                 operandPort.readStamped(ev.signalId, now,
                                         violation_context);
-            LOOPSIM_TRACE_LOOP_EVENT(
-                loopTrace.get(), trace::LoopEventType::OperandKill,
-                pool.live(ev.ref) ? pool.get(ev.ref).op.tid
-                                  : ThreadId{0},
-                sig.writeCycle, sig.loopDelay, now,
-                pool.live(ev.ref) ? pool.get(ev.ref).fetchStamp : 0);
+            recordLoop(trace::LoopEventType::OperandKill, sig, ev.ref, now);
             if (!pool.live(ev.ref))
                 break;
             DynInst &inst = pool.get(ev.ref);
@@ -303,10 +327,7 @@ Core::processEvents(Cycle now)
                 loadPort.readStamped(ev.signalId, now,
                                      violation_context);
             const LoadResolveMsg &msg = sig.value;
-            LOOPSIM_TRACE_LOOP_EVENT(
-                loopTrace.get(), trace::LoopEventType::TlbTrap,
-                msg.tid, sig.writeCycle, sig.loopDelay, now,
-                pool.live(ev.ref) ? pool.get(ev.ref).fetchStamp : 0);
+            recordLoop(trace::LoopEventType::TlbTrap, sig, ev.ref, now);
             if (!pool.live(ev.ref))
                 break;
             DynInst &inst = pool.get(ev.ref);
@@ -327,10 +348,7 @@ Core::processEvents(Cycle now)
                 loadPort.readStamped(ev.signalId, now,
                                      violation_context);
             const LoadResolveMsg &msg = sig.value;
-            LOOPSIM_TRACE_LOOP_EVENT(
-                loopTrace.get(), trace::LoopEventType::OrderTrap,
-                msg.tid, sig.writeCycle, sig.loopDelay, now,
-                pool.live(ev.ref) ? pool.get(ev.ref).fetchStamp : 0);
+            recordLoop(trace::LoopEventType::OrderTrap, sig, ev.ref, now);
             if (!pool.live(ev.ref))
                 break;
             DynInst &inst = pool.get(ev.ref);
@@ -344,11 +362,8 @@ Core::processEvents(Cycle now)
                 branchPort.readStamped(ev.signalId, now,
                                        violation_context);
             const BranchResolveMsg &msg = sig.value;
-            LOOPSIM_TRACE_LOOP_EVENT(
-                loopTrace.get(),
-                trace::LoopEventType::BranchResolution, msg.tid,
-                sig.writeCycle, sig.loopDelay, now,
-                pool.live(ev.ref) ? pool.get(ev.ref).fetchStamp : 0);
+            recordLoop(trace::LoopEventType::BranchResolution, sig, ev.ref,
+                       now);
             if (!pool.live(ev.ref))
                 break;
             DynInst &inst = pool.get(ev.ref);
@@ -367,12 +382,7 @@ Core::processEvents(Cycle now)
                 operandPort.readStamped(ev.signalId, now,
                                         violation_context);
             const OperandMissMsg &msg = sig.value;
-            LOOPSIM_TRACE_LOOP_EVENT(
-                loopTrace.get(), trace::LoopEventType::OperandPayload,
-                pool.live(ev.ref) ? pool.get(ev.ref).op.tid
-                                  : ThreadId{0},
-                sig.writeCycle, sig.loopDelay, now,
-                pool.live(ev.ref) ? pool.get(ev.ref).fetchStamp : 0);
+            recordLoop(trace::LoopEventType::OperandPayload, sig, ev.ref, now);
             if (!pool.live(ev.ref))
                 break;
             DynInst &inst = pool.get(ev.ref);
@@ -426,7 +436,7 @@ Core::processEvents(Cycle now)
 }
 
 void
-Core::killInstruction(InstRef ref)
+Core::killInstruction(InstRef ref, Cycle now)
 {
     DynInst &inst = pool.get(ref);
     panic_if(inst.state != InstState::Issued &&
@@ -434,8 +444,8 @@ Core::killInstruction(InstRef ref)
              "killing an instruction that is not issued");
     panic_if(inst.iqSlot == 0xffff,
              "killing an instruction whose IQ entry was already freed");
-    LTRACE(Kill, lastCycle ? lastCycle - 1 : 0,
-           inst.op.toString() << " killed/reverted");
+    if (recorder)
+        recorder->record(trace::EventKind::Kill, now, inst.op);
     inst.state = InstState::InIq;
     inst.issueCycle = invalidCycle;
     inst.execStartCycle = invalidCycle;
@@ -491,11 +501,10 @@ Core::killDependencyTree(InstRef root, Cycle now)
                 ci.state != InstState::Done) {
                 continue; // not issued: it simply waits
             }
-            killInstruction(c);
+            killInstruction(c, now);
             work.push_back(c);
         }
     }
-    (void)now;
 }
 
 void
@@ -517,16 +526,16 @@ Core::killLoadShadow(const DynInst &load, Cycle now)
             inst.issueCycle <= load.issueCycle) {
             continue; // issued before the shadow opened
         }
-        killInstruction(ref);
+        killInstruction(ref, now);
     }
-    (void)now;
 }
 
 void
 Core::squashYounger(ThreadId tid, std::uint64_t stamp, Cycle now)
 {
-    LTRACE(Squash, now, "thread " << int(tid)
-           << " squash younger than stamp " << stamp);
+    if (recorder)
+        recorder->record({.kind = trace::EventKind::Squash, .tid = tid,
+                          .cycle = now, .a = stamp});
     ThreadState &t = threads[tid];
 
     // Correct-path victims must be refetched later: they go to the

@@ -39,14 +39,13 @@
 #include "core/register_file.hh"
 #include "core/rename.hh"
 #include "core/rob.hh"
-#include "core/timeline.hh"
 #include "dra/dra_unit.hh"
 #include "integrity/probe.hh"
 #include "mem/hierarchy.hh"
 #include "sim/feedback_port.hh"
 #include "sim/simulator.hh"
 #include "stats/statistics.hh"
-#include "trace/loop_trace.hh"
+#include "trace/recorder.hh"
 #include "workload/generator.hh"
 
 namespace loopsim
@@ -230,8 +229,10 @@ class Core : public Clocked, public IntegrityProbe
         return *operandSources;
     }
 
-    /** Retired-instruction timeline (nullptr unless core.timeline>0). */
-    const TimelineRecorder *timeline() const { return timelineRec.get(); }
+    /** Keep every event of this run for the Gantt and table views
+     *  (trace/recorder.hh). Call before the run: the returned stream
+     *  fills, in simulation order, as the run goes. */
+    const std::vector<trace::Event> &recordEvents();
 
     /**
      * Drain this run's loop-event trace (empty when trace collection
@@ -241,8 +242,8 @@ class Core : public Clocked, public IntegrityProbe
      */
     std::vector<trace::LoopEvent> takeLoopTrace();
 
-    /** Is this core recording loop events? (tests) */
-    bool loopTraceActive() const { return loopTrace != nullptr; }
+    /** Does this core hold an event recorder? (tests) */
+    bool recording() const { return recorder != nullptr; }
 
   private:
     /** @name Pipeline event machinery */
@@ -474,11 +475,18 @@ class Core : public Clocked, public IntegrityProbe
     void handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
                            unsigned miss_mask);
 
-    /** Revert an issued instruction to waiting state. Reverting to
-     *  InIq re-arms issue eligibility, so the victim is queued for a
-     *  ready recheck (sparse) and callers owe a wake note
+    /** Record the feedback delivery @p sig, consumed at @p now for
+     *  @p ref, on the event stream, if there is one. Operand-loop
+     *  messages carry no thread: it is read off the instruction. */
+    template <class Msg>
+    void recordLoop(trace::LoopEventType type,
+                    const DelayedSignal<Msg> &sig, InstRef ref, Cycle now);
+
+    /** Revert an issued instruction to waiting state at @p now.
+     *  Reverting to InIq re-arms issue eligibility, so the victim is
+     *  queued for a ready recheck (sparse) and callers owe a wake note
      *  (loopsim::wake_state propagates the obligation to them). */
-    LOOPSIM_WAKE_STATE void killInstruction(InstRef ref);
+    LOOPSIM_WAKE_STATE void killInstruction(InstRef ref, Cycle now);
     /** Kill the issued dependency tree rooted at @p root (§2.2.2). */
     LOOPSIM_WAKE_STATE void killDependencyTree(InstRef root, Cycle now);
     /** 21264 mode: kill everything issued in the load shadow. */
@@ -550,7 +558,6 @@ class Core : public Clocked, public IntegrityProbe
     std::unique_ptr<DirectionPredictor> predictor;
     std::unique_ptr<Btb> btb;
     std::unique_ptr<MemDepPredictor> memDep;
-    std::unique_ptr<TimelineRecorder> timelineRec;
     std::unique_ptr<FaultInjector> injector;
 
     InstPool pool;
@@ -586,9 +593,9 @@ class Core : public Clocked, public IntegrityProbe
                                              "dra-operand-miss"};
     /// @}
 
-    /** Loop-event recorder; nullptr unless trace collection is on, so
-     *  untraced runs pay one pointer test per feedback delivery. */
-    std::unique_ptr<trace::RunRecorder> loopTrace;
+    /** The run's event stream; nullptr unless some view is on, so an
+     *  uninspected run pays one pointer test per hook. */
+    std::unique_ptr<trace::RunRecorder> recorder;
 
     std::uint64_t fetchStampCounter = 0;
     unsigned clusterCursor = 0;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "core/core.hh"
 #include "integrity/fault_injector.hh"
@@ -205,11 +204,10 @@ Core::issueWinner(InstRef ref, Cycle now)
     DynInst &inst = pool.get(ref);
     inst.state = InstState::Issued;
     inst.issueCycle = now;
-    if (inst.firstIssueCycle == invalidCycle)
-        inst.firstIssueCycle = now;
     ++inst.timesIssued;
-    LTRACE(Issue, now, inst.op.toString() << " (issue #"
-           << inst.timesIssued << ")");
+    if (recorder)
+        recorder->record(trace::EventKind::Issue, now, inst.op, 0,
+                         inst.timesIssued, inst.insertCycle);
     *issuedOps += 1;
     if (inst.timesIssued > 1)
         *reissuedOps += 1;
@@ -236,8 +234,8 @@ Core::issueWinner(InstRef ref, Cycle now)
         bool drop = injector && injector->dropWakeup();
         Cycle delay = injector ? injector->wakeupDelay() : 0;
         if (drop) {
-            LTRACE(Issue, now, inst.op.toString()
-                   << " wakeup dropped (fault injection)");
+            if (recorder)
+                recorder->record(trace::EventKind::Issue, now, inst.op, 1);
         } else if (inst.op.isLoad()) {
             if (cfg.loadRecovery != LoadRecovery::Stall) {
                 wakeReg(inst.physDest,
@@ -505,18 +503,18 @@ Core::handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
         if (miss_mask & (1u << i))
             operandSources->add(sourceBin(OperandSource::Miss));
     }
-    LTRACE(Dra, exec_start, inst.op.toString()
-           << " operand miss, mask " << miss_mask);
-    for (unsigned i = 0; i < 2; ++i) {
-        if (miss_mask & (1u << i)) {
-            LTRACE(Dra, exec_start, "[miss] src r" << inst.op.src[i]
-                   << " preg " << inst.physSrc[i] << " produced "
-                   << prf.actualReadyAt(inst.physSrc[i]) << " exec "
-                   << exec_start << " wb "
-                   << prf.writebackAt(inst.physSrc[i]));
+    if (recorder) {
+        recorder->record(trace::EventKind::Dra, exec_start, inst.op, 0,
+                         miss_mask);
+        for (std::uint8_t i = 0; i < 2; ++i) {
+            if (miss_mask & (1u << i)) {
+                recorder->record(trace::EventKind::Dra, exec_start,
+                                 inst.op, 1 + i, inst.physSrc[i],
+                                 prf.actualReadyAt(inst.physSrc[i]));
+            }
         }
     }
-    killInstruction(ref);
+    killInstruction(ref, exec_start);
     // waitingRecovery makes the queued recheck drop the faulter; the
     // PayloadDelivery handler re-arms it when the wait ends.
     inst.waitingRecovery = true;
@@ -596,10 +594,10 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
     PhysReg dest = inst.physDest;
     unsigned l1_lat = mem->l1Latency();
 
-    LTRACE(Mem, exec_start, inst.op.toString() << " -> "
-           << memLevelName(res.level) << " lat " << res.latency
-           << (res.tlbMiss ? " TLB-MISS" : "")
-           << (res.bankConflict ? " BANK-CONFLICT" : ""));
+    if (recorder)
+        recorder->record(trace::EventKind::Mem, exec_start, inst.op,
+                         static_cast<std::uint8_t>(res.level), res.latency,
+                         res.tlbMiss + 2u * res.bankConflict);
     if (res.isPredictableHit()) {
         // The hit speculation was right: data arrives exactly when the
         // speculative wakeup promised.
@@ -831,12 +829,14 @@ Core::startExecution(InstRef ref, Cycle exec_start, Cycle issue_stamp)
     if (any_invalid) {
         // Poisoned input: no side effects; the load (or operand)
         // resolution loop's kill will revert this instruction.
-        LTRACE(Exec, exec_start, inst.op.toString()
-               << " executes with poisoned operands");
+        if (recorder)
+            recorder->record(trace::EventKind::Exec, exec_start, inst.op,
+                             1);
         inst.execValid = false;
         return;
     }
-    LTRACE(Exec, exec_start, inst.op.toString());
+    if (recorder)
+        recorder->record(trace::EventKind::Exec, exec_start, inst.op);
     if (miss_mask != 0) {
         handleOperandMiss(inst, ref, exec_start, miss_mask);
         return;
@@ -998,9 +998,9 @@ Core::retireStage(Cycle now)
                          prf.actualReadyAt(inst.physDest) == invalidCycle,
                      "retiring producer of an unproduced register: ",
                      inst.op.toString());
-            LTRACE(Retire, now, inst.op.toString());
-            if (timelineRec)
-                timelineRec->record(inst, now);
+            if (recorder)
+                recorder->record(trace::EventKind::Retire, now, inst.op, 0,
+                                 inst.produceCycle);
             t.rob.popHead();
             pool.release(ref);
             ++t.retired;

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "core/core.hh"
 #include "integrity/fault_injector.hh"
@@ -128,9 +127,9 @@ Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
         end_group = predicted_taken || op.forceMispredict;
     }
 
-    LTRACE(Fetch, now, op.toString()
-           << (t.onWrongPath && !op.wrongPath ? " (enters wrong path)"
-                                              : ""));
+    if (recorder)
+        recorder->record(trace::EventKind::Fetch, now, op,
+                         t.onWrongPath && !op.wrongPath);
     t.fetchBuffer.push(FetchedOp{op, now + cfg.frontLatency + 2});
     ++t.fetched;
     return !end_group;
@@ -236,8 +235,9 @@ Core::renameOne(ThreadState &t, ThreadId tid, FetchedOp &fop, Cycle now)
         inst.olderStores = t.storeRenameCount;
     }
 
-    LTRACE(Rename, now, inst.op.toString() << " cluster "
-           << int(inst.cluster) << " pdest " << inst.physDest);
+    if (recorder)
+        recorder->record(trace::EventKind::Rename, now, inst.op, 0,
+                         inst.cluster, inst.physDest);
     t.rob.push(ref);
     renamePipe.push(PendingInsert{ref, now + (cfg.decIqLatency - 2), tid});
     ++t.pipeCount;

@@ -13,14 +13,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "base/annotations.hh"
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/hierarchy.hh"
+#include "trace/recorder.hh"
 #include "workload/micro_op.hh"
 
 namespace loopsim
@@ -123,7 +122,6 @@ struct DynInst
     /// @{
     Cycle fetchCycle = invalidCycle;
     Cycle renameCycle = invalidCycle;
-    Cycle firstIssueCycle = invalidCycle;
     Cycle execStartCycle = invalidCycle;
     Cycle produceCycle = invalidCycle; ///< actual data ready (valid exec)
     /// @}
@@ -197,13 +195,9 @@ class InstPool
         inst.consumers = std::move(recycled);
         inst.gen = gen;
         inst.state = InstState::Renamed;
-        if (debug::enabled(debug::Flag::Pool)) [[unlikely]] {
-            // Through debug::emit: one write per line, so traces stay
-            // unscrambled under parallel campaigns.
-            std::ostringstream os;
-            os << "[pool " << idx << "] alloc gen " << gen;
-            debug::emit(debug::Flag::Pool, os.str());
-        }
+        if (recorder)
+            recorder->record({.kind = trace::EventKind::Pool, .id = idx,
+                              .a = gen});
         return InstRef{idx, gen};
     }
 
@@ -213,13 +207,9 @@ class InstPool
     {
         DynInst &inst = get(ref);
         panic_if(inst.state == InstState::Empty, "double release");
-        if (debug::enabled(debug::Flag::Pool)) [[unlikely]] {
-            std::ostringstream os;
-            os << "[pool " << ref.idx << "] release gen " << ref.gen
-               << " op " << inst.op.toString() << " physDest "
-               << inst.physDest << " state " << int(inst.state);
-            debug::emit(debug::Flag::Pool, os.str());
-        }
+        if (recorder)
+            recorder->record({.kind = trace::EventKind::Pool, .what = 1,
+                              .id = ref.idx, .a = ref.gen});
         inst.state = InstState::Empty;
         inst.consumers.clear();
         freeList.push_back(ref.idx);
@@ -247,6 +237,9 @@ class InstPool
         return ref.valid() && slots[ref.idx].gen == ref.gen &&
                slots[ref.idx].state != InstState::Empty;
     }
+
+    /** The owning Core's event stream; nullptr unless a view is on. */
+    trace::RunRecorder *recorder = nullptr;
 
   private:
     std::vector<DynInst> slots;

@@ -117,8 +117,6 @@ MachineConfig::fromConfig(const Config &cfg)
 
     m.fetchPolicy =
         parseFetchPolicy(cfg.getString("core.fetch_policy", "icount"));
-    m.timelineDepth = static_cast<unsigned>(
-        cfg.getUint("core.timeline", m.timelineDepth));
 
     if (m.dra)
         m.applyDra();

@@ -100,9 +100,6 @@ struct MachineConfig
 
     FetchPolicy fetchPolicy = FetchPolicy::ICount;
 
-    /** Retired-instruction timeline depth (0 = recording off). */
-    unsigned timelineDepth = 0;
-
     /** @name Front-end buffer capacities (derived) */
     /// @{
     /** A thread's fetch buffer: fetch to the rename point plus two

@@ -1,37 +1,11 @@
 #include "core/register_file.hh"
 
 #include <algorithm>
-#include <sstream>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 
 namespace loopsim
 {
-
-namespace
-{
-
-[[gnu::cold]] void
-emitRegTrace(PhysReg reg, const char *what, std::uint64_t value)
-{
-    // Through debug::emit: one write per line, so traces stay
-    // unscrambled under parallel campaigns.
-    std::ostringstream os;
-    os << "[preg " << reg << "] " << what << " " << value;
-    debug::emit(debug::Flag::Reg, os.str());
-}
-
-/** Every scoreboard transition calls this (LOOPSIM_DEBUG=Reg): the
- *  untraced case is one inline bit test. */
-inline void
-traceReg(PhysReg reg, const char *what, std::uint64_t value)
-{
-    if (debug::enabled(debug::Flag::Reg)) [[unlikely]]
-        emitRegTrace(reg, what, value);
-}
-
-} // anonymous namespace
 
 const char *
 operandSourceName(OperandSource src)
@@ -79,7 +53,7 @@ PhysRegFile::alloc(InstRef producer)
     actualReadyCycles[reg] = invalidCycle;
     writebackCycles[reg] = invalidCycle;
     producers[reg] = producer;
-    traceReg(reg, "alloc producerIdx", producer.idx);
+    note(reg, trace::RegChange::Alloc, producer.idx);
     return reg;
 }
 
@@ -99,7 +73,7 @@ PhysRegFile::free(PhysReg reg)
 {
     checkRange(reg);
     panic_if(!liveFlags[reg], "freeing a register that is not live");
-    traceReg(reg, "free", 0);
+    note(reg, trace::RegChange::Free, 0);
     liveFlags[reg] = 0;
     freeList.push_back(reg);
 }
@@ -108,7 +82,7 @@ void
 PhysRegFile::setIssueReady(PhysReg reg, Cycle cycle)
 {
     checkRange(reg);
-    traceReg(reg, "setIssueReady", cycle);
+    note(reg, trace::RegChange::SetIssueReady, cycle);
     issueReadyCycles[reg] = cycle;
 }
 
@@ -116,7 +90,7 @@ void
 PhysRegFile::clearIssueReady(PhysReg reg)
 {
     checkRange(reg);
-    traceReg(reg, "clearIssueReady", 0);
+    note(reg, trace::RegChange::ClearIssueReady, 0);
     issueReadyCycles[reg] = invalidCycle;
 }
 
@@ -124,7 +98,7 @@ void
 PhysRegFile::setActualReady(PhysReg reg, Cycle cycle)
 {
     checkRange(reg);
-    traceReg(reg, "setActualReady", cycle);
+    note(reg, trace::RegChange::SetActualReady, cycle);
     actualReadyCycles[reg] = cycle;
 }
 
@@ -132,7 +106,7 @@ void
 PhysRegFile::clearActualReady(PhysReg reg)
 {
     checkRange(reg);
-    traceReg(reg, "clearActualReady", 0);
+    note(reg, trace::RegChange::ClearActualReady, 0);
     actualReadyCycles[reg] = invalidCycle;
 }
 

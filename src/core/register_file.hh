@@ -83,8 +83,20 @@ class PhysRegFile
 
     void reset();
 
+    /** The owning Core's event stream; nullptr unless a view is on. */
+    trace::RunRecorder *recorder = nullptr;
+
   private:
     void checkRange(PhysReg reg) const;
+    /** Record a scoreboard transition (LOOPSIM_DEBUG=Reg). */
+    void
+    note(PhysReg reg, trace::RegChange change, std::uint64_t value)
+    {
+        if (recorder)
+            recorder->record({.kind = trace::EventKind::Reg,
+                              .what = static_cast<std::uint8_t>(change),
+                              .id = reg, .a = value});
+    }
 
     unsigned numRegs;
     /**

@@ -102,22 +102,6 @@ decodeWire(std::string_view wire, RunResult &result)
     return in.done();
 }
 
-bool
-writeAll(int fd, const char *data, std::size_t n)
-{
-    while (n > 0) {
-        ssize_t w = ::write(fd, data, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += w;
-        n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
 /**
  * The child half: reset the parent's campaign signal handlers, run the
  * cell against the pre-fork-resolved configuration, ship the wire
@@ -138,7 +122,7 @@ childMain(int fd, const RunSpec &spec, const Config &resolved,
     try {
         RunResult res = runOnceResilientWith(spec, resolved, policy);
         std::string wire = encodeWire(res);
-        if (!writeAll(fd, wire.data(), wire.size()))
+        if (!store::writeAll(fd, wire.data(), wire.size()))
             status = 3;
     } catch (const std::exception &err) {
         // runOnceResilientWith is fail-soft by default; anything that

@@ -31,7 +31,10 @@
  * concurrently), so the child must not touch a lock another parent
  * thread held at fork time. The child therefore runs against the
  * configuration resolved *before* the fork (runOnceResilientWith()),
- * and glibc's atfork handlers keep malloc usable.
+ * and glibc's atfork handlers keep malloc usable. A function-local
+ * static's first-use guard is such a lock too, so what both the child
+ * and the parent's threads call (figureLabel()) keeps its tables
+ * constant-initialized.
  * Loop-event traces only exist in real in-process executions, so the
  * campaign executor bypasses isolation while trace collection is on
  * (the same contract the result store follows); tick profiles are

@@ -4,13 +4,17 @@
  * integers, bit-pattern doubles and u32-length-prefixed blobs to a
  * string, and Decoder reads them back with bounds checks. Records,
  * journal framing and the supervisor's worker wire all use it, so
- * every byte they write has one definition.
+ * every byte they write has one definition; writeAll() is how the
+ * journal and the wire put those bytes on a file descriptor.
  */
 
 #ifndef LOOPSIM_STORE_CODEC_HH
 #define LOOPSIM_STORE_CODEC_HH
 
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -184,6 +188,24 @@ class Decoder
     const char *p;
     const char *end;
 };
+
+/** Write all @p n bytes of @p data to @p fd, retrying after EINTR and
+ *  short writes; false on any other error. */
+inline bool
+writeAll(int fd, const char *data, std::size_t n)
+{
+    while (n > 0) {
+        const ssize_t w = ::write(fd, data, n);
+        if (w < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        data += w;
+        n -= static_cast<std::size_t>(w);
+    }
+    return true;
+}
 
 } // namespace loopsim::store
 

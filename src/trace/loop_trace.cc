@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <mutex>
+#include <utility>
 
 #include "base/annotations.hh"
 #include "base/options.hh"
@@ -104,95 +105,72 @@ csvField(const std::string &s)
 } // anonymous namespace
 
 void
-ChromeTraceSink::begin()
+writeChromeTrace(std::ostream &out, const std::vector<RunTrace> &runs)
 {
     out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    nextPid = 0;
-    firstEvent = true;
-}
-
-void
-ChromeTraceSink::run(const RunTrace &run)
-{
-    const int pid = nextPid++;
+    bool first_event = true;
     auto emit = [&](const std::string &json) {
-        if (!firstEvent)
+        if (!first_event)
             out << ",";
-        firstEvent = false;
+        first_event = false;
         out << "\n" << json;
     };
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const std::string pid = std::to_string(i);
+        // Metadata: name the "process" after the run, and one named
+        // "thread" (track) per loop kind so Perfetto groups events by
+        // loop rather than by SMT thread.
+        emit("{\"ph\":\"M\",\"pid\":" + pid +
+             ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"" +
+             jsonEscape(runs[i].label) + "\"}}");
+        for (int kind = 0; kind < 3; ++kind) {
+            emit("{\"ph\":\"M\",\"pid\":" + pid +
+                 ",\"tid\":" + std::to_string(kind) +
+                 ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
+                 std::string(loopKindName(static_cast<LoopKind>(kind))) +
+                 "\"}}");
+        }
 
-    // Metadata: name the "process" after the run, and one named
-    // "thread" (track) per loop kind so Perfetto groups events by
-    // loop rather than by SMT thread.
-    emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"" +
-         jsonEscape(run.label) + "\"}}");
-    for (int kind = 0; kind < 3; ++kind) {
-        emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-             ",\"tid\":" + std::to_string(kind) +
-             ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-             std::string(loopKindName(static_cast<LoopKind>(kind))) +
-             "\"}}");
+        // Complete ("X") spans: ts = write cycle, dur = loop delay, so
+        // the span visually covers the feedback's time in flight and
+        // its right edge is the consume cycle. All integers ->
+        // byte-stable.
+        for (const LoopEvent &ev : runs[i].events) {
+            const auto kind = static_cast<int>(loopKindOf(ev.type));
+            emit("{\"ph\":\"X\",\"pid\":" + pid +
+                 ",\"tid\":" + std::to_string(kind) + ",\"name\":\"" +
+                 loopEventName(ev.type) +
+                 "\",\"cat\":\"" +
+                 loopKindName(loopKindOf(ev.type)) +
+                 "\",\"ts\":" + std::to_string(ev.writeCycle) +
+                 ",\"dur\":" + std::to_string(ev.loopDelay) +
+                 ",\"args\":{\"write_cycle\":" +
+                 std::to_string(ev.writeCycle) +
+                 ",\"loop_delay\":" + std::to_string(ev.loopDelay) +
+                 ",\"consume_cycle\":" + std::to_string(ev.consumeCycle) +
+                 ",\"tid\":" + std::to_string(ev.tid) +
+                 ",\"fetch_stamp\":" + std::to_string(ev.fetchStamp) +
+                 "}}");
+        }
     }
-
-    // Complete ("X") spans: ts = write cycle, dur = loop delay, so
-    // the span visually covers the feedback's time in flight and its
-    // right edge is the consume cycle. All integers -> byte-stable.
-    for (const LoopEvent &ev : run.events) {
-        const auto kind = static_cast<int>(loopKindOf(ev.type));
-        emit("{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
-             ",\"tid\":" + std::to_string(kind) + ",\"name\":\"" +
-             loopEventName(ev.type) +
-             "\",\"cat\":\"" +
-             loopKindName(loopKindOf(ev.type)) +
-             "\",\"ts\":" + std::to_string(ev.writeCycle) +
-             ",\"dur\":" + std::to_string(ev.loopDelay) +
-             ",\"args\":{\"write_cycle\":" +
-             std::to_string(ev.writeCycle) +
-             ",\"loop_delay\":" + std::to_string(ev.loopDelay) +
-             ",\"consume_cycle\":" + std::to_string(ev.consumeCycle) +
-             ",\"tid\":" + std::to_string(ev.tid) +
-             ",\"fetch_stamp\":" + std::to_string(ev.fetchStamp) +
-             "}}");
-    }
-}
-
-void
-ChromeTraceSink::end()
-{
     out << "\n]}\n";
 }
 
 void
-CsvTraceSink::begin()
+writeCsvTrace(std::ostream &out, const std::vector<RunTrace> &runs)
 {
     out << "run,label,loop,event,tid,write_cycle,loop_delay,"
            "consume_cycle,fetch_stamp\n";
-    nextRun = 0;
-}
-
-void
-CsvTraceSink::run(const RunTrace &run)
-{
-    const int idx = nextRun++;
-    for (const LoopEvent &ev : run.events) {
-        out << idx << ',' << csvField(run.label) << ','
-            << loopKindName(loopKindOf(ev.type)) << ','
-            << loopEventName(ev.type) << ','
-            << static_cast<unsigned>(ev.tid) << ','
-            << ev.writeCycle << ',' << ev.loopDelay << ','
-            << ev.consumeCycle << ',' << ev.fetchStamp << '\n';
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        for (const LoopEvent &ev : runs[i].events) {
+            out << i << ',' << csvField(runs[i].label) << ','
+                << loopKindName(loopKindOf(ev.type)) << ','
+                << loopEventName(ev.type) << ','
+                << static_cast<unsigned>(ev.tid) << ','
+                << ev.writeCycle << ',' << ev.loopDelay << ','
+                << ev.consumeCycle << ',' << ev.fetchStamp << '\n';
+        }
     }
-}
-
-void
-writeTrace(TraceSink &sink, const std::vector<RunTrace> &runs)
-{
-    sink.begin();
-    for (const RunTrace &run : runs)
-        sink.run(run);
-    sink.end();
 }
 
 bool
@@ -204,13 +182,10 @@ writeTraceFile(const std::string &path,
         return false;
     const bool csv =
         path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (csv) {
-        CsvTraceSink sink(out);
-        writeTrace(sink, runs);
-    } else {
-        ChromeTraceSink sink(out);
-        writeTrace(sink, runs);
-    }
+    if (csv)
+        writeCsvTrace(out, runs);
+    else
+        writeChromeTrace(out, runs);
     return static_cast<bool>(out);
 }
 
@@ -231,18 +206,6 @@ collected()
 }
 
 } // anonymous namespace
-
-std::string
-tracePath()
-{
-    return processOptions().tracePath;
-}
-
-void
-setTracePath(const std::string &path)
-{
-    processOptions().tracePath = path;
-}
 
 bool
 collectionActive()

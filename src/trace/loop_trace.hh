@@ -1,12 +1,7 @@
 /**
  * @file
- * Structured loop-event tracing: the observability layer next to the
- * integrity (watchdog/fault) and campaign (parallel executor) layers.
- *
- * The paper's argument is about loops — how many cycles feedback
- * spends in flight and what work sits speculatively exposed inside
- * each open loop. End-of-run stats show this only in aggregate; this
- * layer records every feedback delivery as a typed event carrying the
+ * The loop-event trace: the Loop kind of the Core's event stream
+ * (trace/recorder.hh) as LoopEvents, each a feedback delivery with its
  * full loop geometry:
  *
  *   write cycle   when the producing stage resolved the outcome
@@ -18,21 +13,14 @@
  * honest value, making cheats visible in the trace exactly as the
  * audit mode sees them).
  *
- * Recording is two-tier:
- *
- *  - a per-run RunRecorder owned by the Core (nullptr when tracing is
- *    off, so the hot path pays one pointer test per loop event — and
- *    nothing per cycle); events land in simulation order, which is
- *    deterministic per RunSpec.
- *  - a process-wide Collector the campaign executor feeds strictly in
- *    plan order after each campaign drains, so an assembled trace is
- *    byte-identical at any --jobs count, like the figures themselves.
- *
- * Sinks serialize a collected trace: ChromeTraceSink writes the Chrome
+ * A process-wide collector, fed by the campaign executor strictly in
+ * plan order after each campaign drains, assembles the runs, so a
+ * trace is byte-identical at any --jobs count, like the figures. Two
+ * writers serialize it: writeChromeTrace() writes the Chrome
  * trace-event JSON that chrome://tracing and Perfetto open directly
  * (each run is a "process", each loop a track, each event a span from
- * write cycle to consume cycle); CsvTraceSink writes one row per event
- * for ad-hoc analysis. Schema details in DESIGN.md §11.
+ * write cycle to consume cycle); writeCsvTrace() writes one row per
+ * event for ad-hoc analysis. Schema details in DESIGN.md §11.
  */
 
 #ifndef LOOPSIM_TRACE_LOOP_TRACE_HH
@@ -41,7 +29,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -90,48 +77,11 @@ struct LoopEvent
     bool operator==(const LoopEvent &o) const = default;
 };
 
-/**
- * Per-run event buffer, owned by the Core of a traced run. Appends
- * are O(1) amortized and happen only at feedback deliveries (a few
- * per mis-speculation), never per cycle.
- */
-class RunRecorder
-{
-  public:
-    void
-    record(LoopEventType type, ThreadId tid, Cycle write_cycle,
-           Cycle loop_delay, Cycle consume_cycle,
-           std::uint64_t fetch_stamp)
-    {
-        events.push_back(LoopEvent{type, tid, write_cycle, loop_delay,
-                                   consume_cycle, fetch_stamp});
-    }
-
-    const std::vector<LoopEvent> &all() const { return events; }
-    std::vector<LoopEvent> take() { return std::move(events); }
-
-  private:
-    std::vector<LoopEvent> events;
-};
-
 /** One finished run's events, labelled for the trace reader. */
 struct RunTrace
 {
     std::string label;
     std::vector<LoopEvent> events;
-};
-
-/**
- * Serialization interface. begin()/end() bracket a whole trace; run()
- * is called once per traced run, in deterministic (plan) order.
- */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    virtual void begin() {}
-    virtual void run(const RunTrace &run) = 0;
-    virtual void end() {}
 };
 
 /**
@@ -141,34 +91,10 @@ class TraceSink
  * from its write cycle lasting its loop delay; the full geometry
  * rides in args. All values are integers, so output is byte-stable.
  */
-class ChromeTraceSink : public TraceSink
-{
-  public:
-    explicit ChromeTraceSink(std::ostream &os) : out(os) {}
-
-    void begin() override;
-    void run(const RunTrace &run) override;
-    void end() override;
-
-  private:
-    std::ostream &out;
-    int nextPid = 0;
-    bool firstEvent = true;
-};
+void writeChromeTrace(std::ostream &out, const std::vector<RunTrace> &runs);
 
 /** One CSV row per event; header matches DESIGN.md §11. */
-class CsvTraceSink : public TraceSink
-{
-  public:
-    explicit CsvTraceSink(std::ostream &os) : out(os) {}
-
-    void begin() override;
-    void run(const RunTrace &run) override;
-
-  private:
-    std::ostream &out;
-    int nextRun = 0;
-};
+void writeCsvTrace(std::ostream &out, const std::vector<RunTrace> &runs);
 
 /**
  * Process-wide trace collection toggle + buffer.
@@ -192,30 +118,13 @@ std::vector<RunTrace> takeCollectedRuns();
 /** Number of runs currently buffered (tests, telemetry). */
 std::size_t collectedRunCount();
 
-/** Serialize @p runs through @p sink (begin / run... / end). */
-void writeTrace(TraceSink &sink, const std::vector<RunTrace> &runs);
-
 /**
- * Serialize @p runs to @p path, choosing the sink by extension:
+ * Serialize @p runs to @p path, choosing the format by extension:
  * ".csv" writes CSV, anything else Chrome trace JSON.
  * @return false when the file could not be opened.
  */
 bool writeTraceFile(const std::string &path,
                     const std::vector<RunTrace> &runs);
-
-/** The trace output path (RunOptions::tracePath); "" = no file. */
-std::string tracePath();
-void setTracePath(const std::string &path);
-
-/**
- * The recording hook the Core's feedback read sites use: one pointer
- * test when tracing is off.
- */
-#define LOOPSIM_TRACE_LOOP_EVENT(recorder, ...)                           \
-    do {                                                                  \
-        if (recorder)                                                     \
-            (recorder)->record(__VA_ARGS__);                              \
-    } while (false)
 
 } // namespace loopsim::trace
 

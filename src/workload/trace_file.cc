@@ -134,6 +134,22 @@ TraceReader::next(MicroOp &op)
     TraceRecord r;
     fatal_if(std::fread(&r, sizeof r, 1, file) != 1,
              "truncated trace body in ", path);
+    // A record the simulator cannot run is the file's fault, not an
+    // internal error further down the pipeline.
+    const auto bad_reg = [](std::uint16_t reg) {
+        return reg >= RegLayout::numArchRegs && reg != invalidArchReg;
+    };
+    fatal_if(r.opClass >= static_cast<unsigned>(OpClass::NumOpClasses),
+             path, ": record ", consumed, ": unknown op class ",
+             unsigned(r.opClass));
+    fatal_if(bad_reg(r.src0) || bad_reg(r.src1) || bad_reg(r.dest), path,
+             ": record ", consumed, ": register out of range (src ", r.src0,
+             ", ", r.src1, ", dest ", r.dest, ")");
+    fatal_if(r.flags > 7, path, ": record ", consumed,
+             ": unknown flag bits ", unsigned(r.flags));
+    fatal_if(r.opClass == static_cast<unsigned>(OpClass::Store) &&
+                 r.dest != invalidArchReg,
+             path, ": record ", consumed, ": a store writes no register");
     op = unpack(r);
     ++consumed;
     return true;

@@ -1,6 +1,8 @@
 #include "workload/workload_set.hh"
 
 #include <map>
+#include <string_view>
+#include <utility>
 
 #include "base/logging.hh"
 #include "base/str.hh"
@@ -91,12 +93,17 @@ figureWorkloads()
 std::string
 figureLabel(const Workload &w)
 {
-    static const std::map<std::string, std::string> shorten = {
-        {"compress", "comp"}, {"m88ksim", "m88"}, {"hydro2d", "hydro"},
-        {"m88-comp", "m88-comp"},
-    };
-    auto it = shorten.find(w.label);
-    return it != shorten.end() ? it->second : w.label;
+    // A constant table, with no guard to take on first use: a forked
+    // isolated worker calls this too, and would block forever on a
+    // guard some other parent thread held at the fork.
+    static constexpr std::pair<std::string_view, std::string_view>
+        shorten[] = {
+            {"compress", "comp"}, {"m88ksim", "m88"}, {"hydro2d", "hydro"}};
+    for (const auto &[name, label] : shorten) {
+        if (w.label == name)
+            return std::string(label);
+    }
+    return w.label;
 }
 
 } // namespace loopsim

@@ -18,9 +18,7 @@
  *
  * Every mutant must either decode or be rejected, with no crash (the
  * asan-ubsan CI leg runs `ctest -L fuzz`), no exception, and no single
- * allocation larger than the input. This binary replaces the global
- * operator new to watch allocation sizes, which is why it is its own
- * test executable rather than part of the aggregate one.
+ * allocation larger than the input (fuzz_support.hh watches them).
  */
 
 #include <gtest/gtest.h>
@@ -28,13 +26,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <new>
 #include <random>
 #include <sstream>
 #include <string>
@@ -45,70 +40,17 @@
 #include "store/journal.hh"
 #include "store/record.hh"
 
+#include "fuzz_support.hh"
+
 using namespace loopsim;
 namespace fs = std::filesystem;
 
 namespace
 {
 
-std::atomic<bool> watching{false};
-std::atomic<std::size_t> largestAlloc{0};
-
-} // anonymous namespace
-
-void *
-operator new(std::size_t n)
-{
-    if (watching.load(std::memory_order_relaxed)) {
-        std::size_t prev = largestAlloc.load(std::memory_order_relaxed);
-        while (n > prev && !largestAlloc.compare_exchange_weak(prev, n)) {
-        }
-    }
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-// GCC pairs the inlined `new` of library code with these free() calls
-// and reports a mismatch; the replacement above allocates with malloc,
-// so free is the matching release.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-namespace
-{
-
-/** Largest single allocation made while in scope. */
-class AllocWatch
-{
-  public:
-    AllocWatch()
-    {
-        largestAlloc.store(0, std::memory_order_relaxed);
-        watching.store(true, std::memory_order_relaxed);
-    }
-    ~AllocWatch() { watching.store(false, std::memory_order_relaxed); }
-    std::size_t largest() const
-    {
-        return largestAlloc.load(std::memory_order_relaxed);
-    }
-};
+using fuzz::AllocWatch;
+using fuzz::Tally;
+using fuzz::flipBits;
 
 std::uint32_t
 getU32(const std::string &b, std::size_t at)
@@ -244,21 +186,6 @@ inflations(std::uint32_t original, std::size_t remaining)
             original * 2 + 1, original ? original - 1 : 1u};
 }
 
-struct Tally
-{
-    std::size_t decoded = 0;
-    std::size_t rejected = 0;
-    std::size_t failures = 0;
-    std::string firstFailure;
-
-    void
-    fail(const std::string &what)
-    {
-        if (failures++ == 0)
-            firstFailure = what;
-    }
-};
-
 /**
  * Decode one record mutant the way journal replay does (fingerprint
  * from the header) and check the contract. Returns whether it decoded.
@@ -299,18 +226,6 @@ checkRecord(const std::string &rec, const store::Fingerprint &fallback,
         ++tally.rejected;
     }
     return ok;
-}
-
-/** @p rec with one to three random bits flipped at or after @p lo. */
-std::string
-flipBits(std::string rec, std::mt19937_64 &rng, std::size_t lo)
-{
-    const int flips = 1 + static_cast<int>(rng() % 3);
-    for (int k = 0; k < flips; ++k) {
-        const std::size_t at = lo + rng() % (rec.size() - lo);
-        rec[at] = static_cast<char>(rec[at] ^ (1u << (rng() % 8)));
-    }
-    return rec;
 }
 
 constexpr int kFlipRounds = 5000;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "base/logging.hh"
 #include "sim/config.hh"
@@ -65,6 +66,38 @@ TEST(Config, ParseAssignments)
     EXPECT_EQ(c.getInt("b.c", 0), 2);
     EXPECT_THROW(c.parseAssignment("novalue"), FatalError);
     EXPECT_THROW(c.parseAssignment("=5"), FatalError);
+}
+
+/** The message fatal() reports for @p body. */
+template <class Body>
+std::string
+fatalMessage(Body body)
+{
+    detail::setQuiet(true);
+    std::string msg;
+    try {
+        body();
+    } catch (const FatalError &e) {
+        msg = e.what();
+    }
+    detail::setQuiet(false);
+    return msg;
+}
+
+TEST(Config, UserErrorsReadAsPlainMessages)
+{
+    Config c;
+    EXPECT_EQ(fatalMessage([&] { c.parseAssignment("foo"); }),
+              "fatal: malformed config assignment (need k=v): foo");
+    c.set("core.iq.entries", "abc");
+    EXPECT_EQ(fatalMessage([&] { c.getUint("core.iq.entries", 0); }),
+              "fatal: config key core.iq.entries is not an integer: abc");
+    c.set("x", "-1");
+    EXPECT_EQ(fatalMessage([&] { c.getUint("x", 0); }),
+              "fatal: config key x must be non-negative");
+    c.set("y", "1.5.2");
+    EXPECT_EQ(fatalMessage([&] { c.getDouble("y", 0); }),
+              "fatal: config key y is not a number: 1.5.2");
 }
 
 TEST(Config, HexAndNegativeIntegers)

@@ -164,18 +164,17 @@ TEST(CorePipeline, ColdLoadTrapsAndRecovers)
     // program order, so the replay queue got the renamed and the
     // fetch-buffer victims back in order.
     // Enough younger ops that the fetch buffer is full at the trap.
-    Config cfg;
-    cfg.setUint("core.timeline", 256);
     std::vector<MicroOp> ops;
     ops.push_back(load(2, invalidArchReg, 0x5000000));
     for (int i = 0; i < 200; ++i)
         ops.push_back(alu(static_cast<ArchReg>(3 + i % 10)));
-    auto h = makeHarness(ops, cfg);
+    auto h = makeHarness(ops);
+    const std::vector<trace::Event> &events = h.core->recordEvents();
     h.run();
     EXPECT_EQ(h.core->retiredOps(), ops.size());
     EXPECT_EQ(h.stat("tlbTraps"), 1.0);
     EXPECT_GT(h.stat("squashed"), 0.0);
-    const auto &retired = h.core->timeline()->entries();
+    const auto retired = trace::pipelineRows(events);
     ASSERT_EQ(retired.size(), ops.size());
     for (std::size_t i = 0; i < retired.size(); ++i)
         EXPECT_EQ(retired[i].seq, static_cast<SeqNum>(i)) << "slot " << i;

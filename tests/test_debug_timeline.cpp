@@ -1,16 +1,18 @@
 /**
  * @file
- * Tests for the debug-trace flags and the pipeline timeline recorder.
+ * Tests for the debug-trace flags and the event stream's views: the
+ * live text line and the pipeline Gantt chart and table.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "base/debug.hh"
-#include "core/dyn_inst.hh"
-#include "core/timeline.hh"
+#include "base/options.hh"
+#include "trace/recorder.hh"
 #include "core_test_util.hh"
 
 using namespace loopsim;
@@ -26,18 +28,48 @@ struct FlagGuard
     ~FlagGuard() { debug::clearFlags(); }
 };
 
+/** The flag bit of @p f, as debug::parseFlags sets it. */
+unsigned
+bit(debug::Flag f)
+{
+    return 1u << static_cast<unsigned>(f);
+}
+
+/** A harness whose Core keeps its whole event stream; after the run,
+ *  recordEvents() hands back what it kept. */
+CoreHarness
+recordedHarness(std::vector<MicroOp> ops)
+{
+    CoreHarness h = makeHarness(std::move(ops));
+    h.core->recordEvents();
+    return h;
+}
+
+/** A load that misses the L1 under a consumer issued on hit
+ *  speculation, so the consumer is killed and reissued. */
+std::vector<MicroOp>
+reissueKernel()
+{
+    std::vector<MicroOp> ops;
+    ops.push_back(alu(1));
+    ops.push_back(storeOp(1, 1, 0x5000000));
+    for (int i = 0; i < 13; ++i)
+        ops.push_back(alu(1, 1));
+    ops.push_back(load(2, 1, 0x5000000 + 256)); // L1 miss
+    ops.push_back(alu(3, 2)); // killed + reissued consumer
+    return ops;
+}
+
 } // anonymous namespace
 
 TEST(DebugFlags, SetAndTest)
 {
     FlagGuard guard;
     debug::clearFlags();
-    EXPECT_FALSE(debug::anyEnabled());
+    EXPECT_EQ(processOptions().debugFlags, 0u);
     debug::setFlags("Issue,Squash");
-    EXPECT_TRUE(debug::enabled(debug::Flag::Issue));
-    EXPECT_TRUE(debug::enabled(debug::Flag::Squash));
-    EXPECT_FALSE(debug::enabled(debug::Flag::Fetch));
-    EXPECT_TRUE(debug::anyEnabled());
+    EXPECT_EQ(processOptions().debugFlags,
+              bit(debug::Flag::Issue) | bit(debug::Flag::Squash));
 }
 
 TEST(DebugFlags, AllAndCaseInsensitive)
@@ -45,13 +77,11 @@ TEST(DebugFlags, AllAndCaseInsensitive)
     FlagGuard guard;
     debug::clearFlags();
     debug::setFlags("all");
-    for (unsigned f = 0;
-         f < static_cast<unsigned>(debug::Flag::NumFlags); ++f) {
-        EXPECT_TRUE(debug::enabled(static_cast<debug::Flag>(f)));
-    }
+    EXPECT_EQ(processOptions().debugFlags,
+              (1u << static_cast<unsigned>(debug::Flag::NumFlags)) - 1);
     debug::clearFlags();
     debug::setFlags("iSsUe");
-    EXPECT_TRUE(debug::enabled(debug::Flag::Issue));
+    EXPECT_EQ(processOptions().debugFlags, bit(debug::Flag::Issue));
 }
 
 TEST(DebugFlags, UnknownFlagFatal)
@@ -73,20 +103,18 @@ TEST(DebugFlags, NamesAreDistinct)
 
 TEST(Timeline, RecordsRetiredInstructions)
 {
-    Config cfg;
-    cfg.setUint("core.timeline", 16);
     std::vector<MicroOp> ops;
     for (int i = 0; i < 40; ++i)
         ops.push_back(alu(static_cast<ArchReg>(i % 20)));
-    auto h = makeHarness(ops, cfg);
+    auto h = recordedHarness(ops);
     h.run();
-    ASSERT_NE(h.core->timeline(), nullptr);
-    const auto &entries = h.core->timeline()->entries();
-    // Ring keeps only the newest 16.
-    EXPECT_EQ(entries.size(), 16u);
-    EXPECT_EQ(entries.back().seq, 39u);
-    // Stage ordering invariants on every record.
-    for (const auto &e : entries) {
+    const std::vector<trace::PipelineRow> rows =
+        trace::pipelineRows(h.core->recordEvents());
+    // One row per retired instruction, in retire order.
+    ASSERT_EQ(rows.size(), 40u);
+    EXPECT_EQ(rows.back().seq, 39u);
+    // Stage ordering invariants on every row.
+    for (const auto &e : rows) {
         EXPECT_LE(e.fetch, e.rename);
         EXPECT_LE(e.rename, e.insert);
         EXPECT_LT(e.insert, e.firstIssue);
@@ -102,25 +130,15 @@ TEST(Timeline, OffByDefault)
 {
     auto h = makeHarness({alu(1)});
     h.run();
-    EXPECT_EQ(h.core->timeline(), nullptr);
+    EXPECT_FALSE(h.core->recording());
 }
 
 TEST(Timeline, ReissueShowsInTheRecord)
 {
-    Config cfg;
-    cfg.setUint("core.timeline", 32);
-    std::vector<MicroOp> ops;
-    ops.push_back(alu(1));
-    ops.push_back(storeOp(1, 1, 0x5000000));
-    ops.push_back(alu(1, 1));
-    for (int i = 0; i < 12; ++i)
-        ops.push_back(alu(1, 1));
-    ops.push_back(load(2, 1, 0x5000000 + 256)); // L1 miss
-    ops.push_back(alu(3, 2)); // killed + reissued consumer
-    auto h = makeHarness(ops, cfg);
+    auto h = recordedHarness(reissueKernel());
     h.run();
     bool saw_reissue = false;
-    for (const auto &e : h.core->timeline()->entries()) {
+    for (const auto &e : trace::pipelineRows(h.core->recordEvents())) {
         if (e.timesIssued > 1) {
             saw_reissue = true;
             EXPECT_GT(e.lastIssue, e.firstIssue);
@@ -131,40 +149,35 @@ TEST(Timeline, ReissueShowsInTheRecord)
 
 TEST(Timeline, PrintFormats)
 {
-    Config cfg;
-    cfg.setUint("core.timeline", 8);
     std::vector<MicroOp> ops;
     for (int i = 0; i < 10; ++i)
         ops.push_back(alu(static_cast<ArchReg>(i)));
-    auto h = makeHarness(ops, cfg);
+    auto h = recordedHarness(ops);
     h.run();
 
     std::ostringstream gantt;
-    h.core->timeline()->print(gantt);
+    trace::printGantt(gantt, h.core->recordEvents());
     EXPECT_NE(gantt.str().find("cycles"), std::string::npos);
     EXPECT_NE(gantt.str().find('f'), std::string::npos);
     EXPECT_NE(gantt.str().find('c'), std::string::npos);
 
     std::ostringstream table;
-    h.core->timeline()->printTable(table);
+    trace::printTable(table, h.core->recordEvents());
     EXPECT_NE(table.str().find("fetch"), std::string::npos);
     EXPECT_NE(table.str().find("IntAlu"), std::string::npos);
 }
 
 TEST(Timeline, EmptyPrintIsSafe)
 {
-    TimelineRecorder rec(4);
     std::ostringstream os;
-    rec.print(os);
+    trace::printGantt(os, {});
     EXPECT_NE(os.str().find("empty"), std::string::npos);
-    EXPECT_THROW(TimelineRecorder(0), FatalError);
 }
 
 TEST(Timeline, EmptyPrintTableIsHeaderOnly)
 {
-    TimelineRecorder rec(4);
     std::ostringstream os;
-    rec.printTable(os);
+    trace::printTable(os, {});
     const std::string table = os.str();
     // Header row only: no entry lines follow it.
     EXPECT_NE(table.find("seq"), std::string::npos);
@@ -172,41 +185,116 @@ TEST(Timeline, EmptyPrintTableIsHeaderOnly)
     EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 1);
 }
 
-TEST(Timeline, RingNeverExceedsCapacityWhileRecording)
+TEST(Timeline, ViewsShowOnlyTheNewestRows)
 {
-    TimelineRecorder rec(5);
-    EXPECT_EQ(rec.capacity(), 5u);
-    DynInst inst;
-    for (std::uint64_t i = 0; i < 12; ++i) {
-        inst.op.seq = i;
-        inst.fetchCycle = i;
-        rec.record(inst, i + 10);
-        EXPECT_LE(rec.entries().size(), 5u);
-        EXPECT_EQ(rec.entries().back().seq, i);
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < 12; ++i)
+        ops.push_back(alu(static_cast<ArchReg>(i)));
+    auto h = recordedHarness(ops);
+    h.run();
+    for (bool gantt : {true, false}) {
+        std::ostringstream os;
+        if (gantt)
+            trace::printGantt(os, h.core->recordEvents(), 5);
+        else
+            trace::printTable(os, h.core->recordEvents(), 5);
+        // A header line and the newest five rows, oldest first.
+        const std::string text = os.str();
+        EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 6);
+        EXPECT_EQ(text.find("\n6 "), std::string::npos);
+        EXPECT_LT(text.find("\n7 "), text.find("\n11 "));
     }
-    // The survivors are exactly the newest five, oldest first.
-    ASSERT_EQ(rec.entries().size(), 5u);
-    EXPECT_EQ(rec.entries().front().seq, 7u);
+}
+
+TEST(Timeline, RefetchAfterASquashStartsTheRowAfresh)
+{
+    // A cold load traps on the dTLB and squashes the younger ops, which
+    // are fetched again: each still gets one row, with the fetch of its
+    // last trip.
+    std::vector<MicroOp> ops;
+    ops.push_back(load(2, invalidArchReg, 0x5000000));
+    for (int i = 0; i < 40; ++i)
+        ops.push_back(alu(static_cast<ArchReg>(3 + i % 10)));
+    auto h = recordedHarness(ops);
+    h.run();
+    std::map<SeqNum, std::vector<Cycle>> fetches;
+    for (const trace::Event &ev : h.core->recordEvents()) {
+        if (ev.kind == trace::EventKind::Fetch && !ev.wrongPath)
+            fetches[ev.id].push_back(ev.cycle);
+    }
+    const auto rows = trace::pipelineRows(h.core->recordEvents());
+    ASSERT_EQ(rows.size(), ops.size());
+    bool refetched = false;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].seq, i);
+        refetched |= fetches[i].size() > 1;
+        EXPECT_EQ(rows[i].fetch, fetches[i].back());
+        EXPECT_LE(rows[i].fetch, rows[i].rename);
+    }
+    EXPECT_TRUE(refetched);
 }
 
 TEST(Timeline, ReissueMarkRendersInTheGantt)
 {
-    Config cfg;
-    cfg.setUint("core.timeline", 32);
-    std::vector<MicroOp> ops;
-    ops.push_back(alu(1));
-    ops.push_back(storeOp(1, 1, 0x5000000));
-    for (int i = 0; i < 12; ++i)
-        ops.push_back(alu(1, 1));
-    ops.push_back(load(2, 1, 0x5000000 + 256)); // L1 miss
-    ops.push_back(alu(3, 2)); // killed + reissued consumer
-    auto h = makeHarness(ops, cfg);
+    auto h = recordedHarness(reissueKernel());
     h.run();
 
     std::ostringstream os;
-    h.core->timeline()->print(os);
+    trace::printGantt(os, h.core->recordEvents());
     // The reissued consumer's last issue renders as 'I' (first issue
     // stays lowercase 'i').
     EXPECT_NE(os.str().find('I'), std::string::npos);
     EXPECT_NE(os.str().find('i'), std::string::npos);
+}
+
+TEST(EventStream, PoolAndRegEventsCarryNoCycle)
+{
+    auto h = recordedHarness({alu(1), alu(2, 1)});
+    h.run();
+    bool pool = false;
+    bool reg = false;
+    for (const trace::Event &ev : h.core->recordEvents()) {
+        if (ev.kind != trace::EventKind::Pool &&
+            ev.kind != trace::EventKind::Reg)
+            continue;
+        pool |= ev.kind == trace::EventKind::Pool;
+        reg |= ev.kind == trace::EventKind::Reg;
+        EXPECT_EQ(trace::eventLine(ev).rfind("-: ", 0), 0u);
+    }
+    EXPECT_TRUE(pool);
+    EXPECT_TRUE(reg);
+}
+
+TEST(EventStream, LiveLinesNameTheCycleAndTheFlag)
+{
+    trace::Event ev;
+    ev.kind = trace::EventKind::Squash;
+    ev.cycle = 42;
+    ev.a = 7;
+    EXPECT_EQ(trace::eventLine(ev),
+              "42: Squash: thread 0 squash younger than stamp 7\n");
+    ev.kind = trace::EventKind::Issue;
+    ev.id = 3;
+    ev.opClass = OpClass::Load;
+    ev.a = 2;
+    EXPECT_EQ(trace::eventLine(ev), "42: Issue: [t0 #3 Load] (issue #2)\n");
+}
+
+TEST(EventStream, PrintSetWritesLinesAndKeepSetStoresEvents)
+{
+    MicroOp op;
+    op.seq = 5;
+    op.opClass = OpClass::IntAlu;
+    trace::RunRecorder rec(trace::kindBit(trace::EventKind::Issue),
+                           trace::kindBit(trace::EventKind::Fetch));
+    ::testing::internal::CaptureStderr();
+    rec.record(trace::EventKind::Fetch, 10, op);
+    rec.record(trace::EventKind::Issue, 12, op, 0, 1);
+    rec.record(trace::EventKind::Exec, 13, op);
+    // Only the Issue line prints; only the Fetch event is kept.
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "12: Issue: [t0 #5 IntAlu] (issue #1)\n");
+    ASSERT_EQ(rec.events().size(), 1u);
+    EXPECT_EQ(rec.events()[0].kind, trace::EventKind::Fetch);
+    EXPECT_EQ(rec.events()[0].cycle, 10u);
 }

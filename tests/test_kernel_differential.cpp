@@ -25,14 +25,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "core/core.hh"
 #include "harness/campaign.hh"
 #include "harness/experiment.hh"
 #include "sim/feedback_port.hh"
 #include "sim/simulator.hh"
 #include "store/result_store.hh"
+#include "workload/generator.hh"
 #include "workload/workload_set.hh"
 
 namespace loopsim
@@ -302,6 +305,61 @@ TEST(KernelCounters, IdenticalAcrossRepeatsAndJobs)
                                 KernelCounters::Gap1),
               core.ticks);
     store::resetProcessStore();
+}
+
+/** A gcc run's whole event stream under @p mode; its loop trace, as
+ *  takeLoopTrace() drains it, lands in @p loops. */
+std::vector<trace::Event>
+recordedStream(KernelMode mode, const Config &cfg,
+               std::vector<trace::LoopEvent> &loops)
+{
+    SyntheticTraceGenerator gen(resolveWorkload("gcc").threads.at(0), 0,
+                                8000);
+    Core core(cfg, {&gen});
+    const std::vector<trace::Event> &events = core.recordEvents();
+    Simulator sim;
+    sim.setKernelMode(mode);
+    sim.add(&core);
+    sim.run(10000000);
+    EXPECT_TRUE(core.done());
+    std::vector<trace::Event> stream = events;
+    loops = core.takeLoopTrace();
+    return stream;
+}
+
+/** The event stream is a function of the run, not of the kernel, and
+ *  its Loop kind is exactly the loop trace. */
+TEST(KernelDifferential, EventStreamIdenticalAndCarriesTheLoopTrace)
+{
+    for (bool dra : {false, true}) {
+        SCOPED_TRACE(dra ? "dra" : "base");
+        Config cfg;
+        cfg.setBool("dra.enable", dra);
+        std::vector<trace::LoopEvent> dense_loops;
+        std::vector<trace::LoopEvent> sparse_loops;
+        const std::vector<trace::Event> dense =
+            recordedStream(KernelMode::Dense, cfg, dense_loops);
+        const std::vector<trace::Event> sparse =
+            recordedStream(KernelMode::Sparse, cfg, sparse_loops);
+        ASSERT_EQ(dense.size(), sparse.size());
+        const auto diverge =
+            std::mismatch(dense.begin(), dense.end(), sparse.begin());
+        EXPECT_TRUE(diverge.first == dense.end())
+            << "streams diverge at event " << diverge.first - dense.begin()
+            << ": " << trace::eventLine(*diverge.first) << "vs "
+            << trace::eventLine(*diverge.second);
+
+        std::vector<trace::LoopEvent> in_stream;
+        for (const trace::Event &ev : dense) {
+            if (ev.kind == trace::EventKind::Loop)
+                in_stream.push_back(
+                    {static_cast<trace::LoopEventType>(ev.what), ev.tid,
+                     ev.a, ev.b, ev.cycle, ev.id});
+        }
+        EXPECT_FALSE(in_stream.empty());
+        EXPECT_TRUE(in_stream == dense_loops);
+        EXPECT_TRUE(sparse_loops == dense_loops);
+    }
 }
 
 /** Per-Simulator override beats the process default. */

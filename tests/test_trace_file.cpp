@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "base/logging.hh"
@@ -135,6 +136,96 @@ TEST(TraceFile, TruncatedBodyFatal)
     MicroOp op;
     EXPECT_TRUE(reader.next(op));
     EXPECT_THROW(reader.next(op), FatalError);
+}
+
+/** A 4-record trace whose record 2 has @p edit applied, read to the
+ *  end: the FatalError message, or "" when every record loads. */
+template <class Edit>
+std::string
+readWithBadRecord(const std::string &name, Edit edit)
+{
+    TempPath tmp(name);
+    {
+        TraceWriter writer(tmp.path);
+        for (int i = 0; i < 4; ++i) {
+            MicroOp op;
+            op.opClass = OpClass::IntAlu;
+            op.src[0] = 1;
+            op.dest = 2;
+            writer.append(op);
+        }
+    }
+    // Record 2 starts after the 16-byte header and two 40-byte records;
+    // its fields are 4 u64s, then src0, src1, dest (u16), class, flags.
+    {
+        std::FILE *f = std::fopen(tmp.path.c_str(), "rb+");
+        unsigned char rec[40];
+        std::fseek(f, 16 + 2 * 40, SEEK_SET);
+        EXPECT_EQ(std::fread(rec, 1, sizeof rec, f), sizeof rec);
+        edit(rec);
+        std::fseek(f, 16 + 2 * 40, SEEK_SET);
+        std::fwrite(rec, 1, sizeof rec, f);
+        std::fclose(f);
+    }
+    TraceReader reader(tmp.path);
+    MicroOp op;
+    try {
+        while (reader.next(op)) {
+        }
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceFile, UnknownOpClassIsAUserError)
+{
+    const std::string msg = readWithBadRecord(
+        "badclass.ltrc", [](unsigned char *rec) { rec[38] = 200; });
+    EXPECT_NE(msg.find("badclass.ltrc: record 2: unknown op class 200"),
+              std::string::npos)
+        << msg;
+}
+
+TEST(TraceFile, OutOfRangeRegisterIsAUserError)
+{
+    const std::string msg =
+        readWithBadRecord("badreg.ltrc", [](unsigned char *rec) {
+            const std::uint16_t src0 = 5000;
+            std::memcpy(rec + 32, &src0, sizeof src0);
+        });
+    EXPECT_NE(msg.find("badreg.ltrc: record 2: register out of range"),
+              std::string::npos)
+        << msg;
+    // The "no register" marker and the last real register still load.
+    EXPECT_EQ(readWithBadRecord("edgereg.ltrc",
+                                [](unsigned char *rec) {
+                                    const std::uint16_t regs[3] = {
+                                        invalidArchReg, 63, 0};
+                                    std::memcpy(rec + 32, regs,
+                                                sizeof regs);
+                                }),
+              "");
+}
+
+TEST(TraceFile, UnknownFlagBitsAreAUserError)
+{
+    const std::string msg = readWithBadRecord(
+        "badflags.ltrc", [](unsigned char *rec) { rec[39] |= 8; });
+    EXPECT_NE(msg.find("badflags.ltrc: record 2: unknown flag bits"),
+              std::string::npos)
+        << msg;
+}
+
+TEST(TraceFile, StoreWithADestinationIsAUserError)
+{
+    const std::string msg =
+        readWithBadRecord("baddest.ltrc", [](unsigned char *rec) {
+            rec[38] = static_cast<unsigned char>(OpClass::Store);
+        });
+    EXPECT_NE(msg.find("baddest.ltrc: record 2: a store writes no register"),
+              std::string::npos)
+        << msg;
 }
 
 TEST(TraceFile, ReaderIsATraceSource)

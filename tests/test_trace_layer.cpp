@@ -66,13 +66,12 @@ goldenRuns()
     return runs;
 }
 
-/** Serialize @p runs through a ChromeTraceSink into a string. */
+/** Serialize @p runs as Chrome trace JSON into a string. */
 std::string
 chromeString(const std::vector<trace::RunTrace> &runs)
 {
     std::ostringstream os;
-    trace::ChromeTraceSink sink(os);
-    trace::writeTrace(sink, runs);
+    trace::writeChromeTrace(os, runs);
     return os.str();
 }
 
@@ -233,8 +232,7 @@ TEST(TraceSinks, ChromeGolden)
 TEST(TraceSinks, CsvGolden)
 {
     std::ostringstream os;
-    trace::CsvTraceSink sink(os);
-    trace::writeTrace(sink, goldenRuns());
+    trace::writeCsvTrace(os, goldenRuns());
     const std::string expected =
         "run,label,loop,event,tid,write_cycle,loop_delay,"
         "consume_cycle,fetch_stamp\n"
@@ -300,7 +298,7 @@ TEST(CoreTrace, OffByDefaultAndCostsNothing)
     CollectionGuard guard(false);
     auto h = makeHarness(loadMissKernel());
     h.run();
-    EXPECT_FALSE(h.core->loopTraceActive());
+    EXPECT_FALSE(h.core->recording());
     EXPECT_TRUE(h.core->takeLoopTrace().empty());
     // The kill still happened; only the recording was off.
     EXPECT_GE(h.stat("loadMissEvents"), 1.0);
@@ -311,7 +309,7 @@ TEST(CoreTrace, BranchLoopEventsCarryHonestStamps)
     CollectionGuard guard(true);
     auto h = makeHarness(mispredictKernel());
     h.run();
-    ASSERT_TRUE(h.core->loopTraceActive());
+    ASSERT_TRUE(h.core->recording());
     std::vector<trace::LoopEvent> events = h.core->takeLoopTrace();
     EXPECT_TRUE(hasEvent(events, trace::LoopEventType::BranchResolution));
     expectHonestStamps(events);
@@ -558,11 +556,11 @@ TEST(BenchCli, TraceFlagNeverMisreadAsOpsOrJobs)
     }
     {
         // No --trace flag: falls back to the process trace path.
-        trace::setTracePath("env.json");
+        processOptions().tracePath = "env.json";
         std::vector<const char *> a{"bench", "4000"};
         EXPECT_EQ(benchutil::parseCli(2, argv(a)).opts.tracePath,
                   "env.json");
-        trace::setTracePath("");
+        processOptions().tracePath.clear();
         EXPECT_EQ(benchutil::parseCli(2, argv(a)).opts.tracePath, "");
     }
 }

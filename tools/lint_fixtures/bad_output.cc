@@ -20,7 +20,7 @@ void chattyStageC(int ipc)
 void chattyTraceHook(int slot)
 {
     // Raw cerr interleaves mid-line under parallel campaigns; trace
-    // hooks must go through debug::emit instead.
+    // hooks record an event on the Core's recorder instead.
     std::cerr << "[pool " << slot << "] alloc\n";
 }
 

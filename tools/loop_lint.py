@@ -23,13 +23,13 @@ shapes that would let a refactor sneak around that layer:
                     randomness is the seeded PCG in base/random.
 
   bare-output       std::cout / printf() outside base/logging, and raw
-                    std::cerr outside base/logging + base/debug. All
-                    user-facing output goes through the logging layer
-                    (or an ostream parameter the caller controls) so
-                    quiet mode and report capture keep working; debug
-                    traces go through debug::emit, whose
-                    one-write-per-line discipline keeps them
-                    unscrambled under parallel campaigns.
+                    std::cerr outside base/logging + trace/recorder.
+                    All user-facing output goes through the logging
+                    layer (or an ostream parameter the caller controls)
+                    so quiet mode and report capture keep working;
+                    debug traces are events on the Core's recorder,
+                    whose live view writes one line per write so they
+                    stay unscrambled under parallel campaigns.
 
   ambient-env       getenv()/secure_getenv()/environ outside
                     base/options.cc. Every LOOPSIM_* setting is read
@@ -108,9 +108,10 @@ DETERMINISM_ALLOWED = ("base/random.hh", "base/random.cc")
 
 # --- bare-output -----------------------------------------------------
 OUTPUT_ALLOWED = ("base/logging.hh", "base/logging.cc")
-# std::cerr is additionally sanctioned in base/debug.cc: debug::emit is
-# the single-write line sink the raw-cerr ban funnels everyone toward.
-CERR_ALLOWED = OUTPUT_ALLOWED + ("base/debug.cc",)
+# std::cerr is additionally sanctioned in trace/recorder.cc: the event
+# stream's live view is the single-write line sink the raw-cerr ban
+# funnels every trace hook toward.
+CERR_ALLOWED = OUTPUT_ALLOWED + ("trace/recorder.cc",)
 OUTPUT_RES = [
     (re.compile(r"\bstd::cout\b"), "std::cout", OUTPUT_ALLOWED),
     (re.compile(r"\b(std::)?printf\s*\("), "printf()", OUTPUT_ALLOWED),
@@ -219,8 +220,8 @@ def lint_file(path, display, findings, rules=ALL_RULES,
                 findings.append(Finding(
                     display, i + 1, "bare-output",
                     f"{name} outside its sanctioned files: route "
-                    f"output through the logging layer, debug::emit, "
-                    f"or an ostream parameter"))
+                    f"output through the logging layer, the Core's "
+                    f"event recorder, or an ostream parameter"))
 
 
 def lint_tree(root, rules=ALL_RULES, honor_exempts=True):
