@@ -36,7 +36,6 @@ main(int argc, char **argv)
 
     Config wedge = faulted("integrity.fault.wakeup_drop", 1.0);
     wedge.setUint("integrity.watchdog.window", 20000);
-    wedge.setUint("integrity.retry.attempts", 1);
 
     std::vector<std::pair<std::string, Config>> configs = {
         {"control", Config{}},

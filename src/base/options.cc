@@ -142,6 +142,14 @@ constexpr std::pair<const char *, const char *> kRemoved[] = {
      "removed; use LOOPSIM_DEBUG=Reg and grep for one register"},
 };
 
+/** Retired config keys (by prefix), refused in LOOPSIM_OVERLAY. */
+constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
+    {"integrity.retry.", "was removed: a cell runs once, since a SimError "
+                         "is a pure function of config and seed"},
+    {"integrity.supervisor.deadline_ms",
+     "was removed: use --deadline-ms or LOOPSIM_DEADLINE_MS"},
+};
+
 /** Read by CMake at configure time, not by the program. */
 constexpr const char *kBuildTime[] = {"LOOPSIM_SANITIZE"};
 
@@ -242,6 +250,14 @@ resolveOptions(const Environment &env)
             throw OptionError(name, value,
                               "unknown variable; the known ones are " +
                                   knownNames());
+        }
+    }
+    for (const auto &entry : o.overlay) {
+        for (const auto &[old, why] : kRemovedKeys) {
+            if (startsWith(entry.first, old))
+                throw OptionError("LOOPSIM_OVERLAY",
+                                  env.at("LOOPSIM_OVERLAY"),
+                                  entry.first + " " + why);
         }
     }
     return o;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -15,7 +16,6 @@
 #include "base/annotations.hh"
 #include "base/logging.hh"
 #include "base/options.hh"
-#include "core/machine_config.hh"
 #include "harness/supervisor.hh"
 #include "store/fingerprint.hh"
 #include "store/journal.hh"
@@ -111,43 +111,27 @@ class ShutdownGuard
 };
 
 /**
- * Run one cell. runOnceResilient() already fail-softs SimError; this
- * additionally catches everything else (fatal() on a malformed spec,
- * a rethrown SimError under integrity.retry.fail_soft=false, ...) so
- * a worker can never unwind out of its thread and abort the pool.
+ * A mistyped overlay value would fail every cell the same way. Build
+ * the plan's first cell once, here on the caller's thread, and exit 2
+ * on a config error before any cell runs. Free when the overlay is
+ * empty.
  */
-RunResult
-failSoftCell(const PlannedRun &cell, const char *what)
+void
+checkOverlay(const CampaignPlan &plan)
 {
-    RunResult res;
-    res.failed = true;
-    res.failKind = FailKind::Sim;
-    res.error = what;
-    res.ipc = failPoint(FailKind::Sim);
+    if (processOptions().overlay.empty() || plan.empty())
+        return;
+    const RunSpec &spec = plan.at(0).spec;
     try {
-        res.workloadLabel = cell.spec.workload.threads.empty()
-                                ? cell.spec.workload.label
-                                : figureLabel(cell.spec.workload);
-        res.pipeLabel = MachineConfig::fromConfig(cell.spec.overrides)
-                            .pipeLabel();
+        const Config cfg = effectiveRunConfig(spec);
+        SupervisorPolicy::fromConfig(cfg);
+        checkRunConfig(spec, cfg);
+    } catch (const FatalError &) {
+        std::fprintf(stderr, "loopsim: LOOPSIM_OVERLAY holds a value its "
+                             "key cannot take; no cell ran\n");
+        std::exit(2); // NOLINT(concurrency-mt-unsafe)
     } catch (const std::exception &) {
-        // The spec itself is unprintable; keep whatever stuck.
-    }
-    if (res.workloadLabel.empty())
-        res.workloadLabel = cell.label.empty() ? "?" : cell.label;
-    if (res.pipeLabel.empty())
-        res.pipeLabel = "?";
-    return res;
-}
-
-RunResult
-runCell(const PlannedRun &cell, const Config &resolved,
-        const RetryPolicy &policy)
-{
-    try {
-        return runOnceResilientWith(cell.spec, resolved, policy);
-    } catch (const std::exception &err) {
-        return failSoftCell(cell, err.what());
+        // Not a config error: the cells report it, one result each.
     }
 }
 
@@ -265,8 +249,10 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             unsigned jobs)
 {
     // Resolve the run options on the caller's thread: a bad LOOPSIM_*
-    // value exits 2 here, before any worker starts.
+    // value, or an overlay value of the wrong type, exits 2 here,
+    // before any worker starts.
     processOptions();
+    checkOverlay(plan);
     if (jobs == 0)
         jobs = campaignJobs();
     jobs = static_cast<unsigned>(
@@ -398,12 +384,13 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     // Resolve each miss's effective configuration once, up front, on
     // this thread. Workers then run against the pre-resolved Config
     // through runOnceResilientWith(), so the pool never rebuilds the
-    // string-map-heavy figure defaults per cell (or per retry
-    // attempt) — the first measurable contention point of the --jobs
-    // scaling investigation. This also pins the whole campaign to the overlays in force at
-    // plan time, matching what the fingerprints hashed. The isolated
-    // path resolves per cell in the supervisor instead (the child
-    // must run against the pre-fork snapshot), so it skips this.
+    // string-map-heavy figure defaults per cell — the first
+    // measurable contention point of the --jobs scaling
+    // investigation. This also pins the whole campaign to the
+    // overlays in force at plan time, matching what the fingerprints
+    // hashed. The isolated path resolves per cell in the supervisor
+    // instead (the child must run against the pre-fork snapshot), so
+    // it skips this.
     std::vector<Config> resolved(isolate ? 0 : plan.size());
     if (!isolate) {
         for (std::size_t i : pending)
@@ -421,15 +408,24 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     SupervisionCounters counters;
 
     auto executeOne = [&](std::size_t i) {
-        DiagContext diag(cellTag(i, plan.at(i)));
+        const PlannedRun &cell = plan.at(i);
+        DiagContext diag(cellTag(i, cell));
+        // runOnceResilientWith() fail-softs SimError; anything else a
+        // cell throws (fatal() on a malformed spec, ...) fails soft
+        // here, so a worker never unwinds out of its thread.
+        SupervisedOutcome so;
+        try {
+            if (isolate)
+                so = runCellSupervised(cell.spec, policy, cell.label);
+            else
+                so.result = runOnceResilientWith(cell.spec, resolved[i]);
+        } catch (const std::exception &err) {
+            so.result = failedRun(
+                cell.spec,
+                isolate ? effectiveRunConfig(cell.spec) : resolved[i],
+                FailKind::Sim, err.what(), cell.label);
+        }
         if (isolate) {
-            SupervisedOutcome so;
-            try {
-                so = runCellSupervised(plan.at(i).spec, policy,
-                                       plan.at(i).label);
-            } catch (const std::exception &err) {
-                so.result = failSoftCell(plan.at(i), err.what());
-            }
             counters.isolatedRuns.fetch_add(1,
                                             std::memory_order_relaxed);
             counters.crashes.fetch_add(so.crashes,
@@ -444,10 +440,8 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                                              std::memory_order_relaxed);
             if (so.interrupted)
                 return;
-            results[i] = std::move(so.result);
-        } else {
-            results[i] = runCell(plan.at(i), resolved[i], policy);
         }
+        results[i] = std::move(so.result);
         // Journal as cells finish, not after the pool drains: a
         // killed campaign then loses at most the entries in flight.
         if (journal)
@@ -636,12 +630,12 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
 }
 
 store::Fingerprint
-fingerprintPlan(const CampaignPlan &plan, const RetryPolicy &policy)
+fingerprintPlan(const CampaignPlan &plan)
 {
     std::vector<store::Fingerprint> fps;
     fps.reserve(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i)
-        fps.push_back(store::fingerprintRun(plan.at(i).spec, policy));
+        fps.push_back(store::fingerprintRun(plan.at(i).spec, {}));
     return planFingerprintFromCells(fps);
 }
 

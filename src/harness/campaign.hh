@@ -13,12 +13,14 @@
  * completion order, and every cell's simulation is a pure function of
  * its RunSpec — so the assembled output of a parallel campaign is
  * byte-identical to a serial one at any job count. Only stderr
- * diagnostics (warn() lines from retries) may interleave differently.
+ * diagnostics (warn() lines from failed cells) may interleave
+ * differently.
  *
- * Failure contract: each cell runs through runOnceResilient(); a cell
- * that still fails — or throws anything at all, including fatal() on a
- * malformed spec — comes back as a failed RunResult instead of tearing
- * down the pool. A campaign always returns one result per planned run.
+ * Failure contract: each cell runs once, through runOnceResilient();
+ * a cell that fails — or throws anything at all, including fatal() on
+ * a malformed spec — comes back as a failed RunResult instead of
+ * tearing down the pool. A campaign always returns one result per
+ * planned run.
  *
  * Crash isolation (--isolate / LOOPSIM_ISOLATE): each miss is run in a
  * supervised forked worker (harness/supervisor.hh) instead of on the
@@ -194,8 +196,9 @@ unsigned campaignJobs();
 /**
  * Execute every cell of @p plan and return one RunResult per cell, in
  * plan order. @p jobs 0 means campaignJobs(); the pool never spawns
- * more workers than cells. @p policy is forwarded to
- * runOnceResilient() (per-run integrity.retry.* keys still win).
+ * more workers than cells. @p policy is empty (see RetryPolicy).
+ * A process overlay value its key cannot take exits 2 before any
+ * cell runs.
  *
  * Lookup-before-simulate: unless loop-event trace collection is on
  * (traces must come from real executions), every cell is first looked
@@ -213,11 +216,10 @@ std::vector<RunResult> runCampaign(const CampaignPlan &plan,
 /**
  * Fingerprint of the whole plan as runCampaign() would key its journal
  * right now: a hash over every cell's run fingerprint in plan order
- * (so it reflects the overlays and policy in force), plus the plan
- * size. Exposed for tests and the journal CLI.
+ * (so it reflects the overlays in force), plus the plan size. Exposed
+ * for tests and the journal CLI.
  */
-store::Fingerprint fingerprintPlan(const CampaignPlan &plan,
-                                   const RetryPolicy &policy = {});
+store::Fingerprint fingerprintPlan(const CampaignPlan &plan);
 
 /**
  * Install the graceful-shutdown flush hook (nullptr clears). When a

@@ -168,47 +168,63 @@ gateProcessFaults(Config &cfg, const Workload &workload)
     gate("integrity.fault.hang_target", "integrity.fault.hang_at_op");
 }
 
+/**
+ * Everything one run builds from its spec and configuration: the trace
+ * generators, the core, the kernel and the watchdog. Building it reads
+ * every key the run reads before its first cycle.
+ */
+struct RunSetup
+{
+    std::vector<std::unique_ptr<SyntheticTraceGenerator>> gens;
+    std::unique_ptr<Core> core;
+    Simulator sim;
+    std::unique_ptr<InvariantWatchdog> watchdog;
+
+    RunSetup(const RunSpec &spec, Config cfg)
+    {
+        fatal_if(spec.workload.threads.empty(), "empty workload");
+        fatal_if(spec.totalOps == 0, "zero-length run");
+
+        gateProcessFaults(cfg, spec.workload);
+
+        // Distribute the op budget across threads, spreading the division
+        // remainder over the first threads so SMT pairings run exactly the
+        // requested total instead of silently dropping up to n-1 ops.
+        std::size_t n_threads = spec.workload.threads.size();
+        std::uint64_t total = spec.totalOps + spec.warmupOps;
+        std::uint64_t per_thread_base = total / n_threads;
+        std::uint64_t remainder = total % n_threads;
+
+        std::vector<TraceSource *> sources;
+        std::uint64_t assigned = 0;
+        for (std::size_t t = 0; t < n_threads; ++t) {
+            std::uint64_t ops = per_thread_base + (t < remainder ? 1 : 0);
+            assigned += ops;
+            gens.push_back(std::make_unique<SyntheticTraceGenerator>(
+                spec.workload.threads[t], static_cast<ThreadId>(t), ops));
+            sources.push_back(gens.back().get());
+        }
+        panic_if(assigned != total, "op distribution does not reconcile: ",
+                 assigned, " assigned of ", total);
+
+        core = std::make_unique<Core>(cfg, sources);
+        sim.add(core.get());
+        sim.enableProfiling(true);
+
+        if (cfg.getBool("integrity.watchdog.enable", true)) {
+            watchdog = std::make_unique<InvariantWatchdog>(
+                *core, WatchdogConfig::fromConfig(cfg));
+            sim.add(watchdog.get());
+        }
+    }
+};
+
 RunResult
 runOnceWith(const RunSpec &spec, Config cfg)
 {
-    fatal_if(spec.workload.threads.empty(), "empty workload");
-    fatal_if(spec.totalOps == 0, "zero-length run");
-
-    gateProcessFaults(cfg, spec.workload);
-
-    // Distribute the op budget across threads, spreading the division
-    // remainder over the first threads so SMT pairings run exactly the
-    // requested total instead of silently dropping up to n-1 ops.
-    std::size_t n_threads = spec.workload.threads.size();
-    std::uint64_t total = spec.totalOps + spec.warmupOps;
-    std::uint64_t per_thread_base = total / n_threads;
-    std::uint64_t remainder = total % n_threads;
-    std::uint64_t warmup_total = spec.warmupOps;
-
-    std::vector<std::unique_ptr<SyntheticTraceGenerator>> gens;
-    std::vector<TraceSource *> sources;
-    std::uint64_t assigned = 0;
-    for (std::size_t t = 0; t < n_threads; ++t) {
-        std::uint64_t ops = per_thread_base + (t < remainder ? 1 : 0);
-        assigned += ops;
-        gens.push_back(std::make_unique<SyntheticTraceGenerator>(
-            spec.workload.threads[t], static_cast<ThreadId>(t), ops));
-        sources.push_back(gens.back().get());
-    }
-    panic_if(assigned != total, "op distribution does not reconcile: ",
-             assigned, " assigned of ", total);
-
-    Core core(cfg, sources);
-    Simulator sim;
-    sim.add(&core);
-    sim.enableProfiling(true);
-
-    std::unique_ptr<InvariantWatchdog> watchdog;
-    if (cfg.getBool("integrity.watchdog.enable", true)) {
-        watchdog = std::make_unique<InvariantWatchdog>(
-            core, WatchdogConfig::fromConfig(cfg));
-        sim.add(watchdog.get());
-    }
+    RunSetup run(spec, std::move(cfg));
+    Core &core = *run.core;
+    Simulator &sim = run.sim;
 
     auto cycle_limit_error = [&](const char *phase) {
         std::ostringstream dump;
@@ -223,7 +239,7 @@ runOnceWith(const RunSpec &spec, Config cfg)
 
     // Warmup phase: run until the warmup ops retired, then reset the
     // statistics and measure the rest of the trace.
-    while (warmup_total > 0 && core.retiredOps() < warmup_total &&
+    while (spec.warmupOps > 0 && core.retiredOps() < spec.warmupOps &&
            !core.done()) {
         sim.run(1024);
         if (sim.now() > spec.maxCycles)
@@ -289,60 +305,48 @@ runOnce(const RunSpec &spec)
 }
 
 RunResult
-runOnceResilient(const RunSpec &spec, const RetryPolicy &policy)
+runOnceResilient(const RunSpec &spec, const RetryPolicy &)
 {
-    return runOnceResilientWith(spec, effectiveRunConfig(spec), policy);
+    return runOnceResilientWith(spec, effectiveRunConfig(spec));
 }
 
 RunResult
-runOnceResilientWith(const RunSpec &spec, const Config &resolved,
-                     const RetryPolicy &policy)
+runOnceResilientWith(const RunSpec &spec, const Config &resolved)
 {
-    const Config &cfg = resolved;
-    // Per-run configuration can override the caller's policy, so whole
-    // campaigns tune retry behaviour through overlays.
-    RetryPolicy pol = policy;
-    pol.attempts = static_cast<unsigned>(
-        cfg.getUint("integrity.retry.attempts", pol.attempts));
-    pol.budgetGrowth =
-        cfg.getDouble("integrity.retry.budget_growth", pol.budgetGrowth);
-    pol.seedStride =
-        cfg.getUint("integrity.retry.seed_stride", pol.seedStride);
-    pol.failSoft = cfg.getBool("integrity.retry.fail_soft", pol.failSoft);
-    fatal_if(pol.attempts == 0, "retry policy with zero attempts");
-
-    RunSpec attempt_spec = spec;
-    std::string last_error;
-    for (unsigned attempt = 0; attempt < pol.attempts; ++attempt) {
-        try {
-            return runOnceWith(attempt_spec, cfg);
-        } catch (const SimError &err) {
-            last_error = err.what();
-            warn("run \"", spec.workload.label, "\" attempt ",
-                 attempt + 1, "/", pol.attempts, " failed (", err.kind(),
-                 "): ", err.what());
-            if (attempt + 1 == pol.attempts) {
-                if (!pol.failSoft)
-                    throw;
-                break;
-            }
-            // Perturb the instruction stream away from the wedge and
-            // widen the cycle budget against plain starvation.
-            for (BenchmarkProfile &t : attempt_spec.workload.threads)
-                t.seed += pol.seedStride;
-            attempt_spec.maxCycles = static_cast<Cycle>(
-                static_cast<double>(attempt_spec.maxCycles) *
-                pol.budgetGrowth);
-        }
+    try {
+        return runOnceWith(spec, resolved);
+    } catch (const SimError &err) {
+        warn("run \"", spec.workload.label, "\" failed (", err.kind(),
+             "): ", err.what());
+        return failedRun(spec, resolved, FailKind::Sim, err.what());
     }
+}
 
+void
+checkRunConfig(const RunSpec &spec, const Config &resolved)
+{
+    [[maybe_unused]] const RunSetup built(spec, resolved);
+}
+
+RunResult
+failedRun(const RunSpec &spec, const Config &resolved, FailKind kind,
+          const std::string &error, const std::string &fallback_label)
+{
     RunResult res;
     res.failed = true;
-    res.failKind = FailKind::Sim;
-    res.error = last_error;
-    res.workloadLabel = figureLabel(spec.workload);
-    res.pipeLabel = MachineConfig::fromConfig(cfg).pipeLabel();
-    res.ipc = failPoint(FailKind::Sim);
+    res.failKind = kind;
+    res.error = error;
+    res.ipc = failPoint(kind);
+    try {
+        res.workloadLabel = figureLabel(spec.workload);
+        res.pipeLabel = MachineConfig::fromConfig(resolved).pipeLabel();
+    } catch (const std::exception &) {
+        // The spec or its configuration is itself the fault.
+    }
+    if (res.workloadLabel.empty())
+        res.workloadLabel = fallback_label.empty() ? "?" : fallback_label;
+    if (res.pipeLabel.empty())
+        res.pipeLabel = "?";
     return res;
 }
 

@@ -51,7 +51,7 @@ struct RunSpec
 enum class FailKind : std::uint8_t
 {
     None = 0,    ///< healthy result
-    Sim = 1,     ///< in-process SimError after retries ("fail")
+    Sim = 1,     ///< in-process SimError ("fail")
     Crash = 2,   ///< worker process died on a signal
     Timeout = 3, ///< worker process overran the wall-clock deadline
 };
@@ -80,12 +80,12 @@ struct RunResult
     std::uint64_t retired = 0;
     double ipc = 0.0;
 
-    /** Fail-soft marker: the run (and its retries) never finished.
-     *  All measurement fields are meaningless when set. */
+    /** Fail-soft marker: the run never finished. All measurement
+     *  fields are meaningless when set. */
     bool failed = false;
     /** Failure taxonomy (None when !failed). */
     FailKind failKind = FailKind::None;
-    /** Diagnostic from the last failed attempt (empty when !failed). */
+    /** Why the run failed (empty when !failed). */
     std::string error;
 
     /** Figure 9: fractions of operand reads by location
@@ -183,28 +183,16 @@ Config effectiveRunConfig(const RunSpec &spec);
 void setRunOverlay(const Config &overlay);
 void clearRunOverlay();
 
-/** How runOnceResilient() retries failed runs. */
+/** Empty: a cell runs once (DESIGN.md §8). Kept only because
+ *  existing callers still pass one to runCampaign(), runOnceResilient(),
+ *  runCellSupervised() and store::fingerprintRun(). */
 struct RetryPolicy
-{
-    /** Total attempts (first try included). */
-    unsigned attempts = 3;
-    /** Cycle-budget growth per retry (backoff against starvation). */
-    double budgetGrowth = 2.0;
-    /** Added to every thread's workload seed per retry, perturbing
-     *  the instruction stream away from the wedge. */
-    std::uint64_t seedStride = 1;
-    /** Return a failed RunResult after the last attempt instead of
-     *  rethrowing the SimError. */
-    bool failSoft = true;
-};
+{};
 
 /**
- * runOnce() with fail-soft retry: on SimError the run is retried with
- * a perturbed workload seed and a widened cycle budget, up to
- * policy.attempts tries. The policy defaults can be overridden per
- * run via integrity.retry.attempts / .budget_growth / .seed_stride /
- * .fail_soft configuration keys. After the last failure the result is
- * returned with failed=true (or the error rethrown if !failSoft).
+ * runOnce() with fail-soft: a SimError comes back as failedRun(). No
+ * retry: a run is deterministic, so one could only fail the same way
+ * or measure another seed. Other exceptions propagate.
  */
 RunResult runOnceResilient(const RunSpec &spec,
                            const RetryPolicy &policy = {});
@@ -215,8 +203,21 @@ RunResult runOnceResilient(const RunSpec &spec,
  * campaign executor resolves each cell once on its own thread, and the
  * fork-isolated supervisor resolves before the fork.
  */
-RunResult runOnceResilientWith(const RunSpec &spec, const Config &resolved,
-                               const RetryPolicy &policy = {});
+RunResult runOnceResilientWith(const RunSpec &spec, const Config &resolved);
+
+/** Build, and discard, what runOnce() builds for @p spec against
+ *  @p resolved, running nothing: FatalError on a mistyped key. */
+void checkRunConfig(const RunSpec &spec, const Config &resolved);
+
+/**
+ * The one builder of fail-soft results: IPC is failPoint(@p kind), with
+ * the labels a finished run would carry. A label that cannot be
+ * computed (the spec or @p resolved is the fault) falls back to
+ * @p fallback_label or "?".
+ */
+RunResult failedRun(const RunSpec &spec, const Config &resolved,
+                    FailKind kind, const std::string &error,
+                    const std::string &fallback_label = {});
 
 /**
  * Relative speedup of @p test over @p baseline (IPC ratio). NaN when

@@ -38,8 +38,8 @@ struct FigureData
     std::vector<std::string> rowLabels;
     std::vector<Series> columns;
     /**
-     * Fail-soft bookkeeping: one line per run that never finished
-     * (after retries). The corresponding values are NaN; the report
+     * Fail-soft bookkeeping: one line per run that never finished.
+     * The corresponding values are NaN; the report
      * renders them as "fail" and prints these lines as a footer.
      */
     std::vector<std::string> failures;
@@ -170,7 +170,7 @@ FigureData runSweep(const SweepSpec &sweep, const std::vector<Workload> &rows,
 /**
  * Generic sweep: one row per workload, one labelled configuration per
  * column, raw IPC as the value. Runs fail-soft: a configuration that
- * cannot finish (even after retries) yields a NaN point and an entry
+ * cannot finish yields a NaN point and an entry
  * in FigureData::failures instead of aborting the sweep.
  */
 FigureData sweepConfigs(

@@ -49,7 +49,7 @@ printFigure(std::ostream &os, const FigureData &fig, ValueFormat format)
         os << "\n";
     }
     if (!fig.failures.empty()) {
-        os << "failed points (after retries):\n";
+        os << "failed points:\n";
         for (const auto &f : fig.failures)
             os << "  " << f << "\n";
     }

@@ -16,7 +16,6 @@
 
 #include "base/logging.hh"
 #include "base/options.hh"
-#include "core/machine_config.hh"
 #include "store/codec.hh"
 #include "store/record.hh"
 
@@ -112,22 +111,21 @@ decodeWire(std::string_view wire, RunResult &result)
  * untied from stdout so a warning does not flush stdout first.
  */
 [[noreturn]] void
-childMain(int fd, const RunSpec &spec, const Config &resolved,
-          const RetryPolicy &policy)
+childMain(int fd, const RunSpec &spec, const Config &resolved)
 {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
     detail::untieDiagnostics();
     int status = 0;
     try {
-        RunResult res = runOnceResilientWith(spec, resolved, policy);
+        RunResult res = runOnceResilientWith(spec, resolved);
         std::string wire = encodeWire(res);
         if (!store::writeAll(fd, wire.data(), wire.size()))
             status = 3;
     } catch (const std::exception &err) {
-        // runOnceResilientWith is fail-soft by default; anything that
-        // still escapes (fatal_if on a malformed spec, bad_alloc, a
-        // !fail_soft rethrow) is a real worker death.
+        // runOnceResilientWith is fail-soft on SimError; anything that
+        // still escapes (fatal_if on a malformed spec, bad_alloc) is a
+        // real worker death.
         std::fprintf(stderr, "isolated worker: %s\n", err.what());
         status = 2;
     } catch (...) {
@@ -148,8 +146,8 @@ enum class ChildFate
 /** One fork/reap round. Fills @p result only on Ok. */
 ChildFate
 superviseOnce(const RunSpec &spec, const Config &resolved,
-              const RetryPolicy &policy, std::uint64_t deadline_ms,
-              RunResult &result, std::string &why)
+              std::uint64_t deadline_ms, RunResult &result,
+              std::string &why)
 {
     int fds[2];
     if (::pipe(fds) != 0) {
@@ -166,7 +164,7 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
     }
     if (pid == 0) {
         ::close(fds[0]);
-        childMain(fds[1], spec, resolved, policy);
+        childMain(fds[1], spec, resolved);
     }
     ::close(fds[1]);
 
@@ -280,8 +278,7 @@ SupervisorPolicy::fromConfig(const Config &cfg)
     SupervisorPolicy p;
     p.attempts = static_cast<unsigned>(
         cfg.getUint("integrity.supervisor.attempts", p.attempts));
-    p.deadlineMs = cfg.getUint("integrity.supervisor.deadline_ms",
-                               loopsim::deadlineMs());
+    p.deadlineMs = loopsim::deadlineMs();
     p.backoffMs = cfg.getUint("integrity.supervisor.backoff_ms",
                               p.backoffMs);
     p.backoffGrowth = cfg.getDouble("integrity.supervisor.backoff_growth",
@@ -337,7 +334,7 @@ setSupervisorStopFlag(const std::atomic<bool> *flag)
 }
 
 SupervisedOutcome
-runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
+runCellSupervised(const RunSpec &spec, const RetryPolicy &,
                   const std::string &fallback_label)
 {
     fatal_if(!isolationSupported(),
@@ -355,8 +352,8 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
     for (unsigned attempt = 1;; ++attempt) {
         out.attempts = attempt;
         std::string why;
-        ChildFate fate = superviseOnce(spec, resolved, policy,
-                                       sup.deadlineMs, out.result, why);
+        ChildFate fate =
+            superviseOnce(spec, resolved, sup.deadlineMs, out.result, why);
         if (fate == ChildFate::Ok)
             return out;
         if (fate == ChildFate::Interrupted) {
@@ -388,18 +385,9 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &policy,
         backoff *= sup.backoffGrowth;
     }
 
-    // Every spawn died: degrade to a crash/timeout figure cell, the
-    // same fail-soft shape runOnceResilient() produces for SimErrors.
-    RunResult res;
-    res.failed = true;
-    res.failKind = last_kind;
-    res.error = last_why;
-    res.workloadLabel = figureLabel(spec.workload);
-    if (res.workloadLabel.empty())
-        res.workloadLabel = fallback_label;
-    res.pipeLabel = MachineConfig::fromConfig(resolved).pipeLabel();
-    res.ipc = failPoint(last_kind);
-    out.result = std::move(res);
+    // Every spawn died: degrade to a crash/timeout figure cell.
+    out.result =
+        failedRun(spec, resolved, last_kind, last_why, fallback_label);
     return out;
 }
 

@@ -23,9 +23,12 @@
  *
  * Crashes and timeouts are respawned with exponential backoff up to a
  * capped attempt budget, then degrade to a crash/timeout figure cell
- * next to the existing fail state. Results are byte-identical to an
- * in-process run: the child computes exactly what the thread would
- * have, and the record codec round-trips every figure-visible field.
+ * next to the existing fail state. Only these respawn, since a host
+ * cause (OOM kill, fork() EAGAIN, load) can pass; a SimError is a pure
+ * function of config and seed, so the child reports it once, as a fail
+ * cell (DESIGN.md §13). Results are byte-identical to an in-process
+ * run: the child computes exactly what the thread would have, and the
+ * record codec round-trips every figure-visible field.
  *
  * Fork-safety: the parent is multi-threaded (campaign workers fork
  * concurrently), so the child must not touch a lock another parent
@@ -58,7 +61,8 @@ struct SupervisorPolicy
 {
     /** Total spawn attempts per cell (first try included). */
     unsigned attempts = 2;
-    /** Wall-clock deadline per attempt in ms; 0 = none. */
+    /** Wall-clock deadline per attempt in ms; 0 = none. Always the
+     *  process-wide deadlineMs() (--deadline-ms). */
     std::uint64_t deadlineMs = 0;
     /** First respawn backoff wait in ms (doubled per retry by
      *  backoffGrowth, capped at backoffMaxMs). */
@@ -67,10 +71,9 @@ struct SupervisorPolicy
     std::uint64_t backoffMaxMs = 2000;
 
     /**
-     * integrity.supervisor.attempts / .deadline_ms / .backoff_ms /
-     * .backoff_growth / .backoff_max_ms, with the process-wide
-     * deadline (deadlineMs()) as the .deadline_ms default — so whole
-     * campaigns tune supervision through overlays, like retries.
+     * integrity.supervisor.attempts / .backoff_ms / .backoff_growth /
+     * .backoff_max_ms, so whole campaigns tune respawns through
+     * overlays, and the process-wide deadline (deadlineMs()).
      */
     static SupervisorPolicy fromConfig(const Config &cfg);
 };
@@ -114,13 +117,12 @@ std::uint64_t deadlineMs();
 void setSupervisorStopFlag(const std::atomic<bool> *flag);
 
 /**
- * Run one cell in a supervised forked worker. @p policy is the retry
- * policy forwarded to the in-child runOnceResilient() (per-run
- * integrity.retry.* keys still win inside the child); the supervisor's
- * own spawn policy is resolved from the cell's effective config. The
- * result's labels are always filled (from @p fallback_label when the
- * spec itself is unprintable), so crash/timeout cells render like any
- * other fail-soft cell.
+ * Run one cell in a supervised forked worker. The child runs the cell
+ * once, through runOnceResilient(); @p policy is empty (see
+ * RetryPolicy). The supervisor's own spawn policy is resolved from the
+ * cell's effective config. The result's labels are always filled
+ * (from @p fallback_label when the spec itself is unprintable), so
+ * crash/timeout cells render like any other fail-soft cell.
  */
 SupervisedOutcome runCellSupervised(const RunSpec &spec,
                                     const RetryPolicy &policy,

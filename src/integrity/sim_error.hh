@@ -7,9 +7,9 @@
  * terminal. SimError is the third category: *this run* failed (wedged
  * pipeline, exhausted cycle budget, tripped watchdog), but the process
  * and every other run in a sweep are fine. The harness catches
- * SimError, retries with a perturbed seed and widened budget, and
- * fail-softs the point into the figure report instead of aborting the
- * whole regeneration.
+ * SimError and fail-softs the point into the figure report instead of
+ * aborting the whole regeneration. It does not retry: the simulator
+ * is deterministic, so the same run fails the same way again.
  */
 
 #ifndef LOOPSIM_INTEGRITY_SIM_ERROR_HH

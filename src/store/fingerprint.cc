@@ -250,7 +250,7 @@ Hasher::digest() const
 }
 
 Fingerprint
-fingerprintRun(const RunSpec &spec, const RetryPolicy &policy)
+fingerprintRun(const RunSpec &spec, const RetryPolicy &)
 {
     Hasher h;
     h.u64("store.schema", kSchemaVersion);
@@ -274,15 +274,6 @@ fingerprintRun(const RunSpec &spec, const RetryPolicy &policy)
     h.u64("spec.total_ops", spec.totalOps);
     h.u64("spec.warmup_ops", spec.warmupOps);
     h.u64("spec.max_cycles", spec.maxCycles);
-
-    // The retry policy perturbs seeds and budgets on failure, so two
-    // campaigns with different policies can legitimately disagree on
-    // a wedge-prone cell. (Per-run integrity.retry.* keys are already
-    // in the config hash above.)
-    h.u64("retry.attempts", policy.attempts);
-    h.f64("retry.budget_growth", policy.budgetGrowth);
-    h.u64("retry.seed_stride", policy.seedStride);
-    h.flag("retry.fail_soft", policy.failSoft);
 
     return h.digest();
 }

@@ -7,11 +7,10 @@
  * (effectiveRunConfig(): defaults, spec overrides and the process
  * overlay, already merged — so it is permutation-independent by
  * construction), every field of every thread's BenchmarkProfile
- * (seeds included), the op/warmup/cycle budgets, the effective retry
- * policy (retries perturb seeds, so they shape results), and two
- * constants: the record schema version and a model epoch that is
- * bumped whenever a simulator change alters results without any
- * configuration key changing. PR 2 made runs byte-identical functions
+ * (seeds included), the op/warmup/cycle budgets, and two constants:
+ * the record schema version and a model epoch that is bumped whenever
+ * a simulator change alters results without any configuration key
+ * changing. PR 2 made runs byte-identical functions
  * of exactly these inputs, which is what makes the fingerprint a
  * sound memoization key.
  *
@@ -103,7 +102,8 @@ class Hasher
 /**
  * Fingerprint one planned run: @p spec resolved by
  * effectiveRunConfig() (the same resolution runOnce() performs), plus
- * @p policy and the schema/epoch constants.
+ * the schema/epoch constants. @p policy is empty (see RetryPolicy)
+ * and hashes nothing.
  */
 Fingerprint fingerprintRun(const RunSpec &spec, const RetryPolicy &policy);
 

@@ -37,8 +37,8 @@ smallSpec(const std::string &workload, std::uint64_t ops = 4000)
 }
 
 /** A configuration that wedges the machine: every wakeup dropped,
- *  tight watchdog window, no retries — the fail-soft path fires
- *  quickly and deterministically. */
+ *  tight watchdog window — the fail-soft path fires quickly and
+ *  deterministically. */
 Config
 wedgeConfig()
 {
@@ -46,7 +46,6 @@ wedgeConfig()
     cfg.setBool("integrity.fault.enable", true);
     cfg.setDouble("integrity.fault.wakeup_drop", 1.0);
     cfg.setUint("integrity.watchdog.window", 10000);
-    cfg.setUint("integrity.retry.attempts", 1);
     return cfg;
 }
 

@@ -408,7 +408,6 @@ TEST(Experiment, RunOnceResilientFailSoft)
     spec.warmupOps = 0;
     spec.overrides = faultConfig(1.0, "integrity.fault.wakeup_drop");
     spec.overrides.setUint("integrity.watchdog.window", 1500);
-    spec.overrides.setUint("integrity.retry.attempts", 2);
 
     RunResult r = runOnceResilient(spec);
     EXPECT_TRUE(r.failed);
@@ -417,10 +416,19 @@ TEST(Experiment, RunOnceResilientFailSoft)
     EXPECT_EQ(r.workloadLabel, "m88");
     EXPECT_FALSE(r.pipeLabel.empty());
 
-    // fail_soft=false rethrows after the last attempt instead.
-    spec.overrides.setBool("integrity.retry.fail_soft", false);
-    spec.overrides.setUint("integrity.retry.attempts", 1);
-    EXPECT_THROW(runOnceResilient(spec), WatchdogError);
+    // The cell runs once, on its own seeds: gcc 7_5's 500-op window
+    // is empty after the default warmup, and the result says so
+    // rather than carrying a number measured on another seed.
+    RunSpec tiny;
+    tiny.workload = resolveWorkload("gcc");
+    tiny.totalOps = 500;
+    setPipeline(tiny.overrides, 7, 5);
+    RunResult empty = runOnceResilient(tiny);
+    EXPECT_TRUE(empty.failed);
+    EXPECT_EQ(empty.failKind, FailKind::Sim);
+    EXPECT_NE(empty.error.find("measured window retired no ops"),
+              std::string::npos);
+    EXPECT_EQ(empty.pipeLabel, "7_5");
 
     // A healthy run passes straight through.
     RunSpec ok;
@@ -430,6 +438,22 @@ TEST(Experiment, RunOnceResilientFailSoft)
     RunResult good = runOnceResilient(ok);
     EXPECT_FALSE(good.failed);
     EXPECT_GT(good.ipc, 0.1);
+}
+
+TEST(Experiment, CheckRunConfigReadsEveryBuildTimeKey)
+{
+    RunSpec spec;
+    spec.workload = resolveWorkload("gcc");
+    spec.totalOps = 4000;
+    EXPECT_NO_THROW(checkRunConfig(spec, effectiveRunConfig(spec)));
+
+    // A core key and a key only the memory hierarchy reads, each
+    // mistyped: building the run finds both without simulating.
+    for (const char *key : {"core.iq.entries", "mem.l1.latency"}) {
+        Config bad = effectiveRunConfig(spec);
+        bad.set(key, "abc");
+        EXPECT_THROW(checkRunConfig(spec, bad), FatalError) << key;
+    }
 }
 
 TEST(Experiment, SpeedupIsNanOnFailedRuns)
@@ -470,7 +494,6 @@ TEST(Figures, SweepCompletesAroundAWedgedPoint)
 
     Config wedged = faultConfig(1.0, "integrity.fault.wakeup_drop");
     wedged.setUint("integrity.watchdog.window", 1500);
-    wedged.setUint("integrity.retry.attempts", 1);
 
     FigureData fig = sweepConfigs(
         "sweep with one wedged point", {"m88ksim"},
@@ -510,11 +533,9 @@ TEST(Figures, EmptyMeasuredWindowRendersAsFail)
         EXPECT_EQ(err.kind(), "empty-window");
     }
 
-    Config once;
-    once.setUint("integrity.retry.attempts", 1);
     FigureData fig =
         sweepConfigs("sweep with an empty window", {"m88ksim"},
-                     {{"tiny", once}}, 1);
+                     {{"tiny", Config{}}}, 1);
     ASSERT_EQ(fig.columns.size(), 1u);
     ASSERT_EQ(fig.columns[0].values.size(), 1u);
     EXPECT_TRUE(std::isnan(fig.columns[0].values[0]));

@@ -216,6 +216,29 @@ TEST(RunOptions, UnknownAndRemovedNamesAreRejected)
     expectDefaults(resolveOptions({{"LOOPSIM_SANITIZE", "thread"}}));
 }
 
+TEST(RunOptions, RemovedOverlayKeysAreRejected)
+{
+    // A removed config key in the overlay is refused with the reason,
+    // even beside keys that are still read.
+    std::vector<std::pair<std::string, std::string>> removed = {
+        {"integrity.supervisor.deadline_ms", "--deadline-ms"}};
+    for (const char *field :
+         {"attempts", "budget_growth", "fail_soft", "seed_stride"})
+        removed.emplace_back(std::string("integrity.retry.") + field,
+                             "runs once");
+    for (const auto &[key, why] : removed) {
+        try {
+            resolveOptions(
+                {{"LOOPSIM_OVERLAY", "core.width=8," + key + "=1"}});
+            ADD_FAILURE() << "accepted " << key;
+        } catch (const OptionError &err) {
+            EXPECT_EQ(err.variable, "LOOPSIM_OVERLAY");
+            EXPECT_NE(err.reason.find(key), std::string::npos) << err.what();
+            EXPECT_NE(err.reason.find(why), std::string::npos) << err.what();
+        }
+    }
+}
+
 TEST(RunOptions, SettersWinOverTheEnvironment)
 {
     ProcessOptionsScope scope;

@@ -62,7 +62,6 @@ wedgeConfig()
     cfg.setBool("integrity.fault.enable", true);
     cfg.setDouble("integrity.fault.wakeup_drop", 1.0);
     cfg.setUint("integrity.watchdog.window", 10000);
-    cfg.setUint("integrity.retry.attempts", 1);
     return cfg;
 }
 
@@ -228,9 +227,9 @@ TEST_F(StoreEnv, FingerprintIgnoresKeyOrderAndOverlayChannel)
     // Same assignments, opposite insertion order.
     RunSpec a = storeSpec("gcc", 3100);
     a.overrides.setUint("integrity.watchdog.window", 123456);
-    a.overrides.setUint("integrity.retry.attempts", 2);
+    a.overrides.setUint("integrity.supervisor.attempts", 2);
     RunSpec b = storeSpec("gcc", 3100);
-    b.overrides.setUint("integrity.retry.attempts", 2);
+    b.overrides.setUint("integrity.supervisor.attempts", 2);
     b.overrides.setUint("integrity.watchdog.window", 123456);
     EXPECT_EQ(store::fingerprintRun(a, policy),
               store::fingerprintRun(b, policy));
@@ -239,7 +238,7 @@ TEST_F(StoreEnv, FingerprintIgnoresKeyOrderAndOverlayChannel)
     // instead of the spec overrides: the fingerprint hashes the
     // *resolved* configuration, so the channel is invisible.
     RunSpec c = storeSpec("gcc", 3100);
-    c.overrides.setUint("integrity.retry.attempts", 2);
+    c.overrides.setUint("integrity.supervisor.attempts", 2);
     Config overlay;
     overlay.setUint("integrity.watchdog.window", 123456);
     setRunOverlay(overlay);
@@ -285,14 +284,6 @@ TEST_F(StoreEnv, FingerprintCoversEveryResultShapingInput)
     RunSpec workloadChange = base;
     workloadChange.workload = resolveWorkload("swim");
     fps.push_back(store::fingerprintRun(workloadChange, policy));
-
-    RetryPolicy moreAttempts;
-    moreAttempts.attempts = 5;
-    fps.push_back(store::fingerprintRun(base, moreAttempts));
-
-    RetryPolicy wideStride;
-    wideStride.seedStride = 7;
-    fps.push_back(store::fingerprintRun(base, wideStride));
 
     for (std::size_t i = 0; i < fps.size(); ++i) {
         for (std::size_t j = i + 1; j < fps.size(); ++j) {
@@ -513,22 +504,16 @@ TEST_F(StoreEnv, FingerprintsOfFixedSpecsArePinned)
     base.warmupOps = 800;
     setBasePipeline(base.overrides, 5);
     EXPECT_EQ(store::fingerprintRun(base, RetryPolicy{}).hex(),
-              "b99589506bd0b27f12ee7baa3a826c69");
+              "62e897c3e3ced2e75fcc5ed5b84981bb");
 
-    // Two threads, the DRA, a fractional knob and every policy field
-    // away from its default.
+    // Two threads, the DRA and a fractional knob.
     RunSpec smt;
     smt.workload = resolveWorkload("apsi-swim");
     smt.totalOps = 20000;
     setDraPipeline(smt.overrides, 7);
     smt.overrides.setDouble("integrity.fault.load_delay", 0.25);
-    RetryPolicy policy;
-    policy.attempts = 2;
-    policy.budgetGrowth = 1.5;
-    policy.seedStride = 17;
-    policy.failSoft = false;
-    EXPECT_EQ(store::fingerprintRun(smt, policy).hex(),
-              "579bed2cba72185453fefa42a5910fdd");
+    EXPECT_EQ(store::fingerprintRun(smt, RetryPolicy{}).hex(),
+              "c7f454894986d03a4fdf54ad64251752");
 }
 
 TEST(StoreCompat, SchemaV2RecordDecodesAndReencodesByteIdentically)
@@ -605,7 +590,7 @@ TEST_F(StoreEnv, RepeatedFingerprintsKeepResolveCounts)
     store::setJournalPath("");
     const std::string journal =
         (fs::path(journal_dir) /
-         (fingerprintPlan(plan, RetryPolicy{}).hex() + ".lsj"))
+         (fingerprintPlan(plan).hex() + ".lsj"))
             .string();
     {
         const std::string bytes = readFile(journal);

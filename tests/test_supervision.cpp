@@ -57,7 +57,6 @@ wedgeConfig()
     cfg.setBool("integrity.fault.enable", true);
     cfg.setDouble("integrity.fault.wakeup_drop", 1.0);
     cfg.setUint("integrity.watchdog.window", 10000);
-    cfg.setUint("integrity.retry.attempts", 1);
     return cfg;
 }
 
@@ -76,14 +75,17 @@ crashConfig(std::uint64_t at, int sig, unsigned attempts)
     return cfg;
 }
 
+/** Process-fault overrides: hang the worker once it has retired @p at
+ *  ops, with one spawn attempt. The wall-clock deadline is the
+ *  process-wide one: set it with setDeadlineMs(); a SupervisionScope
+ *  restores it. */
 Config
-hangConfig(std::uint64_t at, std::uint64_t deadline_ms)
+hangConfig(std::uint64_t at)
 {
     Config cfg;
     cfg.setBool("integrity.fault.enable", true);
     cfg.setUint("integrity.fault.hang_at_op", at);
     cfg.setUint("integrity.supervisor.attempts", 1);
-    cfg.setUint("integrity.supervisor.deadline_ms", deadline_ms);
     return cfg;
 }
 
@@ -162,20 +164,19 @@ TEST(SupervisorPolicyTest, FromConfigDefaultsAndOverrides)
     EXPECT_DOUBLE_EQ(def.backoffGrowth, 2.0);
     EXPECT_EQ(def.backoffMaxMs, 2000u);
 
-    // The process-wide deadline is the .deadline_ms default...
+    // The deadline is always the process-wide one...
     setDeadlineMs(750);
     EXPECT_EQ(SupervisorPolicy::fromConfig(Config{}).deadlineMs, 750u);
 
-    // ...and explicit keys win over both defaults.
+    // ...and explicit keys win over the other defaults.
     Config cfg;
     cfg.setUint("integrity.supervisor.attempts", 5);
-    cfg.setUint("integrity.supervisor.deadline_ms", 123);
     cfg.setUint("integrity.supervisor.backoff_ms", 7);
     cfg.setDouble("integrity.supervisor.backoff_growth", 3.0);
     cfg.setUint("integrity.supervisor.backoff_max_ms", 11);
     SupervisorPolicy p = SupervisorPolicy::fromConfig(cfg);
     EXPECT_EQ(p.attempts, 5u);
-    EXPECT_EQ(p.deadlineMs, 123u);
+    EXPECT_EQ(p.deadlineMs, 750u);
     EXPECT_EQ(p.backoffMs, 7u);
     EXPECT_DOUBLE_EQ(p.backoffGrowth, 3.0);
     EXPECT_EQ(p.backoffMaxMs, 11u);
@@ -305,7 +306,8 @@ TEST(SupervisedRun, DeadlineReapsHungWorker)
 {
     SupervisionScope scope;
     RunSpec spec = smallSpec("gcc");
-    spec.overrides = hangConfig(500, 300);
+    spec.overrides = hangConfig(500);
+    setDeadlineMs(300);
 
     SupervisedOutcome so = runCellSupervised(spec, {}, "hang cell");
 
@@ -503,10 +505,6 @@ TEST(PlanFingerprintTest, StableAndSensitive)
     tweaked.add(smallSpec("gcc", 4001));
     tweaked.add(smallSpec("swim"));
     EXPECT_NE(fingerprintPlan(plan), fingerprintPlan(tweaked));
-
-    RetryPolicy other;
-    other.attempts = 7;
-    EXPECT_NE(fingerprintPlan(plan), fingerprintPlan(plan, other));
 }
 
 TEST(CampaignIsolation, CrashedCellLosesOnlyItself)
@@ -552,9 +550,12 @@ TEST(CampaignIsolation, HungCellTimesOutOthersHealthy)
     CampaignPlan plan;
     plan.add(smallSpec("gcc"), "gcc");
     RunSpec hung = smallSpec("swim");
-    hung.overrides = hangConfig(500, 300);
+    hung.overrides = hangConfig(500);
     plan.add(std::move(hung), "swim hang");
     setIsolation(true);
+    // The deadline covers the healthy cell too: leave it room for a
+    // stalled host, or it times out and respawns as well.
+    setDeadlineMs(2000);
 
     std::vector<RunResult> results = runCampaign(plan, {}, 2);
     ASSERT_EQ(results.size(), 2u);
@@ -760,10 +761,11 @@ TEST(CampaignInterrupt, DrainedTelemetryCarriesHostCpus)
     pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-        Config overlay = hangConfig(500, 60000);
+        Config overlay = hangConfig(500);
         overlay.set("integrity.fault.hang_target", "swim");
         setRunOverlay(overlay);
         setIsolation(true);
+        setDeadlineMs(60000);
         store::setJournalPath(dir.string());
         setCampaignInterruptFlush([&report] {
             const CampaignTelemetry t = lastCampaignTelemetry();
