@@ -316,8 +316,6 @@ class CampaignRecorder
               << ", \"crashes\": " << t.crashes
               << ", \"timeouts\": " << t.timeouts
               << ", \"spawn_retries\": " << t.spawnRetries
-              << ", \"backoff_waits\": " << t.backoffWaits
-              << ", \"backoff_wait_ms\": " << t.backoffWaitMs
               << ", \"resumed\": " << t.resumed << "}";
         const RunOptions &o = processOptions();
         entry << ", \"options\": {\"kernel\": \""

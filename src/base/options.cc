@@ -148,6 +148,8 @@ constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
                          "is a pure function of config and seed"},
     {"integrity.supervisor.deadline_ms",
      "was removed: use --deadline-ms or LOOPSIM_DEADLINE_MS"},
+    {"integrity.supervisor.backoff",
+     "was removed: a respawn follows a fixed 100 ms pause"},
 };
 
 /** Read by CMake at configure time, not by the program. */

@@ -154,8 +154,6 @@ struct SupervisionCounters
     std::atomic<std::size_t> crashes{0};
     std::atomic<std::size_t> timeouts{0};
     std::atomic<std::size_t> spawnRetries{0};
-    std::atomic<std::size_t> backoffWaits{0};
-    std::atomic<std::uint64_t> backoffWaitMs{0};
 };
 
 void
@@ -166,8 +164,6 @@ loadSupervisionCounters(CampaignTelemetry &t,
     t.crashes = c.crashes.load(std::memory_order_relaxed);
     t.timeouts = c.timeouts.load(std::memory_order_relaxed);
     t.spawnRetries = c.spawnRetries.load(std::memory_order_relaxed);
-    t.backoffWaits = c.backoffWaits.load(std::memory_order_relaxed);
-    t.backoffWaitMs = c.backoffWaitMs.load(std::memory_order_relaxed);
 }
 
 store::Fingerprint
@@ -213,8 +209,6 @@ CampaignTelemetry::accumulate(const CampaignTelemetry &other)
     crashes += other.crashes;
     timeouts += other.timeouts;
     spawnRetries += other.spawnRetries;
-    backoffWaits += other.backoffWaits;
-    backoffWaitMs += other.backoffWaitMs;
     interrupted = interrupted || other.interrupted;
     store.accumulate(other.store);
     wallSeconds += other.wallSeconds;
@@ -388,14 +382,12 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     // measurable contention point of the --jobs scaling
     // investigation. This also pins the whole campaign to the
     // overlays in force at plan time, matching what the fingerprints
-    // hashed. The isolated path resolves per cell in the supervisor
-    // instead (the child must run against the pre-fork snapshot), so
-    // it skips this.
-    std::vector<Config> resolved(isolate ? 0 : plan.size());
-    if (!isolate) {
-        for (std::size_t i : pending)
-            resolved[i] = effectiveRunConfig(plan.at(i).spec);
-    }
+    // hashed. Isolated cells resolve here too, for the fail-soft
+    // result if the supervisor throws; the supervisor itself resolves
+    // again just before its fork, the snapshot its child runs against.
+    std::vector<Config> resolved(plan.size());
+    for (std::size_t i : pending)
+        resolved[i] = effectiveRunConfig(plan.at(i).spec);
 
     // Graceful shutdown scope: SIGINT/SIGTERM flips the drain flag,
     // workers stop claiming cells, in-flight forked children are
@@ -420,10 +412,8 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
             else
                 so.result = runOnceResilientWith(cell.spec, resolved[i]);
         } catch (const std::exception &err) {
-            so.result = failedRun(
-                cell.spec,
-                isolate ? effectiveRunConfig(cell.spec) : resolved[i],
-                FailKind::Sim, err.what(), cell.label);
+            so.result = failedRun(cell.spec, resolved[i], FailKind::Sim,
+                                  err.what(), cell.label);
         }
         if (isolate) {
             counters.isolatedRuns.fetch_add(1,
@@ -434,10 +424,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                                         std::memory_order_relaxed);
             counters.spawnRetries.fetch_add(
                 so.attempts - 1, std::memory_order_relaxed);
-            counters.backoffWaits.fetch_add(so.backoffWaits,
-                                            std::memory_order_relaxed);
-            counters.backoffWaitMs.fetch_add(so.backoffWaitMs,
-                                             std::memory_order_relaxed);
             if (so.interrupted)
                 return;
         }
@@ -461,58 +447,50 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     auto seconds = [](std::chrono::steady_clock::duration d) {
         return std::chrono::duration<double>(d).count();
     };
-    // loop:exempt(wall-clock telemetry only)
-    const auto poolStart = std::chrono::steady_clock::now();
-    if (workers_wanted <= 1) {
-        WorkerTelemetry &w = workerStats[0];
-        for (std::size_t i : pending) {
+    // Work-stealing by atomic cursor: each worker claims the next
+    // unclaimed pending entry and writes its result slot. Slots are
+    // disjoint, so results need no lock; ordering is by plan index
+    // regardless of which worker finishes when.
+    std::atomic<std::size_t> cursor{0};
+    auto work = [&](unsigned t) {
+        WorkerTelemetry &w = workerStats[t];
+        w.id = t;
+        for (;;) {
             if (shutdownRequested.load(std::memory_order_acquire))
                 break;
             // loop:exempt(wall-clock telemetry only)
-            const auto t0 = std::chrono::steady_clock::now();
-            executeOne(i);
+            const auto claim0 = std::chrono::steady_clock::now();
+            const std::size_t k =
+                cursor.fetch_add(1, std::memory_order_relaxed);
             // loop:exempt(wall-clock telemetry only)
-            w.busySeconds += seconds(std::chrono::steady_clock::now() - t0);
+            const auto claim1 = std::chrono::steady_clock::now();
+            w.claimWaitSeconds += seconds(claim1 - claim0);
+            if (k >= pending.size())
+                break;
+            executeOne(pending[k]);
+            w.busySeconds += seconds(
+                // loop:exempt(wall-clock telemetry only)
+                std::chrono::steady_clock::now() - claim1);
             ++w.cells;
         }
+    };
+    // loop:exempt(wall-clock telemetry only)
+    const auto poolStart = std::chrono::steady_clock::now();
+    // A sole worker runs on the caller's thread, so a serial or fully
+    // warm campaign starts no thread. A pool leaves the caller idle:
+    // with the caller forking isolated cells beside its jthreads, about
+    // half the ASan runs of an isolated campaign left a child
+    // deadlocked on an allocator lock held by another thread at fork
+    // time (GCC 12's libasan does not lock its allocator across fork),
+    // against a few runs in a hundred with every worker on a jthread.
+    if (workers_wanted == 1) {
+        work(0);
     } else {
-        // Work-stealing by atomic cursor: each worker claims the next
-        // unclaimed pending entry and writes its result slot. Slots
-        // are disjoint, so results need no lock; ordering is by plan
-        // index regardless of which worker finishes when.
-        std::atomic<std::size_t> cursor{0};
-        {
-            std::vector<std::jthread> workers;
-            workers.reserve(workers_wanted);
-            for (unsigned t = 0; t < workers_wanted; ++t) {
-                workers.emplace_back([&, t] {
-                    WorkerTelemetry &w = workerStats[t];
-                    w.id = t;
-                    for (;;) {
-                        if (shutdownRequested.load(
-                                std::memory_order_acquire))
-                            break;
-                        const auto claim0 =
-                            // loop:exempt(wall-clock telemetry only)
-                            std::chrono::steady_clock::now();
-                        std::size_t k = cursor.fetch_add(
-                            1, std::memory_order_relaxed);
-                        const auto claim1 =
-                            // loop:exempt(wall-clock telemetry only)
-                            std::chrono::steady_clock::now();
-                        w.claimWaitSeconds += seconds(claim1 - claim0);
-                        if (k >= pending.size())
-                            break;
-                        executeOne(pending[k]);
-                        w.busySeconds += seconds(
-                            // loop:exempt(wall-clock telemetry only)
-                            std::chrono::steady_clock::now() - claim1);
-                        ++w.cells;
-                    }
-                });
-            }
-        } // jthread joins here
-    }
+        std::vector<std::jthread> pool;
+        pool.reserve(workers_wanted);
+        for (unsigned t = 0; t < workers_wanted; ++t)
+            pool.emplace_back(work, t);
+    } // jthread joins here
     const double poolSeconds =
         // loop:exempt(wall-clock telemetry only)
         seconds(std::chrono::steady_clock::now() - poolStart);
@@ -525,8 +503,9 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     if (memoize) {
         // Publish fresh results: every simulated cell enters the memo
         // (failures included — a wedge is deterministic within this
-        // process), but only healthy results are persisted, so a
-        // future epoch or widened budget gets to retry failures.
+        // process), but only healthy results are persisted: a crash or
+        // timeout verdict can have a host cause that later campaigns
+        // must not inherit.
         for (std::size_t i : pending) {
             if (!done[i].load(std::memory_order_acquire))
                 continue;

@@ -7,7 +7,9 @@
  * Simulator and statistics, so cells share nothing but immutable
  * inputs (workload profiles, config defaults, the installed overlay).
  * The executor takes a declarative CampaignPlan of RunSpecs and runs
- * them on std::jthread workers.
+ * them on std::jthread workers, or on the caller's thread when one
+ * worker suffices; every worker runs one claim / execute / account
+ * loop.
  *
  * Determinism contract: results land by *plan index*, never by
  * completion order, and every cell's simulation is a pure function of
@@ -25,9 +27,10 @@
  * Crash isolation (--isolate / LOOPSIM_ISOLATE): each miss is run in a
  * supervised forked worker (harness/supervisor.hh) instead of on the
  * pool thread, so a segfault, abort, OOM kill or wall-clock deadline
- * overrun (--deadline-ms) loses only that cell — it degrades to a
- * `crash` / `timeout` figure cell after backoff respawns. Healthy
- * results are byte-identical to an in-process run at any job count.
+ * overrun (--deadline-ms) loses only that cell — it is respawned after
+ * a fixed pause, then degrades to a `crash` / `timeout` figure cell.
+ * Healthy results are byte-identical to an in-process run at any job
+ * count.
  *
  * Resumable journals (--journal / LOOPSIM_JOURNAL): every finished
  * cell (verdicts included) is appended to a crash-consistent journal
@@ -152,9 +155,6 @@ struct CampaignTelemetry
     std::size_t timeouts = 0;
     /** Extra spawn attempts beyond each cell's first. */
     std::size_t spawnRetries = 0;
-    /** Backoff sleeps between respawns, and their summed duration. */
-    std::size_t backoffWaits = 0;
-    std::uint64_t backoffWaitMs = 0;
     /// @}
     /** A SIGINT/SIGTERM shutdown cut this campaign short; the counts
      *  above cover only what completed before the drain. */
@@ -169,8 +169,8 @@ struct CampaignTelemetry
      *  they can exceed wallSeconds under --jobs > 1, but never the
      *  workers' summed busy time. */
     std::vector<ComponentProfile> tickProfile;
-    /** Per-worker busy/claim-wait/idle breakdown, by worker id (the
-     *  serial fast path reports itself as worker 0). */
+    /** Per-worker busy/claim-wait/idle breakdown, by worker id (a
+     *  sole worker on the caller's thread is worker 0). */
     std::vector<WorkerTelemetry> workers;
 
     double

@@ -254,14 +254,15 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
     return ChildFate::Ok;
 }
 
-/** Interruptible backoff sleep; returns false when shutdown struck. */
+/** Interruptible respawn pause; returns false when shutdown struck. */
 bool
-backoffSleep(std::uint64_t ms)
+respawnPause()
 {
     using clock = std::chrono::steady_clock;
-    // loop:exempt(analyze: wall-clock backoff between child respawns)
-    const auto until = clock::now() + std::chrono::milliseconds(ms);
-    // loop:exempt(analyze: wall-clock backoff between child respawns)
+    const auto until =
+        // loop:exempt(analyze: wall-clock pause between child respawns)
+        clock::now() + std::chrono::milliseconds(kRespawnPauseMs);
+    // loop:exempt(analyze: wall-clock pause between child respawns)
     while (clock::now() < until) {
         if (stopRequested())
             return false;
@@ -279,12 +280,6 @@ SupervisorPolicy::fromConfig(const Config &cfg)
     p.attempts = static_cast<unsigned>(
         cfg.getUint("integrity.supervisor.attempts", p.attempts));
     p.deadlineMs = loopsim::deadlineMs();
-    p.backoffMs = cfg.getUint("integrity.supervisor.backoff_ms",
-                              p.backoffMs);
-    p.backoffGrowth = cfg.getDouble("integrity.supervisor.backoff_growth",
-                                    p.backoffGrowth);
-    p.backoffMaxMs = cfg.getUint("integrity.supervisor.backoff_max_ms",
-                                 p.backoffMaxMs);
     fatal_if(p.attempts == 0, "supervisor policy with zero attempts");
     return p;
 }
@@ -348,7 +343,6 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &,
     SupervisedOutcome out;
     FailKind last_kind = FailKind::Crash;
     std::string last_why;
-    double backoff = static_cast<double>(sup.backoffMs);
     for (unsigned attempt = 1;; ++attempt) {
         out.attempts = attempt;
         std::string why;
@@ -373,16 +367,10 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &,
              failKindName(last_kind), "ed: ", why);
         if (attempt >= sup.attempts)
             break;
-
-        auto wait = static_cast<std::uint64_t>(backoff);
-        wait = std::min(wait, sup.backoffMaxMs);
-        ++out.backoffWaits;
-        out.backoffWaitMs += wait;
-        if (!backoffSleep(wait)) {
+        if (!respawnPause()) {
             out.interrupted = true;
             return out;
         }
-        backoff *= sup.backoffGrowth;
     }
 
     // Every spawn died: degrade to a crash/timeout figure cell.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-isolated cell execution: forked worker processes, wall-clock
- * deadlines, and backoff respawns.
+ * deadlines, and respawns.
  *
  * The campaign executor (harness/campaign.hh) normally runs cells on
  * threads inside one process, which means one segfaulting, aborting or
@@ -21,12 +21,12 @@
  *    PR-1 cycle-budget watchdog, which cannot fire when the process
  *    stops ticking simulated time at all
  *
- * Crashes and timeouts are respawned with exponential backoff up to a
- * capped attempt budget, then degrade to a crash/timeout figure cell
- * next to the existing fail state. Only these respawn, since a host
- * cause (OOM kill, fork() EAGAIN, load) can pass; a SimError is a pure
- * function of config and seed, so the child reports it once, as a fail
- * cell (DESIGN.md §13). Results are byte-identical to an in-process
+ * Crashes and timeouts are respawned after a fixed kRespawnPauseMs
+ * pause up to integrity.supervisor.attempts, then degrade to a
+ * crash/timeout figure cell next to the existing fail state. Only
+ * these respawn, since a host cause (OOM kill, fork() EAGAIN, load)
+ * can pass; a SimError is a pure function of config and seed, so the
+ * child reports it once, as a fail cell (DESIGN.md §13). Results are byte-identical to an in-process
  * run: the child computes exactly what the thread would have, and the
  * record codec round-trips every figure-visible field.
  *
@@ -56,6 +56,10 @@
 namespace loopsim
 {
 
+/** Wall-clock pause before each respawn of a crashed or timed-out
+ *  worker; a shutdown cuts it short. */
+constexpr std::uint64_t kRespawnPauseMs = 100;
+
 /** How the supervisor respawns crashed / timed-out workers. */
 struct SupervisorPolicy
 {
@@ -64,16 +68,10 @@ struct SupervisorPolicy
     /** Wall-clock deadline per attempt in ms; 0 = none. Always the
      *  process-wide deadlineMs() (--deadline-ms). */
     std::uint64_t deadlineMs = 0;
-    /** First respawn backoff wait in ms (doubled per retry by
-     *  backoffGrowth, capped at backoffMaxMs). */
-    std::uint64_t backoffMs = 100;
-    double backoffGrowth = 2.0;
-    std::uint64_t backoffMaxMs = 2000;
 
     /**
-     * integrity.supervisor.attempts / .backoff_ms / .backoff_growth /
-     * .backoff_max_ms, so whole campaigns tune respawns through
-     * overlays, and the process-wide deadline (deadlineMs()).
+     * integrity.supervisor.attempts, so whole campaigns tune respawns
+     * through overlays, and the process-wide deadline (deadlineMs()).
      */
     static SupervisorPolicy fromConfig(const Config &cfg);
 };
@@ -88,9 +86,6 @@ struct SupervisedOutcome
     unsigned crashes = 0;
     /** Deadline overruns observed across attempts. */
     unsigned timeouts = 0;
-    /** Backoff sleeps taken between respawns, and their total. */
-    unsigned backoffWaits = 0;
-    std::uint64_t backoffWaitMs = 0;
     /** A graceful shutdown interrupted this cell: the in-flight child
      *  was reaped early and result must not be journaled or used. */
     bool interrupted = false;
@@ -110,7 +105,7 @@ std::uint64_t deadlineMs();
 /**
  * Cooperative shutdown: while @p flag (owned by the caller, may be
  * null to detach) reads true, in-flight children are SIGKILLed and
- * reaped, backoff sleeps cut short, and outcomes come back with
+ * reaped, respawn pauses cut short, and outcomes come back with
  * interrupted set. The campaign executor points this at its
  * SIGINT/SIGTERM flag for the duration of a run.
  */

@@ -27,7 +27,8 @@
  * verify. Unlike the store, the journal does record failed cells:
  * a fail/crash/timeout verdict is campaign progress (re-running a
  * known-poison cell on resume would re-crash a worker per attempt),
- * while the store keeps failures out so a later epoch gets to retry.
+ * while the store keeps failures out, since a crash or timeout verdict
+ * can have a host cause that a later campaign should not inherit.
  *
  * Crash consistency is the whole point: appends are length-prefixed
  * and fsync()ed, and a write torn by a crash or SIGKILL leaves a

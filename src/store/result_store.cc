@@ -1,7 +1,5 @@
 #include "store/result_store.hh"
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <system_error>
 
 #include "base/annotations.hh"
@@ -29,55 +26,6 @@ namespace
 
 /** File-scope unique suffix counter for temp names. */
 std::atomic<std::uint64_t> tempCounter{0};
-
-/**
- * Advisory cross-process lock on `<root>/.lock`, flock(2)-based.
- * Writers take it shared — any number of campaign processes insert
- * concurrently, each write already atomic via temp + rename.
- * gcStore() takes it exclusive, because eviction removes *emptied
- * fan-out directories*: without the lock a gc running beside a live
- * campaign could remove a directory between a writer's
- * create_directories() and its rename(), tearing the insert.
- * A root where the lock file cannot be opened degrades to unlocked
- * (held() == false) — the store stays usable, only the gc-vs-writer
- * guarantee is lost.
- */
-class StoreLock
-{
-  public:
-    StoreLock(const std::string &root, bool exclusive)
-    {
-        const std::string path =
-            (fs::path(root) / ".lock").string();
-        fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-        if (fd < 0)
-            return;
-        int rc;
-        do {
-            rc = ::flock(fd, exclusive ? LOCK_EX : LOCK_SH);
-        } while (rc != 0 && errno == EINTR);
-        if (rc != 0) {
-            ::close(fd);
-            fd = -1;
-        }
-    }
-
-    ~StoreLock()
-    {
-        if (fd >= 0) {
-            ::flock(fd, LOCK_UN);
-            ::close(fd);
-        }
-    }
-
-    StoreLock(const StoreLock &) = delete;
-    StoreLock &operator=(const StoreLock &) = delete;
-
-    bool held() const { return fd >= 0; }
-
-  private:
-    int fd = -1;
-};
 
 std::mutex processMutex;
 LOOPSIM_CAMPAIGN_GUARDED("processMutex")
@@ -171,11 +119,6 @@ ResultStore::insert(const Fingerprint &fp, const RunResult &result)
     const std::string record = encodeRecord(fp, result);
     const fs::path path = recordPath(fp);
 
-    // Shared writer lock: holds off a concurrent gcStore() (exclusive)
-    // whose empty-directory sweep could otherwise remove the fan-out
-    // directory between create_directories() and rename().
-    StoreLock write_lock(root, /*exclusive=*/false);
-
     std::error_code ec;
     fs::create_directories(path.parent_path(), ec);
     if (ec && !fs::is_directory(path.parent_path()))
@@ -209,15 +152,8 @@ ResultStore::insert(const Fingerprint &fp, const RunResult &result)
 
     fs::rename(tmp, path, ec);
     if (ec) {
-        // Belt and braces for an unlockable root: if something swept
-        // the fan-out directory away, re-create it and retry once.
-        std::error_code ec2;
-        fs::create_directories(path.parent_path(), ec2);
-        fs::rename(tmp, path, ec2);
-        if (ec2) {
-            fs::remove(tmp, ec);
-            return false;
-        }
+        fs::remove(tmp, ec);
+        return false;
     }
 
     std::lock_guard<std::mutex> lock(mutex);
@@ -324,7 +260,7 @@ resetProcessStore()
 }
 
 std::vector<StoreEntry>
-scanStore(const std::string &dir, bool decode)
+scanStore(const std::string &dir)
 {
     std::vector<StoreEntry> out;
     std::error_code ec;
@@ -358,14 +294,7 @@ scanStore(const std::string &dir, bool decode)
             Fingerprint stored;
             if (peekRecord(bytes, stored, schema))
                 entry.schema = schema;
-            if (decode) {
-                entry.valid =
-                    decodeRecord(bytes, entry.fp, entry.result);
-            } else {
-                entry.valid = stored == entry.fp &&
-                              schema == kSchemaVersion &&
-                              bytes.size() >= kRecordHeaderBytes;
-            }
+            entry.valid = decodeRecord(bytes, entry.fp, entry.result);
         }
         out.push_back(std::move(entry));
     }
@@ -381,7 +310,7 @@ VerifyReport
 verifyStore(const std::string &dir)
 {
     VerifyReport report;
-    for (const StoreEntry &entry : scanStore(dir, /*decode=*/true)) {
+    for (const StoreEntry &entry : scanStore(dir)) {
         ++report.records;
         if (!entry.valid) {
             ++report.corrupt;
@@ -399,13 +328,11 @@ gcStore(const std::string &dir, std::uint64_t max_bytes)
     if (!fs::is_directory(dir, dir_ec))
         return report;
 
-    // Exclusive: waits out in-flight writers (shared holders in
-    // insert()) and holds new ones off while records and emptied
-    // fan-out directories are removed, so gc is safe to run against a
-    // store a live campaign is inserting into.
-    StoreLock lock(dir, /*exclusive=*/true);
-
-    std::vector<StoreEntry> entries = scanStore(dir, /*decode=*/true);
+    // gc removes record files only, never a fan-out directory (there
+    // are at most 256), so it cannot pull a directory out from under
+    // an insert's create_directories() + rename() and needs no lock
+    // against live campaigns.
+    std::vector<StoreEntry> entries = scanStore(dir);
     report.scanned = entries.size();
     for (const StoreEntry &e : entries)
         report.bytesBefore += e.bytes;
@@ -432,41 +359,7 @@ gcStore(const std::string &dir, std::uint64_t max_bytes)
             report.bytesAfter -= entry.bytes;
         }
     }
-
-    // Drop fan-out directories emptied by the eviction pass.
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        if (it->is_directory(ec) && fs::is_empty(it->path(), ec))
-            fs::remove(it->path(), ec);
-    }
     return report;
-}
-
-StoreSummary
-summarizeStore(const std::string &dir)
-{
-    StoreSummary summary;
-    summary.dir = dir;
-    for (const StoreEntry &entry : scanStore(dir, /*decode=*/false)) {
-        ++summary.records;
-        summary.bytes += entry.bytes;
-        if (!entry.valid)
-            ++summary.invalid;
-    }
-    return summary;
-}
-
-std::string
-storeSummaryJson(const StoreSummary &summary)
-{
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"dir\": \"" << summary.dir << "\",\n";
-    out << "  \"records\": " << summary.records << ",\n";
-    out << "  \"bytes\": " << summary.bytes << ",\n";
-    out << "  \"invalid\": " << summary.invalid << "\n";
-    out << "}\n";
-    return out.str();
 }
 
 } // namespace loopsim::store

@@ -23,9 +23,9 @@
  *    time, so the profile covers only the runs that actually
  *    simulated.
  *  - failed (fail-soft) results are memoized in-process but never
- *    persisted: a wedge is deterministic within one binary, but
- *    keeping failures out of the store means a later model epoch or
- *    wider budget always gets to retry them.
+ *    persisted: a crash or timeout verdict can have a host cause (an
+ *    OOM kill, a loaded machine) that later campaigns must not
+ *    inherit.
  *
  * The in-process memo (ResultMemo) is the store's RAM tier and also
  * stands alone: with no store directory configured it still
@@ -149,9 +149,9 @@ struct StoreEntry
     std::int64_t mtimeSeconds = 0;
 };
 
-/** Scan every *.lsr file under @p dir, sorted by fingerprint hex.
- *  When @p decode is false only the header is inspected. */
-std::vector<StoreEntry> scanStore(const std::string &dir, bool decode);
+/** Scan and fully decode every *.lsr file under @p dir, sorted by
+ *  fingerprint hex. */
+std::vector<StoreEntry> scanStore(const std::string &dir);
 
 struct VerifyReport
 {
@@ -173,28 +173,12 @@ struct GcReport
 
 /**
  * Evict records — invalid ones first, then oldest mtime first — until
- * the store's record bytes fit in @p max_bytes. Empty fan-out
- * subdirectories are removed afterwards. Takes the store's advisory
- * lock exclusively, so it is safe to run against a store that
- * campaigns in other processes are concurrently inserting into.
+ * the store's record bytes fit in @p max_bytes. Fan-out directories
+ * stay, even when emptied, so gc takes no lock and is safe to run
+ * against a store that campaigns in other processes are concurrently
+ * inserting into.
  */
 GcReport gcStore(const std::string &dir, std::uint64_t max_bytes);
-
-/** What a store directory holds (header-level scan; no CRC pass). */
-struct StoreSummary
-{
-    std::string dir;
-    std::uint64_t records = 0;
-    std::uint64_t bytes = 0;
-    /** Records whose header already disqualifies them (bad name,
-     *  magic, schema, or fingerprint mismatch). */
-    std::uint64_t invalid = 0;
-};
-
-StoreSummary summarizeStore(const std::string &dir);
-
-/** @p summary as the JSON object `loopsim-store stat --json` prints. */
-std::string storeSummaryJson(const StoreSummary &summary);
 /// @}
 
 } // namespace loopsim::store

@@ -226,6 +226,10 @@ TEST(RunOptions, RemovedOverlayKeysAreRejected)
          {"attempts", "budget_growth", "fail_soft", "seed_stride"})
         removed.emplace_back(std::string("integrity.retry.") + field,
                              "runs once");
+    for (const char *field :
+         {"backoff_ms", "backoff_growth", "backoff_max_ms"})
+        removed.emplace_back(std::string("integrity.supervisor.") + field,
+                             "fixed 100 ms");
     for (const auto &[key, why] : removed) {
         try {
             resolveOptions(

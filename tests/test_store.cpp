@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -829,7 +830,7 @@ TEST_F(StoreEnv, TraceCollectionBypassesMemoAndStore)
     std::vector<trace::RunTrace> collected = trace::takeCollectedRuns();
     ASSERT_EQ(collected.size(), 2u);
     EXPECT_FALSE(collected[0].events.empty());
-    EXPECT_EQ(store::scanStore(dir.string(), false).size(), 2u);
+    EXPECT_EQ(store::scanStore(dir.string()).size(), 2u);
 }
 
 TEST_F(StoreEnv, VerifyReportsCorruptionAndGcEvictsInvalidThenOldest)
@@ -847,7 +848,7 @@ TEST_F(StoreEnv, VerifyReportsCorruptionAndGcEvictsInvalidThenOldest)
     }
 
     // scanStore lists them sorted by fingerprint.
-    auto entries = store::scanStore(dir.string(), true);
+    auto entries = store::scanStore(dir.string());
     ASSERT_EQ(entries.size(), 4u);
     for (std::size_t i = 1; i < entries.size(); ++i)
         EXPECT_TRUE(entries[i - 1].fp < entries[i].fp);
@@ -885,15 +886,16 @@ TEST_F(StoreEnv, VerifyReportsCorruptionAndGcEvictsInvalidThenOldest)
     EXPECT_TRUE(fs::exists(st.recordPath(fps[1])));
     EXPECT_TRUE(fs::exists(st.recordPath(fps[2])));
 
-    // gc to zero empties the store and prunes the fan-out dirs.
+    // gc to zero empties the store. It leaves no record and no lock
+    // file; only fan-out directories, which gc never removes, may stay.
     store::GcReport drain = store::gcStore(dir.string(), 0);
     EXPECT_EQ(drain.removed, 2u);
     EXPECT_EQ(drain.bytesAfter, 0u);
-    EXPECT_TRUE(store::scanStore(dir.string(), false).empty());
-    // Only the advisory lock file survives a gc-to-zero; every record
-    // and fan-out directory is gone.
-    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
-        EXPECT_EQ(entry.path().filename(), ".lock");
+    EXPECT_TRUE(store::scanStore(dir.string()).empty());
+    EXPECT_FALSE(fs::exists(dir / ".lock"));
+    for (const fs::directory_entry &entry :
+         fs::recursive_directory_iterator(dir))
+        EXPECT_TRUE(entry.is_directory()) << entry.path();
 }
 
 TEST(StoreBenchFlag, StoreWithoutPathExitsWithUsage)
@@ -931,10 +933,9 @@ TEST(StoreBenchFlag, StoreValueParsesInBothSpellings)
 // ---------------------------------------------------------------------------
 // Concurrent-writer hardening: several campaign processes may be
 // inserting into the same store directory that a maintenance gc is
-// sweeping. The advisory lock (shared for writers,
-// exclusive for gc) must keep every acknowledged insert durable —
-// gc may evict by policy, but it must never tear an in-flight write
-// or delete the fan-out directory out from under a rename.
+// sweeping, with no lock between them. Every acknowledged insert must
+// stay durable: gc may evict by policy, but it must never tear an
+// in-flight write, which it cannot, since it removes no directory.
 
 TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
 {
@@ -961,8 +962,12 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
                 // however the threads get scheduled.
                 while (i == kPerThread / 2 && sweeps.load() == 0)
                     std::this_thread::yield();
+                // Each insert gets its own fan-out directory (the top
+                // byte of hi), so each one creates a directory a gc
+                // that swept empty directories could remove.
                 const store::Fingerprint fp{
-                    static_cast<std::uint64_t>(t) + 1,
+                    static_cast<std::uint64_t>(t * kPerThread + i) << 56 |
+                        (static_cast<std::uint64_t>(t) + 1),
                     static_cast<std::uint64_t>(i) + 1};
                 if (!local.insert(fp, sampleResult(
                         static_cast<std::uint32_t>(t * kPerThread + i))))
@@ -972,11 +977,9 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
         });
     }
     std::thread gc([&] {
-        // Generous budget: this gc only sweeps invalid records and
-        // empty fan-out directories — exactly the tear window the
-        // exclusive lock closes. The pause between sweeps lets the
-        // shared-lock writers in: re-taking the exclusive lock in a
-        // tight loop starves them.
+        // Generous budget: this gc evicts nothing valid, so every
+        // insert must survive it. The pause keeps the thread from
+        // spinning on back-to-back full CRC scans.
         while (!stop_gc.load()) {
             store::gcStore(dir.string(), 1ull << 40);
             // Read before publishing the sweep: no writer can finish
@@ -1001,7 +1004,8 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
     for (int t = 0; t < kThreads; ++t) {
         for (int i = 0; i < kPerThread; ++i) {
             const store::Fingerprint fp{
-                static_cast<std::uint64_t>(t) + 1,
+                static_cast<std::uint64_t>(t * kPerThread + i) << 56 |
+                    (static_cast<std::uint64_t>(t) + 1),
                 static_cast<std::uint64_t>(i) + 1};
             EXPECT_TRUE(reader.lookup(fp).has_value())
                 << "lost record " << fp.hex();
@@ -1011,9 +1015,6 @@ TEST_F(StoreEnv, ConcurrentInsertersSurviveLiveGc)
     EXPECT_EQ(verify.records,
               static_cast<std::size_t>(kThreads * kPerThread));
     EXPECT_EQ(verify.corrupt, 0u);
-
-    // The advisory lock file is part of the layout now.
-    EXPECT_TRUE(fs::exists(dir / ".lock"));
 }
 
 TEST_F(StoreEnv, SummaryJsonSharesOneSchemaAcrossCliAndServer)
@@ -1023,24 +1024,20 @@ TEST_F(StoreEnv, SummaryJsonSharesOneSchemaAcrossCliAndServer)
     ASSERT_TRUE(writer.insert(store::Fingerprint{1, 1}, sampleResult(1)));
     ASSERT_TRUE(writer.insert(store::Fingerprint{2, 2}, sampleResult(2)));
 
-    const store::StoreSummary summary =
-        store::summarizeStore(dir.string());
-    EXPECT_EQ(summary.records, 2u);
-    EXPECT_GT(summary.bytes, 0u);
-    EXPECT_EQ(summary.invalid, 0u);
+    auto invalid = [](const std::vector<store::StoreEntry> &entries) {
+        return std::count_if(entries.begin(), entries.end(),
+                             [](const store::StoreEntry &e) {
+                                 return !e.valid;
+                             });
+    };
+    const auto clean = store::scanStore(dir.string());
+    EXPECT_EQ(clean.size(), 2u);
+    EXPECT_EQ(invalid(clean), 0);
 
-    // The loopsim-store stat --json shape: the summary fields only.
-    const std::string cli = store::storeSummaryJson(summary);
-    EXPECT_NE(cli.find("\"dir\""), std::string::npos);
-    EXPECT_NE(cli.find("\"records\": 2"), std::string::npos);
-    EXPECT_NE(cli.find("\"bytes\""), std::string::npos);
-    EXPECT_NE(cli.find("\"invalid\": 0"), std::string::npos);
-    EXPECT_EQ(cli.find("\"stats\""), std::string::npos);
-
-    // A header-invalid file is counted, not silently skipped.
+    // A header-invalid file is counted, not silently skipped: plain
+    // `loopsim-store stat` reports it as corrupt.
     writeFile((dir / "00" / "junk.lsr").string(), "not a record");
-    const store::StoreSummary dirty =
-        store::summarizeStore(dir.string());
-    EXPECT_EQ(dirty.records, 3u);
-    EXPECT_EQ(dirty.invalid, 1u);
+    const auto dirty = store::scanStore(dir.string());
+    EXPECT_EQ(dirty.size(), 3u);
+    EXPECT_EQ(invalid(dirty), 1);
 }

@@ -3,7 +3,7 @@
  * Tests for crash-isolated campaign supervision: forked workers
  * round-tripping results bit-exactly, injected worker crashes
  * (including SIGKILL) and wall-clock deadline overruns degrading to
- * crash/timeout cells after backoff respawns, campaign journals
+ * crash/timeout cells after paused respawns, campaign journals
  * replaying completed and poison cells on resume, journal maintenance
  * (torn tails, pruning), plan fingerprint sensitivity, and a real
  * SIGINT drain of a forked campaign that resumes from its journal.
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -61,7 +62,7 @@ wedgeConfig()
 }
 
 /** Process-fault overrides: crash (or hang) the worker once it has
- *  retired @p at ops. Supervision kept fast: no backoff to speak of. */
+ *  retired @p at ops, with @p attempts spawn attempts. */
 Config
 crashConfig(std::uint64_t at, int sig, unsigned attempts)
 {
@@ -71,7 +72,6 @@ crashConfig(std::uint64_t at, int sig, unsigned attempts)
     cfg.setUint("integrity.fault.crash_signal",
                 static_cast<std::uint64_t>(sig));
     cfg.setUint("integrity.supervisor.attempts", attempts);
-    cfg.setUint("integrity.supervisor.backoff_ms", 1);
     return cfg;
 }
 
@@ -160,26 +160,17 @@ TEST(SupervisorPolicyTest, FromConfigDefaultsAndOverrides)
     SupervisorPolicy def = SupervisorPolicy::fromConfig(Config{});
     EXPECT_EQ(def.attempts, 2u);
     EXPECT_EQ(def.deadlineMs, 0u);
-    EXPECT_EQ(def.backoffMs, 100u);
-    EXPECT_DOUBLE_EQ(def.backoffGrowth, 2.0);
-    EXPECT_EQ(def.backoffMaxMs, 2000u);
 
     // The deadline is always the process-wide one...
     setDeadlineMs(750);
     EXPECT_EQ(SupervisorPolicy::fromConfig(Config{}).deadlineMs, 750u);
 
-    // ...and explicit keys win over the other defaults.
+    // ...and the attempts key wins over its default.
     Config cfg;
     cfg.setUint("integrity.supervisor.attempts", 5);
-    cfg.setUint("integrity.supervisor.backoff_ms", 7);
-    cfg.setDouble("integrity.supervisor.backoff_growth", 3.0);
-    cfg.setUint("integrity.supervisor.backoff_max_ms", 11);
     SupervisorPolicy p = SupervisorPolicy::fromConfig(cfg);
     EXPECT_EQ(p.attempts, 5u);
     EXPECT_EQ(p.deadlineMs, 750u);
-    EXPECT_EQ(p.backoffMs, 7u);
-    EXPECT_DOUBLE_EQ(p.backoffGrowth, 3.0);
-    EXPECT_EQ(p.backoffMaxMs, 11u);
 }
 
 TEST(SupervisorFlags, SettersWinOverEnvironment)
@@ -232,7 +223,7 @@ TEST(SupervisedRun, WorkerDoesNotReflushParentStdout)
     std::printf("unflushed-marker;");
     SupervisedOutcome healthy =
         runCellSupervised(smallSpec("gcc"), {}, "healthy cell");
-    // A wedged cell retries, so the worker also writes warnings.
+    // A wedged cell fails soft, so the worker also writes warnings.
     RunSpec wedged = smallSpec("gcc");
     wedged.overrides = wedgeConfig();
     SupervisedOutcome warned = runCellSupervised(wedged, {}, "wedged cell");
@@ -272,12 +263,17 @@ TEST(SupervisedRun, CrashDegradesAfterBackoffRespawns)
     RunSpec spec = smallSpec("gcc");
     spec.overrides = crashConfig(500, SIGABRT, 2);
 
+    using clock = std::chrono::steady_clock;
+    const clock::time_point t0 = clock::now();
     SupervisedOutcome so = runCellSupervised(spec, {}, "crash cell");
+    const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+        clock::now() - t0);
 
     EXPECT_EQ(so.attempts, 2u);
     EXPECT_EQ(so.crashes, 2u);
     EXPECT_EQ(so.timeouts, 0u);
-    EXPECT_EQ(so.backoffWaits, 1u);
+    // One respawn, so one fixed pause between the two spawns.
+    EXPECT_GE(took.count(), static_cast<long long>(kRespawnPauseMs));
     EXPECT_TRUE(so.result.failed);
     EXPECT_EQ(so.result.failKind, FailKind::Crash);
     EXPECT_EQ(pointFailKind(so.result.ipc), FailKind::Crash);

@@ -46,9 +46,8 @@ usage(std::ostream &os, int exit_code)
           "commands:\n"
           "  list                 one line per record: fingerprint, "
           "bytes, workload, pipe, IPC\n"
-          "  stat [--json]        aggregate summary (records, bytes, "
-          "schema versions); --json emits the shared cache-tier "
-          "schema\n"
+          "  stat                 aggregate summary (records, bytes, "
+          "corrupt, schema versions)\n"
           "  verify               validate every record's CRC; exit 1 "
           "if any is corrupt\n"
           "  gc --max-bytes N     evict invalid then oldest records "
@@ -84,13 +83,12 @@ struct Options
     std::string store;
     std::string journal;
     std::string maxBytes;
-    bool json = false;
 };
 
 /**
- * Parse @p args, which may hold only the flags in @p accepted: value
- * flags as `--flag V` or `--flag=V`, `--json` bare. An unknown flag, a
- * stray argument or a missing or empty value is a usage error.
+ * Parse @p args, which may hold only the flags in @p accepted, as
+ * `--flag V` or `--flag=V`. An unknown flag, a stray argument or a
+ * missing or empty value is a usage error.
  */
 Options
 parseOptions(const std::vector<std::string> &args,
@@ -106,12 +104,6 @@ parseOptions(const std::vector<std::string> &args,
         if (std::find(accepted.begin(), accepted.end(), name) ==
             accepted.end())
             usageError("unknown option \"" + arg + "\"");
-        if (name == "--json") {
-            if (eq != std::string::npos)
-                usageError("--json takes no value");
-            o.json = true;
-            continue;
-        }
         std::string &value = name == "--store"     ? o.store
                              : name == "--journal" ? o.journal
                                                    : o.maxBytes;
@@ -140,7 +132,7 @@ resolveDir(const Options &o)
 int
 cmdList(const std::string &dir)
 {
-    const auto entries = store::scanStore(dir, /*decode=*/true);
+    const auto entries = store::scanStore(dir);
     for (const store::StoreEntry &e : entries) {
         std::cout << e.fp.hex() << "  " << e.bytes << "B";
         if (!e.valid) {
@@ -161,13 +153,9 @@ cmdList(const std::string &dir)
 }
 
 int
-cmdStat(const std::string &dir, bool json)
+cmdStat(const std::string &dir)
 {
-    if (json) {
-        std::cout << store::storeSummaryJson(store::summarizeStore(dir));
-        return 0;
-    }
-    const auto entries = store::scanStore(dir, /*decode=*/true);
+    const auto entries = store::scanStore(dir);
     std::uint64_t bytes = 0;
     std::size_t corrupt = 0;
     std::size_t failed = 0;
@@ -361,10 +349,8 @@ main(int argc, char **argv)
         return cmdJournal(args);
     if (command == "list")
         return cmdList(resolveDir(parseOptions(args, {"--store"})));
-    if (command == "stat") {
-        const Options o = parseOptions(args, {"--store", "--json"});
-        return cmdStat(resolveDir(o), o.json);
-    }
+    if (command == "stat")
+        return cmdStat(resolveDir(parseOptions(args, {"--store"})));
     if (command == "verify")
         return cmdVerify(resolveDir(parseOptions(args, {"--store"})));
     if (command == "gc") {
