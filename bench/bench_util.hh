@@ -14,16 +14,15 @@
  * variable. `--jobs auto` means the host CPU count. Every binary
  * records campaign telemetry (wall clock, runs/sec, cache activity,
  * supervision counters, the resolved options, and the kernel tick
- * profile) into BENCH_campaign.json on exit —
- * including on a SIGINT/SIGTERM drain, via the campaign
- * interrupt-flush hook; --trace additionally writes the campaign's
- * loop-event trace (Chrome JSON, or CSV for *.csv paths — see
+ * profile) into BENCH_campaign.json when it exits normally; a run
+ * killed by a signal records nothing. --trace additionally writes the
+ * campaign's loop-event trace (Chrome JSON, or CSV for *.csv paths — see
  * src/trace/loop_trace.hh and DESIGN.md §11); --store points the
  * persistent result store at a directory, so reruns replay cached
  * cells instead of simulating (src/store/, DESIGN.md §12); --isolate
  * runs each cell in a supervised forked worker with --deadline-ms as
  * its wall-clock watchdog, and --journal makes the campaign resumable
- * after a crash or interrupt (DESIGN.md §13).
+ * after a crash, a kill or a Ctrl-C (DESIGN.md §13).
  */
 
 #ifndef LOOPSIM_BENCH_BENCH_UTIL_HH
@@ -38,6 +37,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "base/debug.hh"
 #include "harness/campaign.hh"
@@ -237,11 +238,9 @@ ablationWorkloads()
  * entry with the cumulative campaign wall clock and runs/sec, so the
  * perf trajectory of the figure suite is recorded run over run; the
  * entry also carries the resolved options and the "tick_profile"
- * array. The constructor installs the command line's
- * options through each layer's setter and registers itself as the
- * campaign interrupt-flush hook, so a SIGINT/SIGTERM drain still
- * writes the (partial) entry before the process exits. With a trace
- * path, flushing also writes the collected trace there.
+ * array. The constructor installs the command line's options through
+ * each layer's setter. With a trace path, the destructor also writes
+ * the collected trace there.
  */
 class CampaignRecorder
 {
@@ -258,28 +257,18 @@ class CampaignRecorder
         setIsolation(o.isolate);
         setDeadlineMs(o.deadlineMs);
         store::setJournalPath(o.journalPath);
-        // The campaign executor runs on this thread, so the hook fires
-        // with this object alive and no concurrent flush possible.
-        setCampaignInterruptFlush([this] { flush(); });
     }
 
-    ~CampaignRecorder()
-    {
-        setCampaignInterruptFlush(nullptr);
-        flush();
-    }
+    ~CampaignRecorder() { flush(); }
 
     CampaignRecorder(const CampaignRecorder &) = delete;
     CampaignRecorder &operator=(const CampaignRecorder &) = delete;
 
-    /** Write the telemetry entry (and the trace, when tracing). Runs
-     *  once: the interrupt hook and the destructor share the guard. */
+  private:
+    /** Write the telemetry entry (and the trace, when tracing). */
     void
     flush()
     {
-        if (flushed)
-            return;
-        flushed = true;
         std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - start;
         CampaignTelemetry t = campaignTotals();
@@ -296,8 +285,6 @@ class CampaignRecorder
               << ", \"campaign_wall_s\": " << t.wallSeconds
               << ", \"runs_per_s\": " << t.runsPerSecond()
               << ", \"process_wall_s\": " << wall.count()
-              << ", \"interrupted\": "
-              << (t.interrupted ? "true" : "false")
               << ", \"store\": {\"dir\": "
               << detail::jsonString(store::storePath())
               << ", \"memo_hits\": " << t.memoHits
@@ -374,10 +361,12 @@ class CampaignRecorder
         }
     }
 
-  private:
     /** Append @p entry to the JSON array, creating the file if absent.
      *  The file is rewritten whole: read, splice before the closing
-     *  bracket, write back. Bench binaries run one at a time. */
+     *  bracket, write a temp file beside it and rename(2) that into
+     *  place, so a kill mid-write leaves the old array, never a
+     *  truncated one. Bench binaries sharing one file run one at a
+     *  time. */
     void
     append(const std::string &entry) const
     {
@@ -405,15 +394,24 @@ class CampaignRecorder
             bool first = head.find('{') == std::string::npos;
             out = head + (first ? "\n" : ",\n") + entry + "\n]\n";
         }
-        std::ofstream of(path, std::ios::trunc);
-        of << out;
+        const std::string tmp =
+            path + ".tmp-" + std::to_string(::getpid());
+        {
+            std::ofstream of(tmp, std::ios::trunc);
+            of << out;
+            if (!of.flush()) {
+                std::remove(tmp.c_str());
+                return;
+            }
+        }
+        if (std::rename(tmp.c_str(), path.c_str()) != 0)
+            std::remove(tmp.c_str());
     }
 
     std::string name;
     std::uint64_t totalOps;
     std::string tracePath;
     std::chrono::steady_clock::time_point start;
-    bool flushed = false;
 };
 
 } // namespace loopsim::benchutil

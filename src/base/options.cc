@@ -142,7 +142,8 @@ constexpr std::pair<const char *, const char *> kRemoved[] = {
      "removed; use LOOPSIM_DEBUG=Reg and grep for one register"},
 };
 
-/** Retired config keys (by prefix), refused in LOOPSIM_OVERLAY. */
+/** Retired config keys (by prefix), refused wherever config text
+ *  enters: LOOPSIM_OVERLAY and Config::parseAssignment. */
 constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
     {"integrity.retry.", "was removed: a cell runs once, since a SimError "
                          "is a pure function of config and seed"},
@@ -255,14 +256,21 @@ resolveOptions(const Environment &env)
         }
     }
     for (const auto &entry : o.overlay) {
-        for (const auto &[old, why] : kRemovedKeys) {
-            if (startsWith(entry.first, old))
-                throw OptionError("LOOPSIM_OVERLAY",
-                                  env.at("LOOPSIM_OVERLAY"),
-                                  entry.first + " " + why);
-        }
+        if (const char *why = removedKeyReason(entry.first))
+            throw OptionError("LOOPSIM_OVERLAY", env.at("LOOPSIM_OVERLAY"),
+                              entry.first + " " + why);
     }
     return o;
+}
+
+const char *
+removedKeyReason(const std::string &key)
+{
+    for (const auto &[old, why] : kRemovedKeys) {
+        if (startsWith(key, old))
+            return why;
+    }
+    return nullptr;
 }
 
 RunOptions &

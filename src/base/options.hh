@@ -79,6 +79,12 @@ using Environment = std::map<std::string, std::string>;
  */
 RunOptions resolveOptions(const Environment &env);
 
+/** Why config key @p key was retired ("was removed: ..."), or nullptr
+ *  for a live key. The one table of retired keys: resolveOptions()
+ *  consults it for LOOPSIM_OVERLAY, Config::parseAssignment for every
+ *  other `k=v` text. */
+const char *removedKeyReason(const std::string &key);
+
 /** The process-wide options, resolved on first use (exit 2 on error). */
 RunOptions &processOptions();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -56,59 +55,6 @@ LOOPSIM_CAMPAIGN_GUARDED("telemetryMutex")
 CampaignTelemetry lastTelemetry;
 LOOPSIM_CAMPAIGN_GUARDED("telemetryMutex")
 CampaignTelemetry totalTelemetry;
-
-std::mutex flushHookMutex;
-LOOPSIM_CAMPAIGN_GUARDED("flushHookMutex")
-std::function<void()> interruptFlushHook;
-
-/** Graceful-shutdown state, set from the signal handler. */
-std::atomic<bool> shutdownRequested{false};
-std::atomic<int> shutdownSignal{0};
-
-/** Async-signal-safe: only atomic stores. */
-void
-onShutdownSignal(int sig)
-{
-    shutdownSignal.store(sig, std::memory_order_relaxed);
-    shutdownRequested.store(true, std::memory_order_release);
-}
-
-/**
- * Installs the SIGINT/SIGTERM drain handlers for one campaign and
- * restores the previous dispositions on scope exit. SA_RESETHAND so
- * an impatient second signal gets the default (immediate) action.
- */
-class ShutdownGuard
-{
-  public:
-    ShutdownGuard()
-    {
-        shutdownRequested.store(false, std::memory_order_release);
-        struct sigaction sa = {};
-        sa.sa_handler = onShutdownSignal;
-        sigemptyset(&sa.sa_mask);
-        sa.sa_flags = SA_RESETHAND;
-        ::sigaction(SIGINT, &sa, &oldInt);
-        ::sigaction(SIGTERM, &sa, &oldTerm);
-    }
-
-    ~ShutdownGuard() { restore(); }
-
-    void
-    restore()
-    {
-        if (restored)
-            return;
-        restored = true;
-        ::sigaction(SIGINT, &oldInt, nullptr);
-        ::sigaction(SIGTERM, &oldTerm, nullptr);
-    }
-
-  private:
-    struct sigaction oldInt = {};
-    struct sigaction oldTerm = {};
-    bool restored = false;
-};
 
 /**
  * A mistyped overlay value would fail every cell the same way. Build
@@ -209,7 +155,6 @@ CampaignTelemetry::accumulate(const CampaignTelemetry &other)
     crashes += other.crashes;
     timeouts += other.timeouts;
     spawnRetries += other.spawnRetries;
-    interrupted = interrupted || other.interrupted;
     store.accumulate(other.store);
     wallSeconds += other.wallSeconds;
     mergeTickProfile(tickProfile, other.tickProfile);
@@ -389,14 +334,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     for (std::size_t i : pending)
         resolved[i] = effectiveRunConfig(plan.at(i).spec);
 
-    // Graceful shutdown scope: SIGINT/SIGTERM flips the drain flag,
-    // workers stop claiming cells, in-flight forked children are
-    // SIGKILLed and reaped by their supervising worker. `done[i]`
-    // marks slots whose result is real — an interrupted drain must
-    // not journal or publish a default-constructed RunResult.
-    ShutdownGuard shutdownGuard;
-    setSupervisorStopFlag(&shutdownRequested);
-    std::vector<std::atomic<bool>> done(plan.size());
     SupervisionCounters counters;
 
     auto executeOne = [&](std::size_t i) {
@@ -424,15 +361,12 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
                                         std::memory_order_relaxed);
             counters.spawnRetries.fetch_add(
                 so.attempts - 1, std::memory_order_relaxed);
-            if (so.interrupted)
-                return;
         }
         results[i] = std::move(so.result);
         // Journal as cells finish, not after the pool drains: a
         // killed campaign then loses at most the entries in flight.
         if (journal)
             journal->append(fps[i], results[i]);
-        done[i].store(true, std::memory_order_release);
     };
 
     const unsigned workers_wanted = static_cast<unsigned>(
@@ -456,8 +390,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         WorkerTelemetry &w = workerStats[t];
         w.id = t;
         for (;;) {
-            if (shutdownRequested.load(std::memory_order_acquire))
-                break;
             // loop:exempt(wall-clock telemetry only)
             const auto claim0 = std::chrono::steady_clock::now();
             const std::size_t k =
@@ -496,9 +428,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         seconds(std::chrono::steady_clock::now() - poolStart);
     for (WorkerTelemetry &w : workerStats)
         w.idleSeconds = poolSeconds - w.busySeconds - w.claimWaitSeconds;
-    setSupervisorStopFlag(nullptr);
-    const bool interrupted =
-        shutdownRequested.load(std::memory_order_acquire);
 
     if (memoize) {
         // Publish fresh results: every simulated cell enters the memo
@@ -507,8 +436,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         // timeout verdict can have a host cause that later campaigns
         // must not inherit.
         for (std::size_t i : pending) {
-            if (!done[i].load(std::memory_order_acquire))
-                continue;
             store::processMemo().insert(fps[i], results[i]);
             if (pstore && !results[i].failed)
                 pstore->insert(fps[i], results[i]);
@@ -517,8 +444,7 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         // exactly what a memo hit would (no tick profile: the host
         // time was already attributed to the first occurrence).
         for (std::size_t i = 0; i < plan.size(); ++i) {
-            if (dupOf[i] == kNotDup ||
-                !done[dupOf[i]].load(std::memory_order_acquire))
+            if (dupOf[i] == kNotDup)
                 continue;
             if (auto hit = store::processMemo().lookup(fps[i]))
                 results[i] = std::move(*hit);
@@ -527,68 +453,30 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         }
     }
 
-    // One telemetry builder for both exits. A drained campaign counts
-    // only the pending cells that finished; a complete one counts
-    // every cell, cache hits included.
-    auto recordTelemetry = [&] {
-        CampaignTelemetry t;
-        t.jobs = jobs;
-        t.hostCpus = host_cpus;
-        t.runs = plan.size();
-        t.memoHits = memoHits;
-        t.resumed = resumed;
-        t.interrupted = interrupted;
-        loadSupervisionCounters(t, counters);
-        t.workers = workerStats;
-        if (pstore)
-            t.store = storeDelta(pstore->stats(), storeBefore);
-        t.wallSeconds = std::chrono::duration<double>(
-                            // loop:exempt(wall-clock telemetry only)
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-        auto count = [&t](const RunResult &r) {
-            t.failures += r.failed ? 1 : 0;
-            mergeTickProfile(t.tickProfile, r.tickProfile);
-        };
-        if (interrupted) {
-            for (std::size_t i : pending) {
-                if (!done[i].load(std::memory_order_acquire))
-                    continue;
-                ++t.simulated;
-                count(results[i]);
-            }
-        } else {
-            t.simulated = pending.size();
-            for (const RunResult &r : results)
-                count(r);
-        }
-        std::lock_guard<std::mutex> lock(telemetryMutex);
-        lastTelemetry = t;
-        totalTelemetry.accumulate(t);
-        return t;
-    };
-
-    if (interrupted) {
-        // Drained: record what completed, flush, and exit with the
-        // conventional 128+signal status. The journal already holds
-        // every finished cell, so the next invocation resumes.
-        const std::size_t completed = recordTelemetry().simulated;
-        std::function<void()> flush;
-        {
-            std::lock_guard<std::mutex> lock(flushHookMutex);
-            flush = interruptFlushHook;
-        }
-        if (flush)
-            flush();
-        const int sig = shutdownSignal.load(std::memory_order_relaxed);
-        warn("campaign interrupted by ",
-             sig == SIGINT ? "SIGINT" : "SIGTERM", ": ", completed,
-             " of ", pending.size(), " pending cells finished",
-             journal ? " and were journaled for resume" : "",
-             "; exiting ", 128 + sig);
-        std::exit(128 + sig); // NOLINT(concurrency-mt-unsafe)
+    CampaignTelemetry t;
+    t.jobs = jobs;
+    t.hostCpus = host_cpus;
+    t.runs = plan.size();
+    t.simulated = pending.size();
+    t.memoHits = memoHits;
+    t.resumed = resumed;
+    loadSupervisionCounters(t, counters);
+    t.workers = std::move(workerStats);
+    if (pstore)
+        t.store = storeDelta(pstore->stats(), storeBefore);
+    t.wallSeconds = std::chrono::duration<double>(
+                        // loop:exempt(wall-clock telemetry only)
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    for (const RunResult &r : results) {
+        t.failures += r.failed ? 1 : 0;
+        mergeTickProfile(t.tickProfile, r.tickProfile);
     }
-    recordTelemetry();
+    {
+        std::lock_guard<std::mutex> lock(telemetryMutex);
+        totalTelemetry.accumulate(t);
+        lastTelemetry = std::move(t);
+    }
 
     // Feed the process-wide trace collector strictly in plan order,
     // from this (single) thread, after the pool has drained: the
@@ -616,13 +504,6 @@ fingerprintPlan(const CampaignPlan &plan)
     for (std::size_t i = 0; i < plan.size(); ++i)
         fps.push_back(store::fingerprintRun(plan.at(i).spec, {}));
     return planFingerprintFromCells(fps);
-}
-
-void
-setCampaignInterruptFlush(std::function<void()> hook)
-{
-    std::lock_guard<std::mutex> lock(flushHookMutex);
-    interruptFlushHook = std::move(hook);
 }
 
 CampaignTelemetry

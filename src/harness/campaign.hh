@@ -39,17 +39,17 @@
  * verdict instead of re-crashing a worker — and simulates only what is
  * missing, preserving byte-identical assembled output.
  *
- * Graceful shutdown: SIGINT/SIGTERM makes the pool stop claiming
- * cells, drain (and reap) what is in flight, journal every completed
- * cell, record partial telemetry, run the interrupt-flush hook, and
- * _exit with status 128+signal. A second signal kills immediately.
+ * Signals: the executor installs no handler. SIGINT and SIGTERM keep
+ * their default action, so a campaign stopped by a signal is a crashed
+ * one: it loses the cells in flight, forked workers die with it
+ * (harness/supervisor.hh), and rerunning the same command with the
+ * same journal resumes it.
  */
 
 #ifndef LOOPSIM_HARNESS_CAMPAIGN_HH
 #define LOOPSIM_HARNESS_CAMPAIGN_HH
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -156,9 +156,6 @@ struct CampaignTelemetry
     /** Extra spawn attempts beyond each cell's first. */
     std::size_t spawnRetries = 0;
     /// @}
-    /** A SIGINT/SIGTERM shutdown cut this campaign short; the counts
-     *  above cover only what completed before the drain. */
-    bool interrupted = false;
     /** Persistent-store activity attributable to this campaign
      *  (hits/misses/inserts/CRC rejects/bytes; all zero when no store
      *  directory is configured). */
@@ -220,16 +217,6 @@ std::vector<RunResult> runCampaign(const CampaignPlan &plan,
  * for tests and the journal CLI.
  */
 store::Fingerprint fingerprintPlan(const CampaignPlan &plan);
-
-/**
- * Install the graceful-shutdown flush hook (nullptr clears). When a
- * SIGINT/SIGTERM drain completes, the hook runs once — after partial
- * telemetry is recorded and the journal is flushed, before the
- * process exits with 128+signal. The bench binaries point this at
- * their BENCH_campaign.json recorder so an interrupted campaign still
- * leaves telemetry behind.
- */
-void setCampaignInterruptFlush(std::function<void()> hook);
 
 /** Telemetry of the most recently completed campaign. */
 CampaignTelemetry lastCampaignTelemetry();

@@ -1,18 +1,22 @@
 #include "harness/supervisor.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <mutex>
 #include <thread>
 
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "base/logging.hh"
 #include "base/options.hh"
@@ -25,15 +29,9 @@ namespace loopsim
 namespace
 {
 
-/** Campaign shutdown flag polled while a child is in flight. */
-std::atomic<const std::atomic<bool> *> stopFlag{nullptr};
-
-bool
-stopRequested()
-{
-    const std::atomic<bool> *f = stopFlag.load(std::memory_order_acquire);
-    return f != nullptr && f->load(std::memory_order_acquire);
-}
+/** Held from a worker's pipe() to its parent-side close of the write
+ *  end, so no other worker forks in between (superviseOnce). */
+std::mutex forkMutex;
 
 /**
  * The wire record travels between two processes of the same binary, so
@@ -102,19 +100,27 @@ decodeWire(std::string_view wire, RunResult &result)
 }
 
 /**
- * The child half: reset the parent's campaign signal handlers, run the
- * cell against the pre-fork-resolved configuration, ship the wire
- * record and _exit without running atexit
- * handlers that belong to the parent's state. It flushes no stdio
- * stream: those hold the parent's unwritten output, which the parent
- * writes itself. Its own diagnostics go to the unbuffered stderr,
- * untied from stdout so a warning does not flush stdout first.
+ * The child half: arrange to die with the parent, run the cell against
+ * the pre-fork-resolved configuration, ship the wire record and _exit
+ * without running atexit handlers that belong to the parent's state.
+ * It flushes no stdio stream: those hold the parent's unwritten
+ * output, which the parent writes itself. Its own diagnostics go to
+ * the unbuffered stderr, untied from stdout so a warning does not
+ * flush stdout first. @p parent is the forking process's pid, read
+ * before the fork: a parent that died before the prctl() has already
+ * orphaned the child, which then has nobody to report to.
  */
 [[noreturn]] void
-childMain(int fd, const RunSpec &spec, const Config &resolved)
+childMain(int fd, pid_t parent, const RunSpec &spec,
+          const Config &resolved)
 {
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
+#ifdef __linux__
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent)
+        ::_exit(1);
+#else
+    (void)parent;
+#endif
     detail::untieDiagnostics();
     int status = 0;
     try {
@@ -140,8 +146,36 @@ enum class ChildFate
     Ok,      ///< clean exit, wire record parsed
     Crash,   ///< signal death, nonzero exit, or garbled record
     Timeout, ///< wall-clock deadline overrun; SIGKILLed
-    Interrupted,
 };
+
+/**
+ * What a live, unreaped child is doing, as " (state S, wchan
+ * hrtimer_nanosleep)" from /proc/<pid>/stat and /proc/<pid>/wchan,
+ * so a timeout says whether the child ran, slept or blocked on a
+ * lock. Empty when either file cannot be read, and off Linux.
+ */
+std::string
+childActivity([[maybe_unused]] pid_t pid)
+{
+#ifdef __linux__
+    const std::string proc = "/proc/" + std::to_string(pid);
+    std::ifstream stat_in(proc + "/stat");
+    std::ifstream wchan_in(proc + "/wchan");
+    std::string stat;
+    std::string wchan;
+    std::getline(stat_in, stat);
+    std::getline(wchan_in, wchan);
+    // "pid (comm) S ...": comm may hold spaces and parentheses.
+    const std::size_t paren = stat.rfind(')');
+    if (paren == std::string::npos || paren + 2 >= stat.size() ||
+        wchan.empty())
+        return "";
+    return " (state " + stat.substr(paren + 2, 1) + ", wchan " + wchan +
+           ")";
+#else
+    return "";
+#endif
+}
 
 /** One fork/reap round. Fills @p result only on Ok. */
 ChildFate
@@ -150,23 +184,31 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
               std::string &why)
 {
     int fds[2];
-    if (::pipe(fds) != 0) {
-        why = std::string("pipe failed: ") + std::strerror(errno);
-        return ChildFate::Crash;
-    }
-
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        why = std::string("fork failed: ") + std::strerror(errno);
-        ::close(fds[0]);
+    pid_t pid = 0;
+    {
+        // Until the close below, a child another worker forks would
+        // inherit this pipe's write end and hold it open, so this cell
+        // would see no EOF before that child ended: a finished worker
+        // (state Z) then overran its deadline beside a hung one.
+        std::lock_guard<std::mutex> lock(forkMutex);
+        if (::pipe(fds) != 0) {
+            why = std::string("pipe failed: ") + std::strerror(errno);
+            return ChildFate::Crash;
+        }
+        const pid_t parent = ::getpid();
+        pid = ::fork();
+        if (pid < 0) {
+            why = std::string("fork failed: ") + std::strerror(errno);
+            ::close(fds[0]);
+            ::close(fds[1]);
+            return ChildFate::Crash;
+        }
+        if (pid == 0) {
+            ::close(fds[0]);
+            childMain(fds[1], parent, spec, resolved);
+        }
         ::close(fds[1]);
-        return ChildFate::Crash;
     }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(fds[1], spec, resolved);
-    }
-    ::close(fds[1]);
 
     using clock = std::chrono::steady_clock;
     // loop:exempt(analyze: wall-clock child deadline, host side only)
@@ -177,15 +219,9 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
 
     std::string wire;
     bool timed_out = false;
-    bool interrupted = false;
     for (;;) {
-        if (stopRequested()) {
-            interrupted = true;
-            break;
-        }
-        // Poll in short slices so the deadline and the shutdown flag
-        // are both observed even while the child is silent.
-        int slice_ms = 100;
+        // Wait for output, EOF or the deadline, whichever comes first.
+        int wait_ms = -1;
         if (bounded) {
             auto left = std::chrono::duration_cast<
                 // loop:exempt(analyze: wall-clock child deadline)
@@ -194,11 +230,11 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
                 timed_out = true;
                 break;
             }
-            slice_ms = static_cast<int>(
-                std::min<long long>(slice_ms, left.count()));
+            wait_ms = static_cast<int>(std::min<long long>(
+                std::numeric_limits<int>::max(), left.count()));
         }
         struct pollfd pfd = {fds[0], POLLIN, 0};
-        int pr = ::poll(&pfd, 1, slice_ms);
+        int pr = ::poll(&pfd, 1, wait_ms);
         if (pr < 0) {
             if (errno == EINTR)
                 continue;
@@ -221,20 +257,18 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
     }
     ::close(fds[0]);
 
-    if (timed_out || interrupted)
+    if (timed_out) {
+        why = "worker overran the " + std::to_string(deadline_ms) +
+              " ms wall-clock deadline" + childActivity(pid);
         ::kill(pid, SIGKILL);
+    }
 
     int status = 0;
     while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
 
-    if (interrupted)
-        return ChildFate::Interrupted;
-    if (timed_out) {
-        why = "worker overran the " + std::to_string(deadline_ms) +
-              " ms wall-clock deadline";
+    if (timed_out)
         return ChildFate::Timeout;
-    }
     if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
         why = std::string("worker died on signal ") +
@@ -252,23 +286,6 @@ superviseOnce(const RunSpec &spec, const Config &resolved,
         return ChildFate::Crash;
     }
     return ChildFate::Ok;
-}
-
-/** Interruptible respawn pause; returns false when shutdown struck. */
-bool
-respawnPause()
-{
-    using clock = std::chrono::steady_clock;
-    const auto until =
-        // loop:exempt(analyze: wall-clock pause between child respawns)
-        clock::now() + std::chrono::milliseconds(kRespawnPauseMs);
-    // loop:exempt(analyze: wall-clock pause between child respawns)
-    while (clock::now() < until) {
-        if (stopRequested())
-            return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return true;
 }
 
 } // anonymous namespace
@@ -322,12 +339,6 @@ setDeadlineMs(std::uint64_t ms)
     processOptions().deadlineMs = ms;
 }
 
-void
-setSupervisorStopFlag(const std::atomic<bool> *flag)
-{
-    stopFlag.store(flag, std::memory_order_release);
-}
-
 SupervisedOutcome
 runCellSupervised(const RunSpec &spec, const RetryPolicy &,
                   const std::string &fallback_label)
@@ -350,10 +361,6 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &,
             superviseOnce(spec, resolved, sup.deadlineMs, out.result, why);
         if (fate == ChildFate::Ok)
             return out;
-        if (fate == ChildFate::Interrupted) {
-            out.interrupted = true;
-            return out;
-        }
 
         last_kind = fate == ChildFate::Timeout ? FailKind::Timeout
                                                : FailKind::Crash;
@@ -367,10 +374,8 @@ runCellSupervised(const RunSpec &spec, const RetryPolicy &,
              failKindName(last_kind), "ed: ", why);
         if (attempt >= sup.attempts)
             break;
-        if (!respawnPause()) {
-            out.interrupted = true;
-            return out;
-        }
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(kRespawnPauseMs));
     }
 
     // Every spawn died: degrade to a crash/timeout figure cell.

@@ -19,7 +19,8 @@
  *  - wall-clock deadline overrun (--deadline-ms) -> SIGKILL + reap ->
  *    FailKind::Timeout — a *real-time* watchdog complementing the
  *    PR-1 cycle-budget watchdog, which cannot fire when the process
- *    stops ticking simulated time at all
+ *    stops ticking simulated time at all. On Linux the reason names
+ *    the child's state and kernel wait channel at the deadline.
  *
  * Crashes and timeouts are respawned after a fixed kRespawnPauseMs
  * pause up to integrity.supervisor.attempts, then degrade to a
@@ -38,6 +39,16 @@
  * static's first-use guard is such a lock too, so what both the child
  * and the parent's threads call (figureLabel()) keeps its tables
  * constant-initialized.
+ *
+ * Orphans: on Linux the child asks for SIGKILL when its parent dies
+ * (prctl(PR_SET_PDEATHSIG)) and exits at once if the parent died
+ * before that call, so a killed campaign, whatever the signal, leaves
+ * no worker behind. The kernel sends that signal when the *forking
+ * thread* exits, not the process: every campaign worker thread, and
+ * loopbench's traced pool, reaps its child before it returns, so no
+ * live child loses its parent early. On other platforms an orphan can
+ * outlive a killed parent, and a hung one runs until killed by hand.
+ *
  * Loop-event traces only exist in real in-process executions, so the
  * campaign executor bypasses isolation while trace collection is on
  * (the same contract the result store follows); tick profiles are
@@ -47,7 +58,6 @@
 #ifndef LOOPSIM_HARNESS_SUPERVISOR_HH
 #define LOOPSIM_HARNESS_SUPERVISOR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -57,7 +67,7 @@ namespace loopsim
 {
 
 /** Wall-clock pause before each respawn of a crashed or timed-out
- *  worker; a shutdown cuts it short. */
+ *  worker. */
 constexpr std::uint64_t kRespawnPauseMs = 100;
 
 /** How the supervisor respawns crashed / timed-out workers. */
@@ -86,9 +96,6 @@ struct SupervisedOutcome
     unsigned crashes = 0;
     /** Deadline overruns observed across attempts. */
     unsigned timeouts = 0;
-    /** A graceful shutdown interrupted this cell: the in-flight child
-     *  was reaped early and result must not be journaled or used. */
-    bool interrupted = false;
 };
 
 /** @name Process-wide isolation configuration
@@ -101,15 +108,6 @@ bool isolationActive();
 void setDeadlineMs(std::uint64_t ms);
 std::uint64_t deadlineMs();
 /// @}
-
-/**
- * Cooperative shutdown: while @p flag (owned by the caller, may be
- * null to detach) reads true, in-flight children are SIGKILLed and
- * reaped, respawn pauses cut short, and outcomes come back with
- * interrupted set. The campaign executor points this at its
- * SIGINT/SIGTERM flag for the duration of a run.
- */
-void setSupervisorStopFlag(const std::atomic<bool> *flag);
 
 /**
  * Run one cell in a supervised forked worker. The child runs the cell

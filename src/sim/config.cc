@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "base/logging.hh"
+#include "base/options.hh"
 #include "base/str.hh"
 
 namespace loopsim
@@ -48,6 +49,8 @@ Config::parseAssignment(const std::string &assignment)
     std::string key = trim(assignment.substr(0, pos));
     std::string value = trim(assignment.substr(pos + 1));
     fatal_if(key.empty(), "empty key in assignment: ", assignment);
+    if (const char *why = removedKeyReason(key))
+        fatal("config key ", key, " ", why);
     set(key, value);
 }
 

@@ -36,7 +36,8 @@ class Config
     void setDouble(const std::string &key, double value);
     void setBool(const std::string &key, bool value);
 
-    /** Parse "a.b=c" assignments; fatal() on malformed input. */
+    /** Parse "a.b=c" assignments; fatal() on malformed input or a
+     *  retired key (removedKeyReason(), base/options.hh). */
     void parseAssignment(const std::string &assignment);
     /** Parse a list of "k=v" strings, e.g.\ CLI arguments. */
     void parseArgs(const std::vector<std::string> &args);

@@ -34,8 +34,10 @@
  * and fsync()ed, and a write torn by a crash or SIGKILL leaves a
  * recognisably short or CRC-broken tail. Replay accepts the longest
  * valid prefix and the writer truncates the torn tail before
- * appending again, so an interrupted campaign loses at most the cell
- * that was mid-append — never the file.
+ * appending again, so a killed campaign loses at most the cells in
+ * flight and the one that was mid-append — never the file. A campaign
+ * stopped by SIGINT or SIGTERM is a killed one: rerunning it with the
+ * same journal is the only way to resume.
  *
  * Each journal has one writer: a handle holds an exclusive flock(2)
  * on its file for its lifetime, and a second handle on the same plan
@@ -90,7 +92,7 @@ class CampaignJournal
     /** False when the journal file could not be opened and locked. */
     bool ok() const { return fd >= 0; }
 
-    /** Cells already completed by a previous (interrupted) campaign,
+    /** Cells already completed by a previous (killed) campaign,
      *  verdicts included. Latest entry wins on duplicates. */
     const std::map<Fingerprint, RunResult> &replayed() const
     {
@@ -164,7 +166,7 @@ struct JournalInfo
     bool complete() const { return headerOk && entries >= planCells; }
     /** Trailing bytes that replay could not validate. A torn tail is
      *  expected after a crash; `journal verify` still reports it so
-     *  CI can distinguish a clean stop from an interrupted one. */
+     *  CI can distinguish a clean stop from a killed one. */
     bool truncatedTail() const { return bytes != validBytes; }
 };
 
