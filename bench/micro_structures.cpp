@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot structures:
- * predictors, caches, CRC CAM lookups, the IQ select scan, and whole-
- * core simulation throughput. These measure the *simulator*, not the
+ * caches, CRC CAM lookups, the IQ select scan, and whole-core
+ * simulation throughput. These measure the *simulator*, not the
  * simulated machine; use them when optimising loopsim itself.
  */
 
@@ -12,9 +12,6 @@
 #include <vector>
 
 #include "base/random.hh"
-#include "branch/bimodal.hh"
-#include "branch/gshare.hh"
-#include "branch/tournament.hh"
 #include "core/core.hh"
 #include "dra/crc.hh"
 #include "mem/cache.hh"
@@ -36,51 +33,6 @@ BM_Pcg32(benchmark::State &state)
         benchmark::DoNotOptimize(rng.next());
 }
 BENCHMARK(BM_Pcg32);
-
-void
-BM_BimodalPredict(benchmark::State &state)
-{
-    BimodalPredictor pred(4096);
-    Pcg32 rng(1);
-    Addr pc = 0x1000;
-    for (auto _ : state) {
-        bool taken = rng.chance(0.6);
-        benchmark::DoNotOptimize(pred.predict(pc, 0));
-        pred.update(pc, 0, taken);
-        pc = 0x1000 + (rng.next() & 0xfff);
-    }
-}
-BENCHMARK(BM_BimodalPredict);
-
-void
-BM_GsharePredict(benchmark::State &state)
-{
-    GsharePredictor pred(16384, 12);
-    Pcg32 rng(1);
-    Addr pc = 0x1000;
-    for (auto _ : state) {
-        bool taken = rng.chance(0.6);
-        benchmark::DoNotOptimize(pred.predict(pc, 0));
-        pred.update(pc, 0, taken);
-        pc = 0x1000 + (rng.next() & 0xfff);
-    }
-}
-BENCHMARK(BM_GsharePredict);
-
-void
-BM_TournamentPredict(benchmark::State &state)
-{
-    TournamentPredictor pred;
-    Pcg32 rng(1);
-    Addr pc = 0x1000;
-    for (auto _ : state) {
-        bool taken = rng.chance(0.6);
-        benchmark::DoNotOptimize(pred.predict(pc, 0));
-        pred.update(pc, 0, taken);
-        pc = 0x1000 + (rng.next() & 0xfff);
-    }
-}
-BENCHMARK(BM_TournamentPredict);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -1,8 +1,9 @@
 /**
  * @file
  * What the examples share: op-count arguments in the run options'
- * count grammar, and a main() wrapper that turns a run or input error
- * into a message on stderr, nothing on stdout, and exit status 2.
+ * count grammar, the refusal of k=v keys that nothing reads, and a
+ * main() wrapper that turns a run or input error into a message on
+ * stderr, nothing on stdout, and exit status 2.
  */
 
 #ifndef LOOPSIM_EXAMPLES_EXAMPLE_MAIN_HH
@@ -11,6 +12,8 @@
 #include <cstdint>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/options.hh"
@@ -31,6 +34,19 @@ opsArg(int argc, char **argv, int i, std::uint64_t def)
         fatal("invalid op count \"", argv[i], "\" (expected a whole "
               "integer >= 1)");
     return ops;
+}
+
+/** fatal() naming each of @p unread, the config keys a run sets but
+ *  never reads (likely misspelled), unless there are none. */
+inline void
+refuseUnread(const std::vector<std::string> &unread)
+{
+    if (unread.empty())
+        return;
+    std::string names;
+    for (const std::string &key : unread)
+        names += " " + key;
+    fatal("config keys that nothing reads (misspelled?):", names);
 }
 
 /**

@@ -25,15 +25,17 @@ run(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "swim";
     std::uint64_t ops = examples::opsArg(argc, argv, 2, 120000);
-    Config extra;
+    RunSpec base;
+    base.workload = resolveWorkload(workload);
+    base.totalOps = ops;
     for (int i = 3; i < argc; ++i)
-        extra.parseAssignment(argv[i]);
+        base.overrides.parseAssignment(argv[i]);
+    examples::refuseUnread(checkRunConfig(base, effectiveRunConfig(base)));
 
     static const unsigned dec_iqs[] = {3, 5, 7, 9};
     static const unsigned iq_exs[] = {3, 5, 7, 9};
 
-    Workload w = resolveWorkload(workload);
-    std::cout << "IPC matrix for " << w.label << " (" << ops
+    std::cout << "IPC matrix for " << base.workload.label << " (" << ops
               << " measured ops)\nrows: DEC-IQ latency, columns: IQ-EX "
               << "latency\n\n";
 
@@ -49,10 +51,7 @@ run(int argc, char **argv)
     for (unsigned dec_iq : dec_iqs) {
         std::cout << padRight("dec=" + std::to_string(dec_iq), 8);
         for (unsigned iq_ex : iq_exs) {
-            RunSpec spec;
-            spec.workload = w;
-            spec.totalOps = ops;
-            spec.overrides.overlay(extra);
+            RunSpec spec = base;
             setPipeline(spec.overrides, dec_iq, iq_ex);
             RunResult r = runOnce(spec);
             std::cout << padLeft(formatDouble(r.ipc, 3), 10);

@@ -57,6 +57,7 @@ run(int argc, char **argv)
     }
 
     Core core(cfg, sources);
+    examples::refuseUnread(cfg.unreadKeys());
     Simulator sim;
     sim.add(&core);
     while (core.retiredOps() < warmup && !core.done())

@@ -29,6 +29,7 @@ run(int argc, char **argv)
     spec.totalOps = ops;
     for (int i = 3; i < argc; ++i)
         spec.overrides.parseAssignment(argv[i]);
+    examples::refuseUnread(checkRunConfig(spec, effectiveRunConfig(spec)));
 
     std::cout << "workload: " << spec.workload.label << " ("
               << spec.workload.threads.size() << " thread(s), " << ops

@@ -70,8 +70,9 @@ void setDiagContext(const std::string &prefix);
 const std::string &diagContext();
 
 /** Stop a diagnostic from flushing stdout before it is written (the
- *  standard streams tie stderr to stdout). A forked worker calls this:
- *  its stdout buffer holds the parent's unwritten output. */
+ *  standard streams tie stderr to stdout). A forked worker calls this
+ *  where it cannot discard its copy of the parent's unwritten stdout
+ *  (off glibc). */
 void untieDiagnostics();
 
 } // namespace detail

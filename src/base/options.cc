@@ -151,6 +151,12 @@ constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
      "was removed: use --deadline-ms or LOOPSIM_DEADLINE_MS"},
     {"integrity.supervisor.backoff",
      "was removed: a respawn follows a fixed 100 ms pause"},
+    {"branch.", "was removed: branch outcomes come only from the "
+                "workload profile's calibrated mispredict tags"},
+    {"mem.icache.", "was removed: fetch never misses; no figure models "
+                    "an I-cache"},
+    {"mem.l1.repl", "was removed: caches are LRU only"},
+    {"mem.l2.repl", "was removed: caches are LRU only"},
 };
 
 /** Read by CMake at configure time, not by the program. */

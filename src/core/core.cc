@@ -34,12 +34,6 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
     FaultPlan fault_plan = FaultPlan::fromConfig(config);
     if (fault_plan.enable)
         injector = std::make_unique<FaultInjector>(fault_plan);
-    if (cfg.branchMode == BranchMode::Predictor) {
-        predictor = makeDirectionPredictor(cfg.predictorKind, config);
-        btb = std::make_unique<Btb>(
-            config.getUint("branch.btb.entries", 4096),
-            static_cast<unsigned>(config.getUint("branch.btb.ways", 4)));
-    }
 
     // Sized here, not only in prepareKernel(): a bare core outside
     // any Simulator defaults to the sparse code paths.

@@ -28,8 +28,6 @@
 #include "base/annotations.hh"
 #include "base/circular_buffer.hh"
 #include "base/types.hh"
-#include "branch/btb.hh"
-#include "branch/predictor.hh"
 #include "core/dyn_inst.hh"
 #include "core/event_queue.hh"
 #include "core/forwarding_buffer.hh"
@@ -135,7 +133,7 @@ class Core : public Clocked, public IntegrityProbe
 
     /**
      * End the warmup phase: reset all statistics and measure IPC from
-     * this point on (the caches, predictors and pipeline keep their
+     * this point on (the caches, TLB and pipeline keep their
      * state, like the paper's warmed measurement runs).
      */
     void beginMeasurement();
@@ -461,7 +459,6 @@ class Core : public Clocked, public IntegrityProbe
     /** Fetch helpers. */
     ThreadId pickFetchThread(Cycle now);
     bool fetchOne(ThreadState &t, ThreadId tid, Cycle now);
-    void resolvePrediction(MicroOp &op, ThreadId tid);
 
     /** Rename one op; returns false when resources stall it. */
     bool renameOne(ThreadState &t, ThreadId tid, FetchedOp &fop,
@@ -555,8 +552,6 @@ class Core : public Clocked, public IntegrityProbe
     MachineConfig cfg;
     std::unique_ptr<MemoryHierarchy> mem;
     std::unique_ptr<DraUnit> draUnit;
-    std::unique_ptr<DirectionPredictor> predictor;
-    std::unique_ptr<Btb> btb;
     std::unique_ptr<MemDepPredictor> memDep;
     std::unique_ptr<FaultInjector> injector;
 

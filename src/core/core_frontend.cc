@@ -1,7 +1,7 @@
 /**
  * @file
- * Core front end: fetch (SMT arbitration, branch prediction, wrong
- * path, replay), rename/slotting, and the DEC-IQ pipe into the IQ.
+ * Core front end: fetch (SMT arbitration, profile-tagged branches,
+ * wrong path, replay), rename/slotting, and the DEC-IQ pipe into the IQ.
  */
 
 #include <algorithm>
@@ -53,38 +53,6 @@ Core::pickFetchThread(Cycle now)
     return best;
 }
 
-void
-Core::resolvePrediction(MicroOp &op, ThreadId tid)
-{
-    if (cfg.branchMode == BranchMode::Profile) {
-        // The workload's calibrated tag stands as-is.
-        return;
-    }
-    bool mispredict = false;
-    if (op.isCondBranch()) {
-        bool pred = predictor->predict(op.pc, tid);
-        mispredict = pred != op.taken;
-        if (op.taken && !mispredict) {
-            auto target = btb->lookup(op.pc, tid);
-            if (!target || *target != op.target)
-                mispredict = true;
-        }
-        // Train at fetch with the resolved outcome: the standard
-        // trace-driven approximation of speculative-history update
-        // with perfect repair (history would otherwise lag fetch by a
-        // whole pipeline of in-flight branches).
-        predictor->update(op.pc, tid, op.taken);
-    } else {
-        // Unconditional: direction is known; the target must come from
-        // the BTB (a miss means a fetch redirect at resolution).
-        auto target = btb->lookup(op.pc, tid);
-        mispredict = !target || *target != op.target;
-    }
-    if (op.taken)
-        btb->update(op.pc, tid, op.target);
-    op.forceMispredict = mispredict;
-}
-
 bool
 Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
 {
@@ -110,11 +78,10 @@ Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
 
     bool end_group = false;
     if (!op.wrongPath && op.isBranch()) {
-        resolvePrediction(op, tid);
-        // Fault injection: a corrupted predictor state flips the
-        // predicted outcome, exercising the branch-loop squash (or,
-        // when flipping a mispredict off, suppressing a recovery the
-        // profile expected).
+        // The workload's calibrated forceMispredict tag is the
+        // prediction. Fault injection: a corrupted predictor flips it,
+        // exercising the branch-loop squash (or, when flipping a
+        // mispredict off, suppressing a recovery the profile expected).
         if (injector && injector->corruptBranch())
             op.forceMispredict = !op.forceMispredict;
         if (op.forceMispredict) {
@@ -145,16 +112,6 @@ Core::fetchStage(Cycle now)
     for (unsigned i = 0; i < cfg.width; ++i) {
         if (!fetchOne(t, tid, now))
             break;
-        // Optional I-cache model: a miss on the just-fetched line
-        // stalls this thread's fetch for the refill.
-        if (mem->icacheEnabled() && !t.fetchBuffer.empty()) {
-            auto res = mem->fetchAccess(t.fetchBuffer.back().op.pc, tid);
-            if (res.latency > 0) {
-                t.fetchResumeAt =
-                    std::max(t.fetchResumeAt, now + res.latency);
-                break;
-            }
-        }
     }
 }
 

@@ -180,8 +180,8 @@ Core::computeWake(Cycle now)
     }
 
     // Fetch: a thread eligible in every respect except fetchResumeAt
-    // (I-miss refill, squash resume). Buffer-full or workless threads
-    // change only via rename progress / events — ticks.
+    // (squash resume). Buffer-full or workless threads change only via
+    // rename progress / events — ticks.
     for (const ThreadState &t : threads) {
         if (t.fetchBuffer.full())
             continue;

@@ -25,17 +25,6 @@ parseLoadRecovery(const std::string &name)
     fatal("unknown load recovery mode: ", name);
 }
 
-BranchMode
-parseBranchMode(const std::string &name)
-{
-    std::string n = toLower(trim(name));
-    if (n == "profile")
-        return BranchMode::Profile;
-    if (n == "predictor")
-        return BranchMode::Predictor;
-    fatal("unknown branch mode: ", name);
-}
-
 FetchPolicy
 parseFetchPolicy(const std::string &name)
 {
@@ -104,8 +93,6 @@ MachineConfig::fromConfig(const Config &cfg)
     m.killAllInShadow =
         cfg.getBool("core.kill_all_in_shadow", m.killAllInShadow);
     m.wrongPathFetch = cfg.getBool("core.wrong_path", m.wrongPathFetch);
-    m.branchMode = parseBranchMode(cfg.getString("branch.mode", "profile"));
-    m.predictorKind = cfg.getString("branch.predictor", "tournament");
 
     m.dra = cfg.getBool("dra.enable", false);
     m.crcEntries = static_cast<unsigned>(
@@ -184,9 +171,6 @@ MachineConfig::print(std::ostream &os) const
        << "kill all in shadow    " << (killAllInShadow ? "yes" : "no")
        << "\n"
        << "wrong-path fetch      " << (wrongPathFetch ? "yes" : "no")
-       << "\n"
-       << "branch mode           "
-       << (branchMode == BranchMode::Profile ? "profile" : "predictor")
        << "\n"
        << "dra                   " << (dra ? "yes" : "no") << "\n";
     if (dra) {

@@ -28,13 +28,6 @@ enum class LoadRecovery : std::uint8_t
     Stall,   ///< no speculation: dependents wait for hit/miss resolution
 };
 
-/** How branch outcomes are predicted (see DESIGN.md). */
-enum class BranchMode : std::uint8_t
-{
-    Profile,   ///< the workload's calibrated mispredict tags
-    Predictor, ///< a real direction predictor + BTB
-};
-
 /** SMT fetch arbitration. */
 enum class FetchPolicy : std::uint8_t { ICount, RoundRobin };
 
@@ -83,8 +76,6 @@ struct MachineConfig
     bool killAllInShadow = false;
     /** Fetch synthetic wrong-path work after a misprediction. */
     bool wrongPathFetch = true;
-    BranchMode branchMode = BranchMode::Profile;
-    std::string predictorKind = "tournament";
     /// @}
 
     /** @name DRA (the paper's contribution, §4-§5) */

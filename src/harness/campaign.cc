@@ -57,10 +57,11 @@ LOOPSIM_CAMPAIGN_GUARDED("telemetryMutex")
 CampaignTelemetry totalTelemetry;
 
 /**
- * A mistyped overlay value would fail every cell the same way. Build
- * the plan's first cell once, here on the caller's thread, and exit 2
- * on a config error before any cell runs. Free when the overlay is
- * empty.
+ * A mistyped overlay value would fail every cell the same way, and a
+ * misspelled key would change nothing. Build the plan's first cell
+ * once, here on the caller's thread, and exit 2 before any cell runs
+ * on a config error or on an overlay key that neither the build nor
+ * the supervisor policy read. Free when the overlay is empty.
  */
 void
 checkOverlay(const CampaignPlan &plan)
@@ -68,16 +69,29 @@ checkOverlay(const CampaignPlan &plan)
     if (processOptions().overlay.empty() || plan.empty())
         return;
     const RunSpec &spec = plan.at(0).spec;
+    std::vector<std::string> unread;
     try {
         const Config cfg = effectiveRunConfig(spec);
         SupervisorPolicy::fromConfig(cfg);
-        checkRunConfig(spec, cfg);
+        unread = checkRunConfig(spec, cfg);
     } catch (const FatalError &) {
         std::fprintf(stderr, "loopsim: LOOPSIM_OVERLAY holds a value its "
                              "key cannot take; no cell ran\n");
         std::exit(2); // NOLINT(concurrency-mt-unsafe)
     } catch (const std::exception &) {
         // Not a config error: the cells report it, one result each.
+        return;
+    }
+    std::string names;
+    for (const std::string &key : unread) {
+        if (processOptions().overlay.count(key))
+            names += " " + key;
+    }
+    if (!names.empty()) {
+        std::fprintf(stderr, "loopsim: LOOPSIM_OVERLAY sets keys that no "
+                             "cell reads (misspelled?):%s; no cell ran\n",
+                     names.c_str());
+        std::exit(2); // NOLINT(concurrency-mt-unsafe)
     }
 }
 

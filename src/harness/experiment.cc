@@ -110,7 +110,6 @@ defaultFigureConfig()
     cfg.setUint("core.fwd_depth", 9);
     cfg.setUint("core.load_feedback", 3);
     cfg.set("core.load_recovery", "reissue");
-    cfg.set("branch.mode", "profile");
     return cfg;
 }
 
@@ -175,12 +174,13 @@ gateProcessFaults(Config &cfg, const Workload &workload)
  */
 struct RunSetup
 {
+    Config cfg; ///< records every key the build read
     std::vector<std::unique_ptr<SyntheticTraceGenerator>> gens;
     std::unique_ptr<Core> core;
     Simulator sim;
     std::unique_ptr<InvariantWatchdog> watchdog;
 
-    RunSetup(const RunSpec &spec, Config cfg)
+    RunSetup(const RunSpec &spec, Config config) : cfg(std::move(config))
     {
         fatal_if(spec.workload.threads.empty(), "empty workload");
         fatal_if(spec.totalOps == 0, "zero-length run");
@@ -322,10 +322,10 @@ runOnceResilientWith(const RunSpec &spec, const Config &resolved)
     }
 }
 
-void
+std::vector<std::string>
 checkRunConfig(const RunSpec &spec, const Config &resolved)
 {
-    [[maybe_unused]] const RunSetup built(spec, resolved);
+    return RunSetup(spec, resolved).cfg.unreadKeys();
 }
 
 RunResult

@@ -205,9 +205,14 @@ RunResult runOnceResilient(const RunSpec &spec,
  */
 RunResult runOnceResilientWith(const RunSpec &spec, const Config &resolved);
 
-/** Build, and discard, what runOnce() builds for @p spec against
- *  @p resolved, running nothing: FatalError on a mistyped key. */
-void checkRunConfig(const RunSpec &spec, const Config &resolved);
+/**
+ * Build, and discard, what runOnce() builds for @p spec against
+ * @p resolved, running nothing: FatalError on a mistyped key. Returns
+ * the keys @p resolved sets that neither the build nor an earlier read
+ * of @p resolved read, which no run would read either (likely typos).
+ */
+std::vector<std::string> checkRunConfig(const RunSpec &spec,
+                                        const Config &resolved);
 
 /**
  * The one builder of fail-soft results: IPC is failPoint(@p kind), with

@@ -17,6 +17,9 @@
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
+#ifdef __GLIBC__
+#include <stdio_ext.h>
+#endif
 
 #include "base/logging.hh"
 #include "base/options.hh"
@@ -103,12 +106,14 @@ decodeWire(std::string_view wire, RunResult &result)
  * The child half: arrange to die with the parent, run the cell against
  * the pre-fork-resolved configuration, ship the wire record and _exit
  * without running atexit handlers that belong to the parent's state.
- * It flushes no stdio stream: those hold the parent's unwritten
- * output, which the parent writes itself. Its own diagnostics go to
- * the unbuffered stderr, untied from stdout so a warning does not
- * flush stdout first. @p parent is the forking process's pid, read
- * before the fork: a parent that died before the prctl() has already
- * orphaned the child, which then has nobody to report to.
+ * Its copy of stdout's buffer holds the parent's unwritten output,
+ * which the parent writes itself: the child discards it first, so
+ * nothing can write it twice, neither a warning that flushes the
+ * stdout its stream is tied to nor a sanitizer's _exit, which flushes
+ * stdio (ThreadSanitizer's does). Elsewhere than glibc it only unties
+ * stderr. @p parent is the forking process's pid, read before the
+ * fork: a parent that died before the prctl() has already orphaned the
+ * child, which then has nobody to report to.
  */
 [[noreturn]] void
 childMain(int fd, pid_t parent, const RunSpec &spec,
@@ -121,7 +126,11 @@ childMain(int fd, pid_t parent, const RunSpec &spec,
 #else
     (void)parent;
 #endif
+#ifdef __GLIBC__
+    ::__fpurge(stdout);
+#else
     detail::untieDiagnostics();
+#endif
     int status = 0;
     try {
         RunResult res = runOnceResilientWith(spec, resolved);

@@ -4,32 +4,17 @@
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
-#include "base/str.hh"
 
 namespace loopsim
 {
 
-ReplPolicy
-parseReplPolicy(const std::string &name)
-{
-    std::string n = toLower(trim(name));
-    if (n == "lru")
-        return ReplPolicy::LRU;
-    if (n == "fifo")
-        return ReplPolicy::FIFO;
-    if (n == "random")
-        return ReplPolicy::Random;
-    fatal("unknown replacement policy: ", name);
-}
-
 Cache::Cache(std::uint64_t size_bytes, unsigned ways, unsigned line_bytes,
-             ReplPolicy repl_policy, unsigned num_banks)
+             unsigned num_banks)
     : bytes(size_bytes), assoc(ways), line(line_bytes),
       lineShift(floorLog2(line_bytes)),
       sets(ways && line_bytes
                ? size_bytes / (std::uint64_t(ways) * line_bytes) : 0),
-      policy(repl_policy), banks(num_banks), lines(sets * ways),
-      rng(size_bytes ^ 0xcafef00dULL)
+      banks(num_banks), lines(sets * ways)
 {
     fatal_if(assoc == 0, "cache associativity must be > 0");
     fatal_if(!isPowerOf2(line_bytes), "cache line size must be 2^n");
@@ -83,11 +68,6 @@ Cache::victim(std::size_t set)
         if (!lines[base + w].valid)
             return &lines[base + w];
     }
-    if (policy == ReplPolicy::Random)
-        return &lines[base + rng.nextBounded(assoc)];
-
-    // LRU and FIFO both evict the smallest stamp; they differ in
-    // whether access() refreshes it.
     Line *v = &lines[base];
     for (unsigned w = 1; w < assoc; ++w) {
         if (lines[base + w].stamp < v->stamp)
@@ -102,8 +82,7 @@ Cache::access(Addr addr)
     Line *l = findLine(addr);
     if (l) {
         ++hitCount;
-        if (policy == ReplPolicy::LRU)
-            l->stamp = ++stamp;
+        l->stamp = ++stamp;
         return true;
     }
     ++missCount;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Set-associative cache tag model.
+ * Set-associative LRU cache tag model.
  *
- * The simulator is timing-only, so caches track tags and replacement
- * state, not data. Banking is modelled for the L1D: simultaneous
+ * The simulator is timing-only, so caches track tags and LRU stamps,
+ * not data. Banking is modelled for the L1D: simultaneous
  * same-cycle accesses to one bank conflict and the loser is delayed.
  */
 
@@ -11,20 +11,12 @@
 #define LOOPSIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "base/random.hh"
 #include "base/types.hh"
 
 namespace loopsim
 {
-
-/** Replacement policies supported by Cache. */
-enum class ReplPolicy : std::uint8_t { LRU, FIFO, Random };
-
-/** Parse "lru" / "fifo" / "random"; fatal() otherwise. */
-ReplPolicy parseReplPolicy(const std::string &name);
 
 class Cache
 {
@@ -33,11 +25,10 @@ class Cache
      * @param size_bytes total capacity
      * @param assoc      ways per set
      * @param line_bytes line size (power of two)
-     * @param policy     replacement policy
      * @param banks      number of banks (power of two, >= 1)
      */
     Cache(std::uint64_t size_bytes, unsigned assoc, unsigned line_bytes,
-          ReplPolicy policy = ReplPolicy::LRU, unsigned banks = 1);
+          unsigned banks = 1);
 
     /**
      * Access the line containing @p addr; allocate it on a miss.
@@ -77,7 +68,7 @@ class Cache
     {
         bool valid = false;
         Addr tag = 0;
-        std::uint64_t stamp = 0; ///< LRU: last use; FIFO: fill time
+        std::uint64_t stamp = 0; ///< last use
     };
 
     std::size_t setIndex(Addr addr) const;
@@ -91,12 +82,10 @@ class Cache
     unsigned line;
     unsigned lineShift;
     std::size_t sets;
-    ReplPolicy policy;
     unsigned banks;
 
     std::vector<Line> lines;
     std::uint64_t stamp = 0;
-    Pcg32 rng;
 
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;

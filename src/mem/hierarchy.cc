@@ -23,21 +23,12 @@ MemoryHierarchy::MemoryHierarchy(const Config &cfg)
     l1d = std::make_unique<Cache>(
         cfg.getUint("mem.l1.size", 64 * 1024),
         static_cast<unsigned>(cfg.getUint("mem.l1.assoc", 2)), line,
-        parseReplPolicy(cfg.getString("mem.l1.repl", "lru")),
         static_cast<unsigned>(cfg.getUint("mem.l1.banks", 32)));
     l2u = std::make_unique<Cache>(
         cfg.getUint("mem.l2.size", 1024 * 1024),
-        static_cast<unsigned>(cfg.getUint("mem.l2.assoc", 8)), line,
-        parseReplPolicy(cfg.getString("mem.l2.repl", "lru")), 1);
+        static_cast<unsigned>(cfg.getUint("mem.l2.assoc", 8)), line);
     dtlb = std::make_unique<Tlb>(cfg.getUint("mem.tlb.entries", 128),
                                  cfg.getUint("mem.tlb.page", 8192));
-    if (cfg.getBool("mem.icache.enable", false)) {
-        icache = std::make_unique<Cache>(
-            cfg.getUint("mem.icache.size", 64 * 1024),
-            static_cast<unsigned>(cfg.getUint("mem.icache.assoc", 2)),
-            line, parseReplPolicy(cfg.getString("mem.icache.repl", "lru")),
-            1);
-    }
     mshrBusyUntil.assign(cfg.getUint("mem.mshrs", 16), 0);
 
     l1Lat = static_cast<unsigned>(cfg.getUint("mem.l1.latency", 3));
@@ -117,32 +108,12 @@ MemoryHierarchy::access(Addr addr, ThreadId tid, bool is_store, Cycle now)
     return res;
 }
 
-MemAccessResult
-MemoryHierarchy::fetchAccess(Addr pc, ThreadId tid)
-{
-    MemAccessResult res;
-    res.level = MemLevel::L1;
-    res.latency = 0;
-    if (!icache)
-        return res;
-    (void)tid;
-    if (icache->access(pc))
-        return res;
-    // Refill from the unified L2 (or memory); fetch stalls meanwhile.
-    res.level = l2u->access(pc) ? MemLevel::L2 : MemLevel::Memory;
-    res.latency = res.level == MemLevel::L2 ? l2Lat
-                                            : l2Lat + memLat;
-    return res;
-}
-
 void
 MemoryHierarchy::reset()
 {
     l1d->reset();
     l2u->reset();
     dtlb->reset();
-    if (icache)
-        icache->reset();
     for (auto &m : mshrBusyUntil)
         m = 0;
     mshrStalls = 0;

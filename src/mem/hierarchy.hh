@@ -58,23 +58,12 @@ class MemoryHierarchy
     MemAccessResult access(Addr addr, ThreadId tid, bool is_store,
                            Cycle now);
 
-    /**
-     * Instruction fetch probe for the line holding @p pc. When the
-     * I-cache model is disabled (the default; see DESIGN.md) fetch
-     * always hits. On a miss the returned latency is the refill time
-     * the fetch stage must stall for.
-     */
-    MemAccessResult fetchAccess(Addr pc, ThreadId tid);
-
-    bool icacheEnabled() const { return icache != nullptr; }
-
     /** L1 hit latency (the speculative load-to-use assumption). */
     unsigned l1Latency() const { return l1Lat; }
 
     const Cache &l1() const { return *l1d; }
     const Cache &l2() const { return *l2u; }
     const Tlb &tlb() const { return *dtlb; }
-    const Cache *l1i() const { return icache.get(); }
 
     std::uint64_t accesses() const { return accessCount; }
     std::uint64_t bankConflicts() const { return bankConflictCount; }
@@ -87,7 +76,6 @@ class MemoryHierarchy
     std::unique_ptr<Cache> l1d;
     std::unique_ptr<Cache> l2u;
     std::unique_ptr<Tlb> dtlb;
-    std::unique_ptr<Cache> icache;
 
     unsigned l1Lat;
     unsigned l2Lat;  ///< additional cycles beyond the L1 latency

@@ -72,15 +72,12 @@ Config::getInt(const std::string &key, std::int64_t def) const
 {
     readKeys.insert(key);
     auto it = values.find(key);
-    if (it == values.end()) {
-        effective[key] = std::to_string(def);
+    if (it == values.end())
         return def;
-    }
     char *end = nullptr;
     long long v = std::strtoll(it->second.c_str(), &end, 0);
     fatal_if(end == it->second.c_str() || *end != '\0',
              "config key ", key, " is not an integer: ", it->second);
-    effective[key] = it->second;
     return v;
 }
 
@@ -97,15 +94,12 @@ Config::getDouble(const std::string &key, double def) const
 {
     readKeys.insert(key);
     auto it = values.find(key);
-    if (it == values.end()) {
-        effective[key] = formatDouble(def, 9);
+    if (it == values.end())
         return def;
-    }
     char *end = nullptr;
     double v = std::strtod(it->second.c_str(), &end);
     fatal_if(end == it->second.c_str() || *end != '\0',
              "config key ", key, " is not a number: ", it->second);
-    effective[key] = it->second;
     return v;
 }
 
@@ -114,12 +108,9 @@ Config::getBool(const std::string &key, bool def) const
 {
     readKeys.insert(key);
     auto it = values.find(key);
-    if (it == values.end()) {
-        effective[key] = def ? "true" : "false";
+    if (it == values.end())
         return def;
-    }
     std::string v = toLower(trim(it->second));
-    effective[key] = v;
     if (v == "true" || v == "1" || v == "yes" || v == "on")
         return true;
     if (v == "false" || v == "0" || v == "no" || v == "off")
@@ -132,9 +123,7 @@ Config::getString(const std::string &key, const std::string &def) const
 {
     readKeys.insert(key);
     auto it = values.find(key);
-    std::string v = it == values.end() ? def : it->second;
-    effective[key] = v;
-    return v;
+    return it == values.end() ? def : it->second;
 }
 
 std::vector<std::string>
@@ -146,13 +135,6 @@ Config::unreadKeys() const
             out.push_back(k);
     }
     return out;
-}
-
-void
-Config::dumpEffective(std::ostream &os) const
-{
-    for (const auto &[k, v] : effective)
-        os << k << " = " << v << "\n";
 }
 
 void

@@ -4,9 +4,8 @@
  *
  * A Config is a flat map from dotted names ("iq.entries") to string
  * values with typed accessors. Consumers read through get<T>(key,
- * default); the set of keys actually read is recorded so a run can dump
- * its effective configuration, and unread explicitly-set keys can be
- * flagged as probable typos.
+ * default); the set of keys actually read is recorded, so explicitly-set
+ * keys that nothing read can be refused as probable typos.
  */
 
 #ifndef LOOPSIM_SIM_CONFIG_HH
@@ -14,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -45,8 +43,8 @@ class Config
     bool has(const std::string &key) const;
 
     /**
-     * Typed getters with defaults. Reading records the key and its
-     * effective value for later dumping. fatal() on unconvertible text.
+     * Typed getters with defaults. Reading records the key for
+     * unreadKeys(). fatal() on unconvertible text.
      */
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
@@ -57,9 +55,6 @@ class Config
 
     /** Keys explicitly set but never read (likely typos). */
     std::vector<std::string> unreadKeys() const;
-
-    /** Every key that was read, with its effective value. */
-    void dumpEffective(std::ostream &os) const;
 
     /** Merge @p other on top of this config (other wins). */
     void overlay(const Config &other);
@@ -78,7 +73,6 @@ class Config
 
   private:
     std::map<std::string, std::string> values;
-    mutable std::map<std::string, std::string> effective;
     mutable std::set<std::string> readKeys;
 };
 

@@ -202,12 +202,6 @@ Distribution::print(std::ostream &os) const
                   static_cast<double>(overflow), desc());
 }
 
-void
-Formula::print(std::ostream &os) const
-{
-    printLine(os, name(), value(), desc());
-}
-
 template <typename T, typename... Args>
 T &
 StatGroup::emplace(const std::string &name, Args &&...args)
@@ -246,13 +240,6 @@ StatGroup::newDistribution(const std::string &name, const std::string &desc,
                            double min, double max, double bucket_width)
 {
     return emplace<Distribution>(name, desc, min, max, bucket_width);
-}
-
-Formula &
-StatGroup::newFormula(const std::string &name, const std::string &desc,
-                      std::function<double()> fn)
-{
-    return emplace<Formula>(name, desc, std::move(fn));
 }
 
 const Stat *

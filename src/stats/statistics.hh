@@ -11,14 +11,12 @@
  *  - Vector: fixed number of named scalar bins.
  *  - Distribution: bucketed distribution over a numeric range with
  *    min/max/mean and a CDF query (used for Figure 6).
- *  - Formula: a derived value computed on demand from other stats.
  */
 
 #ifndef LOOPSIM_STATS_STATISTICS_HH
 #define LOOPSIM_STATS_STATISTICS_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -182,23 +180,6 @@ class Distribution : public Stat
     double maxSeen = 0.0;
 };
 
-/** A derived value computed on demand. */
-class Formula : public Stat
-{
-  public:
-    Formula(std::string name, std::string desc,
-            std::function<double()> fn)
-        : Stat(std::move(name), std::move(desc)), compute(std::move(fn))
-    {}
-
-    double value() const override { return compute ? compute() : 0.0; }
-    void reset() override {}
-    void print(std::ostream &os) const override;
-
-  private:
-    std::function<double()> compute;
-};
-
 /**
  * Owner/registry of statistics. Components create their stats through a
  * group; the simulator dumps or resets the whole group at once.
@@ -223,8 +204,6 @@ class StatGroup
     Distribution &newDistribution(const std::string &name,
                                   const std::string &desc, double min,
                                   double max, double bucket_width);
-    Formula &newFormula(const std::string &name, const std::string &desc,
-                        std::function<double()> fn);
 
     /** Look up a stat by exact name; nullptr when absent. */
     const Stat *find(const std::string &name) const;

@@ -68,10 +68,9 @@ struct MicroOp
     bool taken = false;
     Addr target = 0;
     /**
-     * Profile-mode prediction outcome: when the core runs with
-     * branch.mode=profile, this branch mispredicts iff the flag is set
-     * (direction for conditional branches, target for unconditional
-     * ones). Ignored in predictor mode.
+     * The calibrated prediction outcome: this branch mispredicts iff
+     * the flag is set (direction for conditional branches, target for
+     * unconditional ones). Fetch takes it as the prediction.
      */
     bool forceMispredict = false;
 

@@ -49,7 +49,7 @@ struct BenchmarkProfile
 
     /** @name Control behaviour */
     /// @{
-    /** Mispredict probability per conditional branch (profile mode). */
+    /** Mispredict probability per conditional branch. */
     double mispredictRate = 0.06;
     /** BTB/target mispredict probability per unconditional branch. */
     double uncondMispredictRate = 0.01;

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "base/logging.hh"
@@ -135,19 +134,6 @@ TEST(Config, OverlayWins)
     EXPECT_EQ(base.getInt("a", 0), 1);
     EXPECT_EQ(base.getInt("b", 0), 20);
     EXPECT_EQ(base.getInt("c", 0), 30);
-}
-
-TEST(Config, EffectiveDumpRecordsReads)
-{
-    Config c;
-    c.set("x", "5");
-    c.getInt("x", 0);
-    c.getInt("y", 9);
-    std::ostringstream os;
-    c.dumpEffective(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("x = 5"), std::string::npos);
-    EXPECT_NE(text.find("y = 9"), std::string::npos);
 }
 
 namespace

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the substrate extensions: memory barriers (the paper's §1
- * stall-managed loop), the optional I-cache model, and the MSHR limit
- * on memory-level parallelism.
+ * stall-managed loop) and the MSHR limit on memory-level parallelism.
  */
 
 #include <gtest/gtest.h>
@@ -97,46 +96,6 @@ TEST(MemBarrier, ProfileWorkloadRunsEndToEnd)
     ASSERT_FALSE(sim.hitCycleLimit());
     EXPECT_EQ(core.retiredOps(), 10000u);
     core.checkQuiescent();
-}
-
-TEST(ICache, DisabledByDefault)
-{
-    Config cfg;
-    MemoryHierarchy mem(cfg);
-    EXPECT_FALSE(mem.icacheEnabled());
-    auto res = mem.fetchAccess(0x1000, 0);
-    EXPECT_EQ(res.latency, 0u);
-}
-
-TEST(ICache, MissThenHit)
-{
-    Config cfg;
-    cfg.setBool("mem.icache.enable", true);
-    MemoryHierarchy mem(cfg);
-    ASSERT_TRUE(mem.icacheEnabled());
-    auto miss = mem.fetchAccess(0x1000, 0);
-    EXPECT_GT(miss.latency, 0u);
-    auto hit = mem.fetchAccess(0x1000, 0);
-    EXPECT_EQ(hit.latency, 0u);
-    auto same_line = mem.fetchAccess(0x103c, 0);
-    EXPECT_EQ(same_line.latency, 0u);
-}
-
-TEST(ICache, ColdFetchStallsButCompletes)
-{
-    Config cfg;
-    cfg.setBool("mem.icache.enable", true);
-    std::vector<MicroOp> ops;
-    for (int i = 0; i < 200; ++i)
-        ops.push_back(alu(static_cast<ArchReg>(i % 40)));
-    auto h = makeHarness(ops, cfg);
-    h.run();
-    EXPECT_EQ(h.core->retiredOps(), 200u);
-
-    // The same kernel without the I-cache is faster (no cold refills).
-    auto h2 = makeHarness(ops);
-    h2.run();
-    EXPECT_GT(h.core->cyclesRun(), h2.core->cyclesRun());
 }
 
 TEST(Mshr, LimitSerialisesMissBursts)

@@ -23,7 +23,6 @@ TEST(Experiment, DefaultConfigIsTheBaseMachine)
     EXPECT_EQ(cfg.getUint("core.iq.entries", 0), 128u);
     EXPECT_EQ(cfg.getUint("core.dec_iq", 0), 5u);
     EXPECT_EQ(cfg.getUint("core.iq_ex", 0), 5u);
-    EXPECT_EQ(cfg.getString("branch.mode", ""), "profile");
 }
 
 TEST(Experiment, SetPipelineDerivesRegfileLatency)

@@ -29,7 +29,6 @@ TEST(MachineConfig, DefaultsAreThePaperBaseMachine)
     EXPECT_EQ(m.loadFeedback, 3u);
     EXPECT_FALSE(m.dra);
     EXPECT_EQ(m.loadRecovery, LoadRecovery::Reissue);
-    EXPECT_EQ(m.branchMode, BranchMode::Profile);
     EXPECT_EQ(m.pipeLabel(), "5_5");
 }
 
@@ -101,8 +100,6 @@ TEST(MachineConfig, ValidationRejectsNonsense)
         with([](Config &c) { c.setUint("core.regfile_latency", 4); }),
         FatalError);
     EXPECT_THROW(with([](Config &c) { c.set("core.load_recovery", "x"); }),
-                 FatalError);
-    EXPECT_THROW(with([](Config &c) { c.set("branch.mode", "psychic"); }),
                  FatalError);
     EXPECT_THROW(
         with([](Config &c) {

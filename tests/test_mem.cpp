@@ -51,29 +51,6 @@ TEST(Cache, LruKeepsRecentlyUsed)
     EXPECT_TRUE(c.probe(d));
 }
 
-TEST(Cache, FifoIgnoresReuse)
-{
-    Cache c(2 * 64 * 4, 2, 64, ReplPolicy::FIFO);
-    Addr set_stride = 4 * 64;
-    Addr a = 0x0;
-    Addr b = a + set_stride;
-    Addr d = a + 2 * set_stride;
-    c.access(a);
-    c.access(b);
-    c.access(a);       // reuse does NOT refresh under FIFO
-    c.access(d);       // evicts A (oldest insertion)
-    EXPECT_FALSE(c.probe(a));
-    EXPECT_TRUE(c.probe(b));
-    EXPECT_TRUE(c.probe(d));
-}
-
-TEST(Cache, RandomPolicyStillCaches)
-{
-    Cache c(4096, 4, 64, ReplPolicy::Random);
-    c.access(0x40);
-    EXPECT_TRUE(c.access(0x40));
-}
-
 TEST(Cache, ProbeDoesNotAllocateOrCount)
 {
     Cache c(1024, 2, 64);
@@ -105,7 +82,7 @@ TEST(Cache, WorkingSetFitsAfterWarmup)
 
 TEST(Cache, BankSelection)
 {
-    Cache c(64 * 1024, 2, 64, ReplPolicy::LRU, 8);
+    Cache c(64 * 1024, 2, 64, 8);
     EXPECT_EQ(c.numBanks(), 8u);
     EXPECT_EQ(c.bank(0x0), 0u);
     EXPECT_EQ(c.bank(0x40), 1u);
@@ -129,16 +106,8 @@ TEST(Cache, BadGeometryFatal)
     EXPECT_THROW(Cache(1000, 2, 64), FatalError); // non-2^n sets
     EXPECT_THROW(Cache(1024, 0, 64), FatalError);
     EXPECT_THROW(Cache(1024, 2, 63), FatalError);
-    EXPECT_THROW(Cache(1024, 2, 64, ReplPolicy::LRU, 3), FatalError);
+    EXPECT_THROW(Cache(1024, 2, 64, 3), FatalError);
     EXPECT_THROW(Cache(32, 2, 64), FatalError); // smaller than one set
-}
-
-TEST(Cache, ParseReplPolicy)
-{
-    EXPECT_EQ(parseReplPolicy("LRU"), ReplPolicy::LRU);
-    EXPECT_EQ(parseReplPolicy("fifo"), ReplPolicy::FIFO);
-    EXPECT_EQ(parseReplPolicy("random"), ReplPolicy::Random);
-    EXPECT_THROW(parseReplPolicy("plru"), FatalError);
 }
 
 TEST(Tlb, MissFillsEntry)

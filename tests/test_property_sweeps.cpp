@@ -69,13 +69,6 @@ applyShadowKill(Config &cfg)
 }
 
 void
-applyPredictorMode(Config &cfg)
-{
-    cfg.set("branch.mode", "predictor");
-    cfg.set("branch.predictor", "tournament");
-}
-
-void
 applyNoWrongPath(Config &cfg)
 {
     cfg.setBool("core.wrong_path", false);
@@ -89,7 +82,6 @@ constexpr MachineVariant variants[] = {
     {"stall", applyStall},
     {"refetch", applyRefetch},
     {"shadowkill", applyShadowKill},
-    {"predictor", applyPredictorMode},
     {"nowrongpath", applyNoWrongPath},
 };
 

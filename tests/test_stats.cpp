@@ -130,20 +130,6 @@ TEST(DistributionStat, BadParamsPanic)
     EXPECT_THROW(sg.newDistribution("b", "x", 10, 10, 1), PanicError);
 }
 
-TEST(FormulaStat, ComputesOnDemand)
-{
-    StatGroup sg;
-    Scalar &num = sg.newScalar("num", "numerator");
-    Scalar &den = sg.newScalar("den", "denominator");
-    Formula &f = sg.newFormula("ratio", "num/den", [&] {
-        return den.value() > 0 ? num.value() / den.value() : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(f.value(), 0.0);
-    num += 6;
-    den += 3;
-    EXPECT_DOUBLE_EQ(f.value(), 2.0);
-}
-
 TEST(StatGroup, NamesAndLookup)
 {
     StatGroup sg("core");

@@ -505,7 +505,7 @@ TEST_F(StoreEnv, FingerprintsOfFixedSpecsArePinned)
     base.warmupOps = 800;
     setBasePipeline(base.overrides, 5);
     EXPECT_EQ(store::fingerprintRun(base, RetryPolicy{}).hex(),
-              "62e897c3e3ced2e75fcc5ed5b84981bb");
+              "8e42ba61b86c52f255f302dd61f9b388");
 
     // Two threads, the DRA and a fractional knob.
     RunSpec smt;
@@ -514,7 +514,7 @@ TEST_F(StoreEnv, FingerprintsOfFixedSpecsArePinned)
     setDraPipeline(smt.overrides, 7);
     smt.overrides.setDouble("integrity.fault.load_delay", 0.25);
     EXPECT_EQ(store::fingerprintRun(smt, RetryPolicy{}).hex(),
-              "c7f454894986d03a4fdf54ad64251752");
+              "8225e5a550a43bf6ef5c05c0f6d865fe");
 }
 
 TEST(StoreCompat, SchemaV2RecordDecodesAndReencodesByteIdentically)
