@@ -6,6 +6,8 @@
  * for understanding *why* a configuration performs the way it does.
  *
  * Usage: pipeline_inspector [workload] [ops] [k=v overrides...]
+ * The machine is the figures' default configuration under the k=v
+ * overrides and then LOOPSIM_OVERLAY, as for every other run.
  */
 
 #include <iostream>
@@ -17,7 +19,6 @@
 #include "harness/experiment.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
-#include "workload/profile.hh"
 #include "workload/workload_set.hh"
 
 #include "example_main.hh"
@@ -30,23 +31,16 @@ run(int argc, char **argv)
     std::string workload_name = argc > 1 ? argv[1] : "swim";
     std::uint64_t ops = examples::opsArg(argc, argv, 2, 200000);
 
-    Config cfg = defaultFigureConfig();
+    RunSpec spec;
+    spec.workload = resolveWorkload(workload_name);
+    spec.totalOps = ops;
     for (int i = 3; i < argc; ++i)
-        cfg.parseAssignment(argv[i]);
+        spec.overrides.parseAssignment(argv[i]);
+    const Config cfg = effectiveRunConfig(spec);
+    examples::refuseUnread(checkRunConfig(spec, cfg));
 
-    // "custom" builds the workload from workload.* config keys
-    // (profileFromConfig), e.g.
-    //   pipeline_inspector custom 100000 workload.base=swim
-    //       workload.load_frac=0.4
-    Workload w;
-    if (workload_name == "custom") {
-        w.label = "custom";
-        w.threads.push_back(profileFromConfig(cfg));
-    } else {
-        w = resolveWorkload(workload_name);
-    }
-    std::uint64_t warmup = 60000;
-    std::uint64_t per_thread = (ops + warmup) / w.threads.size();
+    const Workload &w = spec.workload;
+    std::uint64_t per_thread = (ops + spec.warmupOps) / w.threads.size();
 
     std::vector<std::unique_ptr<SyntheticTraceGenerator>> gens;
     std::vector<TraceSource *> sources;
@@ -57,10 +51,9 @@ run(int argc, char **argv)
     }
 
     Core core(cfg, sources);
-    examples::refuseUnread(cfg.unreadKeys());
     Simulator sim;
     sim.add(&core);
-    while (core.retiredOps() < warmup && !core.done())
+    while (core.retiredOps() < spec.warmupOps && !core.done())
         sim.run(1024);
     core.beginMeasurement();
     sim.run(100000000);

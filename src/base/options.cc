@@ -157,6 +157,8 @@ constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
                     "an I-cache"},
     {"mem.l1.repl", "was removed: caches are LRU only"},
     {"mem.l2.repl", "was removed: caches are LRU only"},
+    {"workload.", "was removed: workloads are the ten calibrated "
+                  "profiles"},
 };
 
 /** Read by CMake at configure time, not by the program. */

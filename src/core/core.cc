@@ -580,7 +580,6 @@ Core::squashYounger(ThreadId tid, std::uint64_t stamp, Cycle now)
 
     t.onWrongPath = false;
     t.wrongPathResume = invalidSeqNum;
-    t.fetchResumeAt = std::max(t.fetchResumeAt, now);
 }
 
 void
@@ -820,8 +819,7 @@ Core::debugDump(std::ostream &os) const
            << " fetchBuf " << ts.fetchBuffer.size() << " replay "
            << ts.replayQueue.size() << " iqCount " << ts.iqCount
            << " exhausted " << ts.exhausted << " wrongPath "
-           << ts.onWrongPath << " resumeAt " << ts.fetchResumeAt
-           << "\n";
+           << ts.onWrongPath << "\n";
         if (!ts.rob.empty()) {
             const DynInst &h = pool.get(ts.rob.head());
             os << "  rob head: " << h.op.toString() << " state "

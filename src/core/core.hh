@@ -431,7 +431,6 @@ class Core : public Clocked, public IntegrityProbe
         bool exhausted = false;
         bool onWrongPath = false;
         SeqNum wrongPathResume = invalidSeqNum;
-        Cycle fetchResumeAt = 0;
         unsigned pipeCount = 0; ///< this thread's PendingInsert entries
         unsigned iqCount = 0;
         std::uint64_t fetched = 0;
@@ -457,7 +456,7 @@ class Core : public Clocked, public IntegrityProbe
     /// @}
 
     /** Fetch helpers. */
-    ThreadId pickFetchThread(Cycle now);
+    ThreadId pickFetchThread();
     bool fetchOne(ThreadState &t, ThreadId tid, Cycle now);
 
     /** Rename one op; returns false when resources stall it. */

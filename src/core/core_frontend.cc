@@ -14,7 +14,7 @@ namespace loopsim
 {
 
 ThreadId
-Core::pickFetchThread(Cycle now)
+Core::pickFetchThread()
 {
     constexpr ThreadId none = 0xff;
     ThreadId best = none;
@@ -25,8 +25,6 @@ Core::pickFetchThread(Cycle now)
         ThreadId tid = static_cast<ThreadId>(
             (i + rrFetchCursor) % threads.size());
         ThreadState &t = threads[tid];
-        if (now < t.fetchResumeAt)
-            continue;
         if (t.fetchBuffer.full())
             continue;
         bool has_work = !t.replayQueue.empty() || !t.exhausted ||
@@ -105,7 +103,7 @@ Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
 void
 Core::fetchStage(Cycle now)
 {
-    ThreadId tid = pickFetchThread(now);
+    ThreadId tid = pickFetchThread();
     if (tid == 0xff)
         return;
     ThreadState &t = threads[tid];

@@ -179,9 +179,8 @@ Core::computeWake(Cycle now)
         }
     }
 
-    // Fetch: a thread eligible in every respect except fetchResumeAt
-    // (squash resume). Buffer-full or workless threads change only via
-    // rename progress / events — ticks.
+    // Fetch: an eligible thread fetches next cycle. Buffer-full or
+    // workless threads change only via rename progress / events — ticks.
     for (const ThreadState &t : threads) {
         if (t.fetchBuffer.full())
             continue;
@@ -191,8 +190,7 @@ Core::computeWake(Cycle now)
             continue;
         if (t.onWrongPath && !cfg.wrongPathFetch)
             continue;
-        consider(std::max(t.fetchResumeAt, next),
-                 KernelCounters::WakeFetch);
+        consider(next, KernelCounters::WakeFetch);
     }
 
     ++counters.n[winner];

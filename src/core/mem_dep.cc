@@ -41,12 +41,4 @@ MemDepPredictor::trainTrap(Addr pc)
     ++trapCount;
 }
 
-void
-MemDepPredictor::reset()
-{
-    std::fill(bits.begin(), bits.end(), false);
-    trapCount = 0;
-    waitCount = 0;
-}
-
 } // namespace loopsim

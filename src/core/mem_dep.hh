@@ -61,8 +61,6 @@ class MemDepPredictor
     /** The load at @p pc suffered a reorder trap: set its wait bit. */
     void trainTrap(Addr pc);
 
-    void reset();
-
     std::size_t size() const { return bits.size(); }
     std::uint64_t traps() const { return trapCount; }
     std::uint64_t waits() const { return waitCount; }

@@ -1,7 +1,5 @@
 #include "core/register_file.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace loopsim
@@ -157,22 +155,6 @@ PhysRegFile::live(PhysReg reg) const
 {
     checkRange(reg);
     return liveFlags[reg] != 0;
-}
-
-void
-PhysRegFile::reset()
-{
-    std::fill(issueReadyCycles.begin(), issueReadyCycles.end(),
-              invalidCycle);
-    std::fill(actualReadyCycles.begin(), actualReadyCycles.end(),
-              invalidCycle);
-    std::fill(writebackCycles.begin(), writebackCycles.end(),
-              invalidCycle);
-    std::fill(liveFlags.begin(), liveFlags.end(), 0);
-    std::fill(producers.begin(), producers.end(), InstRef{});
-    freeList.clear();
-    for (unsigned i = numRegs; i-- > 0;)
-        freeList.push_back(static_cast<PhysReg>(i));
 }
 
 } // namespace loopsim

@@ -81,8 +81,6 @@ class PhysRegFile
     bool live(PhysReg reg) const;
     /// @}
 
-    void reset();
-
     /** The owning Core's event stream; nullptr unless a view is on. */
     trace::RunRecorder *recorder = nullptr;
 

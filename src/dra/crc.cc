@@ -1,7 +1,5 @@
 #include "dra/crc.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "sim/feedback_port.hh"
@@ -130,21 +128,6 @@ ClusterRegisterCache::occupancy() const
     for (const auto &e : store)
         n += e.valid ? 1 : 0;
     return n;
-}
-
-void
-ClusterRegisterCache::reset()
-{
-    for (auto &e : store)
-        e = Entry{};
-    std::fill(slotOf.begin(), slotOf.end(), noSlot);
-    stamp = 0;
-    hitCount = 0;
-    missCount = 0;
-    insertCount = 0;
-    evictCount = 0;
-    invalidateCount = 0;
-    timeoutCount = 0;
 }
 
 } // namespace loopsim

@@ -62,8 +62,6 @@ class ClusterRegisterCache
     /** Invalidate @p reg if present (register reallocation, §5.5). */
     void invalidate(PhysReg reg);
 
-    void reset();
-
     unsigned capacity() const { return entriesMax; }
     std::size_t occupancy() const;
 

@@ -1,6 +1,5 @@
 #include "dra/dra_unit.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -150,19 +149,6 @@ DraUnit::saturationDrops() const
     for (const auto &t : tables)
         n += t.saturationDrops();
     return n;
-}
-
-void
-DraUnit::reset()
-{
-    filter.reset();
-    for (auto &t : tables)
-        t.reset();
-    for (auto &c : caches)
-        c.reset();
-    std::fill(crcMask.begin(), crcMask.end(), 0);
-    std::fill(tableMask.begin(), tableMask.end(), 0);
-    preReadCount = 0;
 }
 
 } // namespace loopsim

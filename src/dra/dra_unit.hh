@@ -90,8 +90,6 @@ class DraUnit
     std::uint64_t saturationDrops() const;
     /// @}
 
-    void reset();
-
   private:
     /** @p reg's cluster mask in @p masks (crcMask or tableMask). */
     std::uint64_t *

@@ -1,7 +1,5 @@
 #include "dra/insertion_table.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace loopsim
@@ -44,13 +42,6 @@ InsertionTable::clear(PhysReg reg)
 {
     panic_if(reg >= counts.size(), "insertion table reg out of range");
     counts[reg] = 0;
-}
-
-void
-InsertionTable::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    satDrops = 0;
 }
 
 } // namespace loopsim

@@ -42,8 +42,6 @@ class InsertionTable
     /** Register reallocated / value consumed into the CRC. */
     void clear(PhysReg reg);
 
-    void reset();
-
     unsigned maxCount() const { return maxVal; }
 
     /** Increments lost to saturation (ablation statistic). */

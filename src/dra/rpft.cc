@@ -41,10 +41,4 @@ Rpft::popcount() const
         std::count(bits.begin(), bits.end(), true));
 }
 
-void
-Rpft::reset()
-{
-    std::fill(bits.begin(), bits.end(), false);
-}
-
 } // namespace loopsim

@@ -35,8 +35,6 @@ class Rpft
     /** Number of set bits (structure occupancy, for tests/stats). */
     std::size_t popcount() const;
 
-    void reset();
-
     unsigned size() const { return numRegs; }
 
   private:

@@ -107,14 +107,4 @@ Cache::invalidate(Addr addr)
         l->valid = false;
 }
 
-void
-Cache::reset()
-{
-    for (auto &l : lines)
-        l = Line{};
-    stamp = 0;
-    hitCount = 0;
-    missCount = 0;
-}
-
 } // namespace loopsim

@@ -42,9 +42,6 @@ class Cache
     /** Invalidate the line containing @p addr if present. */
     void invalidate(Addr addr);
 
-    /** Drop all contents. */
-    void reset();
-
     /** Bank servicing @p addr. */
     unsigned bank(Addr addr) const;
     unsigned numBanks() const { return banks; }

@@ -108,20 +108,4 @@ MemoryHierarchy::access(Addr addr, ThreadId tid, bool is_store, Cycle now)
     return res;
 }
 
-void
-MemoryHierarchy::reset()
-{
-    l1d->reset();
-    l2u->reset();
-    dtlb->reset();
-    for (auto &m : mshrBusyUntil)
-        m = 0;
-    mshrStalls = 0;
-    bankCycle = invalidCycle;
-    for (auto &u : bankUse)
-        u = 0;
-    accessCount = 0;
-    bankConflictCount = 0;
-}
-
 } // namespace loopsim

@@ -70,8 +70,6 @@ class MemoryHierarchy
     /** Cycles added to misses because all MSHRs were busy. */
     std::uint64_t mshrStallCycles() const { return mshrStalls; }
 
-    void reset();
-
   private:
     std::unique_ptr<Cache> l1d;
     std::unique_ptr<Cache> l2u;

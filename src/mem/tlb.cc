@@ -1,7 +1,5 @@
 #include "mem/tlb.hh"
 
-#include <algorithm>
-
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -78,17 +76,6 @@ bool
 Tlb::probe(Addr addr, ThreadId tid) const
 {
     return find(vpnOf(addr), tid) != noSlot;
-}
-
-void
-Tlb::reset()
-{
-    for (auto &e : entries)
-        e = Entry{};
-    std::fill(buckets.begin(), buckets.end(), noSlot);
-    stamp = 0;
-    hitCount = 0;
-    missCount = 0;
 }
 
 } // namespace loopsim

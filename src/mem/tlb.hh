@@ -42,8 +42,6 @@ class Tlb
     /** Tag-check only, no fill or LRU update. */
     bool probe(Addr addr, ThreadId tid) const;
 
-    void reset();
-
     std::uint64_t hits() const { return hitCount; }
     std::uint64_t misses() const { return missCount; }
     std::uint64_t pageBytes() const { return pageSize; }

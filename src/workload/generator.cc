@@ -43,7 +43,9 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(BenchmarkProfile profile,
                                                  ThreadId thread,
                                                  std::uint64_t num_ops)
     : prof(std::move(profile)), tid(thread), numOps(num_ops),
-      rng(0, 0), wpRng(0, 0),
+      rng(prof.seed ^ (std::uint64_t(thread) * 0x2545f4914f6cdd1dULL),
+          0x5851f42d4c957f2dULL + thread),
+      recentRing(recentRingCap, invalidArchReg), wpRng(0, 0),
       codeBase((Addr(thread) + 1) << 36 | 0x10000000ULL),
       hotBase((Addr(thread) + 1) << 36 | 0x20000000ULL),
       l2Base((Addr(thread) + 1) << 36 | 0x30000000ULL),
@@ -70,34 +72,6 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(BenchmarkProfile profile,
     weights.push_back(prof.barrierFrac);
     classDist = DiscreteDistribution(weights);
     depDist = DiscreteDistribution(prof.depDistWeights);
-
-    initState();
-}
-
-void
-SyntheticTraceGenerator::initState()
-{
-    rng = Pcg32(prof.seed ^ (std::uint64_t(tid) * 0x2545f4914f6cdd1dULL),
-                0x5851f42d4c957f2dULL + tid);
-    count = 0;
-    pcIndex = 0;
-    destCursor = 0;
-    hotCursor = 0;
-    globalCursor = 0;
-    hotWritePending = false;
-    globalWritePending = false;
-    farPtr = 0;
-    recentRing.assign(recentRingCap, invalidArchReg);
-    recentHead = 0;
-    recentCount = 0;
-    wpKey = invalidSeqNum;
-    wpDestCursor = 0;
-}
-
-void
-SyntheticTraceGenerator::reset()
-{
-    initState();
 }
 
 OpClass

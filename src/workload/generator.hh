@@ -21,9 +21,9 @@ namespace loopsim
 
 /**
  * Producer of one thread's dynamic instruction stream. The correct-path
- * stream returned by next() must be identical across calls bracketed by
- * reset(), and must be independent of how many wrong-path ops the core
- * requests (wrong-path generation draws from separate state).
+ * stream returned by next() is a pure function of the source's
+ * constructor arguments, and does not depend on how many wrong-path ops
+ * the core requests (wrong-path generation draws from separate state).
  */
 class TraceSource
 {
@@ -40,9 +40,6 @@ class TraceSource
      * wrong-path state). The default produces a plain ALU mix.
      */
     virtual void nextWrongPath(MicroOp &op, SeqNum resume_seq);
-
-    /** Rewind to the beginning of the stream. */
-    virtual void reset() = 0;
 
     virtual std::string name() const = 0;
 };
@@ -85,7 +82,6 @@ class SyntheticTraceGenerator : public TraceSource
 
     bool next(MicroOp &op) override;
     void nextWrongPath(MicroOp &op, SeqNum resume_seq) override;
-    void reset() override;
     std::string name() const override { return prof.name; }
 
     const BenchmarkProfile &profile() const { return prof; }
@@ -111,8 +107,6 @@ class SyntheticTraceGenerator : public TraceSource
     void recordDest(ArchReg reg);
     /** The k-th most recent producer, or invalidArchReg. */
     ArchReg recentProducer(std::size_t k) const;
-    /** (Re)initialise all dynamic state. */
-    void initState();
 
     BenchmarkProfile prof;
     ThreadId tid;

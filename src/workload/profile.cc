@@ -1,7 +1,6 @@
 #include "workload/profile.hh"
 
 #include "base/logging.hh"
-#include "sim/config.hh"
 #include "base/str.hh"
 
 namespace loopsim
@@ -283,64 +282,6 @@ spec95Profile(const std::string &name)
     }
 
     fatal("unknown SPEC95 benchmark profile: ", name);
-}
-
-BenchmarkProfile
-profileFromConfig(const Config &cfg)
-{
-    std::string base = cfg.getString("workload.base", "");
-    BenchmarkProfile p =
-        base.empty() ? BenchmarkProfile{} : spec95Profile(base);
-    if (cfg.has("workload.name"))
-        p.name = cfg.getString("workload.name", p.name);
-
-    p.condBranchFrac =
-        cfg.getDouble("workload.cond_branch_frac", p.condBranchFrac);
-    p.uncondBranchFrac =
-        cfg.getDouble("workload.uncond_branch_frac", p.uncondBranchFrac);
-    p.loadFrac = cfg.getDouble("workload.load_frac", p.loadFrac);
-    p.storeFrac = cfg.getDouble("workload.store_frac", p.storeFrac);
-    p.intMultFrac = cfg.getDouble("workload.int_mult_frac", p.intMultFrac);
-    p.fpAddFrac = cfg.getDouble("workload.fp_add_frac", p.fpAddFrac);
-    p.fpMultFrac = cfg.getDouble("workload.fp_mult_frac", p.fpMultFrac);
-    p.fpDivFrac = cfg.getDouble("workload.fp_div_frac", p.fpDivFrac);
-    p.nopFrac = cfg.getDouble("workload.nop_frac", p.nopFrac);
-    p.barrierFrac = cfg.getDouble("workload.barrier_frac", p.barrierFrac);
-
-    p.mispredictRate =
-        cfg.getDouble("workload.mispredict", p.mispredictRate);
-    p.uncondMispredictRate = cfg.getDouble("workload.uncond_mispredict",
-                                           p.uncondMispredictRate);
-    p.numStaticBranches = static_cast<unsigned>(
-        cfg.getUint("workload.static_branches", p.numStaticBranches));
-    p.takenBias = cfg.getDouble("workload.taken_bias", p.takenBias);
-
-    p.hotBytes = cfg.getUint("workload.hot_bytes", p.hotBytes);
-    p.l2Bytes = cfg.getUint("workload.l2_bytes", p.l2Bytes);
-    p.l2ResidentFrac =
-        cfg.getDouble("workload.l2_resident_frac", p.l2ResidentFrac);
-    p.farFrac = cfg.getDouble("workload.far_frac", p.farFrac);
-    p.farStrideBytes =
-        cfg.getUint("workload.far_stride", p.farStrideBytes);
-
-    p.serialChainFrac =
-        cfg.getDouble("workload.serial_chain_frac", p.serialChainFrac);
-    p.longLivedSrcFrac =
-        cfg.getDouble("workload.long_lived_frac", p.longLivedSrcFrac);
-    p.hotSrcFrac = cfg.getDouble("workload.hot_src_frac", p.hotSrcFrac);
-    p.hotRegCount = static_cast<unsigned>(
-        cfg.getUint("workload.hot_regs", p.hotRegCount));
-    p.hotWritePeriod = static_cast<unsigned>(
-        cfg.getUint("workload.hot_write_period", p.hotWritePeriod));
-    p.secondSrcFrac =
-        cfg.getDouble("workload.second_src_frac", p.secondSrcFrac);
-
-    p.codeLoopLength = static_cast<unsigned>(
-        cfg.getUint("workload.code_loop", p.codeLoopLength));
-    p.seed = cfg.getUint("workload.seed", p.seed);
-
-    p.validate();
-    return p;
 }
 
 const std::vector<std::string> &

@@ -127,19 +127,6 @@ BenchmarkProfile spec95Profile(const std::string &name);
 /** Names of all ten single-thread benchmarks, in the paper's order. */
 const std::vector<std::string> &spec95Names();
 
-class Config;
-
-/**
- * Build a profile from "workload.*" keys of @p cfg, starting from
- * either a named base profile (workload.base=swim) or the defaults.
- * Lets users define custom workloads without recompiling, e.g.
- *
- *   workload.base=swim workload.load_frac=0.4 workload.mispredict=0.02
- *
- * The resulting profile is validate()d; fatal() on nonsense.
- */
-BenchmarkProfile profileFromConfig(const Config &cfg);
-
 } // namespace loopsim
 
 #endif // LOOPSIM_WORKLOAD_PROFILE_HH

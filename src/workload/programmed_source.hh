@@ -43,7 +43,6 @@ class ProgrammedTraceSource : public TraceSource
         return true;
     }
 
-    void reset() override { cursor = 0; }
     std::string name() const override { return label; }
 
     std::size_t size() const { return ops.size(); }

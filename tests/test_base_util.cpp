@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for base utilities: integer math, strings, saturating
- * counters, circular buffers, and the logging macros.
+ * Unit tests for base utilities: integer math, strings, circular
+ * buffers, and the logging macros.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "base/circular_buffer.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
-#include "base/sat_counter.hh"
 #include "base/str.hh"
 
 using namespace loopsim;
@@ -71,46 +70,6 @@ TEST(Str, Formatting)
     EXPECT_EQ(padLeft("x", 3), "  x");
     EXPECT_EQ(padRight("x", 3), "x  ");
     EXPECT_EQ(padLeft("abcd", 3), "abcd");
-}
-
-TEST(SatCounter, SaturatesBothWays)
-{
-    SatCounter c(2, 0);
-    EXPECT_EQ(c.max(), 3u);
-    c.decrement();
-    EXPECT_EQ(c.value(), 0u);
-    for (int i = 0; i < 10; ++i)
-        c.increment();
-    EXPECT_EQ(c.value(), 3u);
-    EXPECT_TRUE(c.saturated());
-}
-
-TEST(SatCounter, MsbThreshold)
-{
-    SatCounter c(2, 0);
-    EXPECT_FALSE(c.msb()); // 0
-    c.increment();
-    EXPECT_FALSE(c.msb()); // 1
-    c.increment();
-    EXPECT_TRUE(c.msb()); // 2
-    c.increment();
-    EXPECT_TRUE(c.msb()); // 3
-}
-
-TEST(SatCounter, SetClampsAndReset)
-{
-    SatCounter c(3);
-    c.set(100);
-    EXPECT_EQ(c.value(), 7u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(SatCounter, BadWidthPanics)
-{
-    EXPECT_THROW(SatCounter(0), PanicError);
-    EXPECT_THROW(SatCounter(17), PanicError);
-    EXPECT_THROW(SatCounter(2, 4), PanicError);
 }
 
 TEST(CircularBuffer, FifoOrder)

@@ -90,17 +90,6 @@ TEST(Cache, BankSelection)
     EXPECT_EQ(c.bank(0x3f), c.bank(0x0)); // same line, same bank
 }
 
-TEST(Cache, ResetClearsContentAndStats)
-{
-    Cache c(1024, 2, 64);
-    c.access(0x100);
-    c.access(0x100);
-    c.reset();
-    EXPECT_EQ(c.hits(), 0u);
-    EXPECT_EQ(c.misses(), 0u);
-    EXPECT_FALSE(c.probe(0x100));
-}
-
 TEST(Cache, BadGeometryFatal)
 {
     EXPECT_THROW(Cache(1000, 2, 64), FatalError); // non-2^n sets
@@ -227,8 +216,8 @@ TEST(Tlb, MatchesLinearScanLru)
             }
         }
         if (round % 4 == 3) {
-            // reset() must leave the index empty, like a fresh TLB.
-            tlb.reset();
+            // A fresh TLB starts with an empty index.
+            tlb = Tlb(n, 8192);
             ref = ScanTlb(n, 8192);
             EXPECT_FALSE(tlb.probe(0, 0));
             EXPECT_EQ(tlb.hits() + tlb.misses(), 0u);
@@ -328,17 +317,6 @@ TEST(Hierarchy, DifferentBanksNoConflict)
     mem.access(0x0, 0, false, 1);
     mem.access(0x40, 0, false, 1); // adjacent line, different bank
     EXPECT_EQ(mem.bankConflicts(), 0u);
-}
-
-TEST(Hierarchy, ResetRestoresColdState)
-{
-    Config cfg = hierarchyConfig();
-    MemoryHierarchy mem(cfg);
-    mem.access(0x100, 0, false, 1);
-    mem.reset();
-    auto r = mem.access(0x100, 0, false, 2);
-    EXPECT_EQ(r.level, MemLevel::Memory);
-    EXPECT_EQ(mem.accesses(), 1u);
 }
 
 TEST(Hierarchy, LevelNames)

@@ -45,7 +45,7 @@ TEST(MemDepPredictor, ResetAndErrors)
 {
     MemDepPredictor pred(256, 0);
     pred.trainTrap(0x100);
-    pred.reset();
+    pred = MemDepPredictor(256, 0);
     EXPECT_FALSE(pred.shouldWait(0x100, 1));
     EXPECT_EQ(pred.traps(), 0u);
     EXPECT_THROW(MemDepPredictor(100, 0), FatalError);

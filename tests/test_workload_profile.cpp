@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
-#include "sim/config.hh"
-#include "workload/generator.hh"
 #include "workload/micro_op.hh"
 #include "workload/profile.hh"
 #include "workload/workload_set.hh"
@@ -186,50 +184,4 @@ TEST(WorkloadSet, FigureWorkloadsMatchPaperOrder)
     EXPECT_EQ(figureLabel(all[12]), "apsi-swim");
     for (std::size_t i = 10; i < 13; ++i)
         EXPECT_TRUE(all[i].multiThreaded());
-}
-
-TEST(ProfileFromConfig, DefaultsAndOverrides)
-{
-    Config cfg;
-    cfg.set("workload.base", "swim");
-    cfg.setDouble("workload.load_frac", 0.4);
-    cfg.setUint("workload.seed", 99);
-    BenchmarkProfile p = profileFromConfig(cfg);
-    EXPECT_EQ(p.name, "swim");
-    EXPECT_DOUBLE_EQ(p.loadFrac, 0.4);
-    EXPECT_EQ(p.seed, 99u);
-    // Untouched fields keep the base profile's values.
-    EXPECT_DOUBLE_EQ(p.l2ResidentFrac,
-                     spec95Profile("swim").l2ResidentFrac);
-}
-
-TEST(ProfileFromConfig, NoBaseUsesDefaults)
-{
-    Config cfg;
-    cfg.set("workload.name", "mine");
-    BenchmarkProfile p = profileFromConfig(cfg);
-    EXPECT_EQ(p.name, "mine");
-    EXPECT_DOUBLE_EQ(p.loadFrac, BenchmarkProfile{}.loadFrac);
-}
-
-TEST(ProfileFromConfig, ValidatesResult)
-{
-    Config cfg;
-    cfg.setDouble("workload.load_frac", 0.9);
-    cfg.setDouble("workload.store_frac", 0.5);
-    EXPECT_THROW(profileFromConfig(cfg), FatalError);
-}
-
-TEST(ProfileFromConfig, RunsEndToEnd)
-{
-    Config cfg;
-    cfg.set("workload.base", "m88ksim");
-    cfg.setDouble("workload.mispredict", 0.2);
-    BenchmarkProfile p = profileFromConfig(cfg);
-    SyntheticTraceGenerator gen(p, 0, 3000);
-    MicroOp op;
-    std::uint64_t n = 0;
-    while (gen.next(op))
-        ++n;
-    EXPECT_EQ(n, 3000u);
 }
