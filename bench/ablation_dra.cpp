@@ -14,12 +14,12 @@ main(int argc, char **argv)
     const auto cli = benchutil::parseCli(argc, argv, 100000);
     benchutil::CampaignRecorder record("ablation_dra", cli);
     auto w = benchutil::ablationWorkloads();
-    printFigure(std::cout, ablationCrcSize(cli.ops, w));
-    printFigure(std::cout, ablationCrcRepl(cli.ops, w), ValueFormat::Percent);
-    printFigure(std::cout, ablationInsertionBits(cli.ops, w),
-                ValueFormat::Percent);
-    printFigure(std::cout, ablationFwdDepth(cli.ops, w));
-    printFigure(std::cout, ablationCrcTimeout(cli.ops, w),
-                ValueFormat::Percent);
+    benchutil::print(cli, ablationCrcSize(cli.ops, w));
+    benchutil::print(cli, ablationCrcRepl(cli.ops, w), ValueFormat::Percent);
+    benchutil::print(cli, ablationInsertionBits(cli.ops, w),
+                     ValueFormat::Percent);
+    benchutil::print(cli, ablationFwdDepth(cli.ops, w));
+    benchutil::print(cli, ablationCrcTimeout(cli.ops, w),
+                     ValueFormat::Percent);
     return 0;
 }

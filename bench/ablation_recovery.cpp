@@ -14,8 +14,8 @@ main(int argc, char **argv)
     const auto cli = benchutil::parseCli(argc, argv, 100000);
     benchutil::CampaignRecorder record("ablation_recovery", cli);
     auto w = benchutil::ablationWorkloads();
-    printFigure(std::cout, ablationLoadRecovery(cli.ops, w));
-    printFigure(std::cout, ablationKillShadow(cli.ops, w));
-    printFigure(std::cout, ablationMemDep(cli.ops, w));
+    benchutil::print(cli, ablationLoadRecovery(cli.ops, w));
+    benchutil::print(cli, ablationKillShadow(cli.ops, w));
+    benchutil::print(cli, ablationMemDep(cli.ops, w));
     return 0;
 }

@@ -40,9 +40,6 @@ main(int argc, char **argv)
         pairs.push_back(resolveWorkload(pair));
 
     const FigureData fig = runSweep(sweep, pairs, cli.ops);
-    if (cli.csv)
-        printCsv(std::cout, fig);
-    else
-        printFigure(std::cout, fig);
+    benchutil::print(cli, fig);
     return 0;
 }

@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <chrono>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -42,6 +43,7 @@
 
 #include "base/debug.hh"
 #include "harness/campaign.hh"
+#include "harness/report.hh"
 #include "harness/supervisor.hh"
 #include "sim/feedback_port.hh"
 #include "store/journal.hh"
@@ -222,6 +224,18 @@ parseCli(int argc, char **argv, std::uint64_t def_ops = 200000)
         }
     }
     return cli;
+}
+
+/** Print @p fig on stdout: CSV under --csv, else the aligned table in
+ *  @p format. A binary with several figures prints each in turn. */
+inline void
+print(const BenchCli &cli, const FigureData &fig,
+      ValueFormat format = ValueFormat::Percent)
+{
+    if (cli.csv)
+        printCsv(std::cout, fig);
+    else
+        printFigure(std::cout, fig, format);
 }
 
 /** Workloads used by ablation benches (a representative subset). */

@@ -51,9 +51,6 @@ main(int argc, char **argv)
         "(wakeup-drop is a deliberate permanent wedge)",
         w, configs, cli.ops);
 
-    if (cli.csv)
-        printCsv(std::cout, fig);
-    else
-        printFigure(std::cout, fig, ValueFormat::Ratio);
+    benchutil::print(cli, fig, ValueFormat::Ratio);
     return 0;
 }

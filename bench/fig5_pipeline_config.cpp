@@ -13,9 +13,6 @@ main(int argc, char **argv)
     const auto cli = benchutil::parseCli(argc, argv);
     benchutil::CampaignRecorder record("fig5_pipeline_config", cli);
     FigureData fig = figure5(cli.ops);
-    if (cli.csv)
-        printCsv(std::cout, fig);
-    else
-        printFigure(std::cout, fig);
+    benchutil::print(cli, fig);
     return 0;
 }

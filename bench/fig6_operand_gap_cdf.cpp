@@ -15,9 +15,6 @@ main(int argc, char **argv)
     // The paper plots turb3d and notes other benchmarks look similar;
     // print a second benchmark to substantiate that claim.
     FigureData fig = figure6(cli.ops, {"turb3d", "swim"});
-    if (cli.csv)
-        printCsv(std::cout, fig);
-    else
-        printFigure(std::cout, fig);
+    benchutil::print(cli, fig);
     return 0;
 }

@@ -13,9 +13,6 @@ main(int argc, char **argv)
     const auto cli = benchutil::parseCli(argc, argv);
     benchutil::CampaignRecorder record("fig9_operand_location", cli);
     FigureData fig = figure9(cli.ops);
-    if (cli.csv)
-        printCsv(std::cout, fig);
-    else
-        printFigure(std::cout, fig);
+    benchutil::print(cli, fig);
     return 0;
 }

@@ -142,6 +142,9 @@ constexpr std::pair<const char *, const char *> kRemoved[] = {
      "removed; use LOOPSIM_DEBUG=Reg and grep for one register"},
 };
 
+constexpr const char *kFixed =
+    "was removed: fixed at the paper's §2 value; no figure varies it";
+
 /** Retired config keys (by prefix), refused wherever config text
  *  enters: LOOPSIM_OVERLAY and Config::parseAssignment. */
 constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
@@ -159,6 +162,15 @@ constexpr std::pair<const char *, const char *> kRemovedKeys[] = {
     {"mem.l2.repl", "was removed: caches are LRU only"},
     {"workload.", "was removed: workloads are the ten calibrated "
                   "profiles"},
+    {"core.front_latency", kFixed},   {"core.branch_feedback", kFixed},
+    {"core.iq_clear_delay", kFixed},  {"core.miss_notice", kFixed},
+    {"core.phys_regs", kFixed},       {"mem.line", kFixed},
+    {"mem.l1.size", kFixed},          {"mem.l1.assoc", kFixed},
+    {"mem.l1.banks", kFixed},         {"mem.l1.latency", kFixed},
+    {"mem.l2.size", kFixed},          {"mem.l2.assoc", kFixed},
+    {"mem.l2.latency", kFixed},       {"mem.latency", kFixed},
+    {"mem.mshrs", kFixed},            {"mem.tlb.entries", kFixed},
+    {"mem.tlb.page", kFixed},
 };
 
 /** Read by CMake at configure time, not by the program. */

@@ -13,7 +13,7 @@ namespace loopsim
 
 Core::Core(const Config &config, std::vector<TraceSource *> sources)
     : cfg(MachineConfig::fromConfig(config)),
-      mem(std::make_unique<MemoryHierarchy>(config)),
+      mem(std::make_unique<MemoryHierarchy>()),
       pool(cfg.robEntries), prf(cfg.numPhysRegs), iq(cfg.iqEntries),
       fwd(cfg.fwdBufferDepth), renamePipe(cfg.renamePipeCapacity()),
       events(std::size_t{cfg.numClusters} * cfg.iqExLatency), sg("core")

@@ -89,8 +89,8 @@ class Core : public Clocked, public IntegrityProbe
 {
   public:
     /**
-     * @param cfg     raw configuration ("core.*", "dra.*", "mem.*",
-     *                "branch.*" keys)
+     * @param cfg     raw configuration ("core.*", "dra.*",
+     *                "integrity.fault.*" and "mem.tlb.walk" keys)
      * @param sources one trace source per hardware thread (not owned;
      *                must outlive the core)
      */

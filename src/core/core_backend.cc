@@ -217,7 +217,7 @@ Core::issueWinner(InstRef ref, Cycle now)
     // shadow, so entries must be retained until any load issued up
     // to a hit-latency earlier has resolved.
     if (cfg.killAllInShadow)
-        inst.confirmCycle += mem->l1Latency();
+        inst.confirmCycle += MemoryHierarchy::kL1Latency;
     // The entry sits Done in the IQ until its confirm cycle; a
     // later kill reverts it to InIq and re-hooks at reissue.
     noteIqWake(inst.confirmCycle);
@@ -239,7 +239,7 @@ Core::issueWinner(InstRef ref, Cycle now)
         } else if (inst.op.isLoad()) {
             if (cfg.loadRecovery != LoadRecovery::Stall) {
                 wakeReg(inst.physDest,
-                        now + mem->l1Latency() + delay);
+                        now + MemoryHierarchy::kL1Latency + delay);
             }
         } else {
             wakeReg(inst.physDest,
@@ -592,7 +592,7 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
     loadLatency->sample(static_cast<double>(res.latency));
 
     PhysReg dest = inst.physDest;
-    unsigned l1_lat = mem->l1Latency();
+    unsigned l1_lat = MemoryHierarchy::kL1Latency;
 
     if (recorder)
         recorder->record(trace::EventKind::Mem, exec_start, inst.op,
@@ -758,9 +758,9 @@ Core::executeValid(DynInst &inst, InstRef ref, Cycle exec_start)
             *tlbTraps += 1;
             ++inst.pendingEvents;
             std::uint64_t sid = loadPort.send(
-                exec_start + mem->l1Latency(), cfg.loadFeedback,
+                exec_start + MemoryHierarchy::kL1Latency, cfg.loadFeedback,
                 LoadResolveMsg{inst.op.tid, inst.fetchStamp});
-            schedule(Event{exec_start + mem->l1Latency() +
+            schedule(Event{exec_start + MemoryHierarchy::kL1Latency +
                                cfg.loadFeedback,
                            EventType::TlbTrap, 0, ref, inst.issueCycle,
                            invalidPhysReg, invalidCycle, sid});
@@ -916,9 +916,10 @@ Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
     // The trap restarts the load itself, so the squash stamp is one
     // below its own fetch stamp.
     std::uint64_t sid = loadPort.send(
-        exec_start + mem->l1Latency(), cfg.loadFeedback,
+        exec_start + MemoryHierarchy::kL1Latency, cfg.loadFeedback,
         LoadResolveMsg{load.op.tid, load.fetchStamp - 1});
-    schedule(Event{exec_start + mem->l1Latency() + cfg.loadFeedback,
+    schedule(Event{exec_start + MemoryHierarchy::kL1Latency +
+                       cfg.loadFeedback,
                    EventType::OrderTrap, 0, victim, invalidCycle,
                    invalidPhysReg, invalidCycle, sid});
     (void)ref;

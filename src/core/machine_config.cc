@@ -58,13 +58,9 @@ MachineConfig::fromConfig(const Config &cfg)
         cfg.getUint("core.iq.entries", m.iqEntries));
     m.robEntries = static_cast<unsigned>(
         cfg.getUint("core.rob.entries", m.robEntries));
-    m.numPhysRegs = static_cast<unsigned>(
-        cfg.getUint("core.phys_regs", m.numPhysRegs));
     m.numClusters = static_cast<unsigned>(
         cfg.getUint("core.clusters", m.numClusters));
 
-    m.frontLatency = static_cast<unsigned>(
-        cfg.getUint("core.front_latency", m.frontLatency));
     m.decIqLatency = static_cast<unsigned>(
         cfg.getUint("core.dec_iq", m.decIqLatency));
     m.iqExLatency = static_cast<unsigned>(
@@ -73,16 +69,10 @@ MachineConfig::fromConfig(const Config &cfg)
         cfg.getUint("core.regfile_latency", m.regfileLatency));
     m.loadFeedback = static_cast<unsigned>(
         cfg.getUint("core.load_feedback", m.loadFeedback));
-    m.branchFeedback = static_cast<unsigned>(
-        cfg.getUint("core.branch_feedback", m.branchFeedback));
-    m.iqClearDelay = static_cast<unsigned>(
-        cfg.getUint("core.iq_clear_delay", m.iqClearDelay));
     m.fwdBufferDepth = static_cast<unsigned>(
         cfg.getUint("core.fwd_depth", m.fwdBufferDepth));
     m.tlbWalkPenalty = static_cast<unsigned>(
         cfg.getUint("mem.tlb.walk", m.tlbWalkPenalty));
-    m.missNotice = static_cast<unsigned>(
-        cfg.getUint("core.miss_notice", m.missNotice));
 
     m.loadRecovery =
         parseLoadRecovery(cfg.getString("core.load_recovery", "reissue"));

@@ -5,6 +5,9 @@
  * The defaults reproduce the paper's base machine (§2): 8-wide, 128
  * entry IQ, 256 in flight, 8 clusters, DEC-IQ = IQ-EX = 5 cycles,
  * 3-cycle register file, 9-cycle forwarding buffer, 3-cycle feedback.
+ * The static members (physical registers, front-end latency, branch
+ * feedback, IQ clear delay, miss notice) are constants: no figure
+ * varies them, so no config key sets them.
  */
 
 #ifndef LOOPSIM_CORE_MACHINE_CONFIG_HH
@@ -38,19 +41,21 @@ struct MachineConfig
     unsigned width = 8;
     unsigned iqEntries = 128;
     unsigned robEntries = 256; ///< max instructions in flight
-    unsigned numPhysRegs = 512;
+    static constexpr unsigned numPhysRegs = 512;
     unsigned numClusters = 8;
     /// @}
 
     /** @name Pipeline latencies (cycles) */
     /// @{
-    unsigned frontLatency = 4;   ///< fetch to the rename point
+    static constexpr unsigned frontLatency = 4; ///< fetch to rename point
     unsigned decIqLatency = 5;   ///< rename point to IQ insertion (DEC-IQ)
     unsigned iqExLatency = 5;    ///< issue to execute (IQ-EX)
     unsigned regfileLatency = 3; ///< register file access time
     unsigned loadFeedback = 3;   ///< execute back to IQ (load loop)
-    unsigned branchFeedback = 2; ///< execute back to fetch (branch loop)
-    unsigned iqClearDelay = 1;   ///< extra cycles to clear a freed entry
+    /** Execute back to fetch (branch loop). */
+    static constexpr unsigned branchFeedback = 2;
+    /** Extra cycles to clear a freed entry. */
+    static constexpr unsigned iqClearDelay = 1;
     unsigned fwdBufferDepth = 9; ///< forwarding buffer window
     unsigned tlbWalkPenalty = 30; ///< dTLB fill latency on a miss
     /**
@@ -60,7 +65,7 @@ struct MachineConfig
      * each miss costs consumers an extra (IQ-EX - notice) cycles — one
      * of the ways a long IQ-EX path hurts (§3.2).
      */
-    unsigned missNotice = 1;
+    static constexpr unsigned missNotice = 1;
     /// @}
 
     /** @name Speculation and recovery */

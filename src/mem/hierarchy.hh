@@ -8,8 +8,7 @@
 #ifndef LOOPSIM_MEM_HIERARCHY_HH
 #define LOOPSIM_MEM_HIERARCHY_HH
 
-#include <memory>
-#include <vector>
+#include <array>
 
 #include "base/types.hh"
 #include "mem/cache.hh"
@@ -17,8 +16,6 @@
 
 namespace loopsim
 {
-
-class Config;
 
 /** Where an access was satisfied. */
 enum class MemLevel : std::uint8_t { L1, L2, Memory };
@@ -44,11 +41,22 @@ struct MemAccessResult
     }
 };
 
+/**
+ * The paper's §2 data side, fixed: a 64 KiB 2-way L1D in 32 banks of
+ * 64-byte lines with a 3-cycle hit, a 1 MiB 8-way L2 12 cycles beyond
+ * it, memory 150 cycles beyond that, 16 MSHRs and a 128-entry dTLB of
+ * 8 KiB pages. No figure varies any of these.
+ */
 class MemoryHierarchy
 {
   public:
-    /** Parameters are read from "mem.*" keys of @p cfg. */
-    explicit MemoryHierarchy(const Config &cfg);
+    static constexpr unsigned kLineBytes = 64;
+    static constexpr unsigned kL1Banks = 32;
+    /** L1 hit latency (the speculative load-to-use assumption). */
+    static constexpr unsigned kL1Latency = 3;
+    static constexpr unsigned kL2Latency = 12; ///< beyond the L1 latency
+    static constexpr unsigned kMemLatency = 150; ///< beyond the L2's
+    static constexpr unsigned kMshrs = 16;
 
     /**
      * Perform the access for @p addr at cycle @p now.
@@ -58,12 +66,9 @@ class MemoryHierarchy
     MemAccessResult access(Addr addr, ThreadId tid, bool is_store,
                            Cycle now);
 
-    /** L1 hit latency (the speculative load-to-use assumption). */
-    unsigned l1Latency() const { return l1Lat; }
-
-    const Cache &l1() const { return *l1d; }
-    const Cache &l2() const { return *l2u; }
-    const Tlb &tlb() const { return *dtlb; }
+    const Cache &l1() const { return l1d; }
+    const Cache &l2() const { return l2u; }
+    const Tlb &tlb() const { return dtlb; }
 
     std::uint64_t accesses() const { return accessCount; }
     std::uint64_t bankConflicts() const { return bankConflictCount; }
@@ -71,20 +76,16 @@ class MemoryHierarchy
     std::uint64_t mshrStallCycles() const { return mshrStalls; }
 
   private:
-    std::unique_ptr<Cache> l1d;
-    std::unique_ptr<Cache> l2u;
-    std::unique_ptr<Tlb> dtlb;
-
-    unsigned l1Lat;
-    unsigned l2Lat;  ///< additional cycles beyond the L1 latency
-    unsigned memLat; ///< additional cycles beyond the L2 latency
+    Cache l1d{64 * 1024, 2, kLineBytes, kL1Banks};
+    Cache l2u{1024 * 1024, 8, kLineBytes};
+    Tlb dtlb{128, 8192};
 
     /** Per-bank arbitration state for the current cycle. */
     Cycle bankCycle = invalidCycle;
-    std::vector<unsigned> bankUse;
+    std::array<unsigned, kL1Banks> bankUse{};
 
     /** Outstanding-miss slots: busy-until cycles (MSHR model). */
-    std::vector<Cycle> mshrBusyUntil;
+    std::array<Cycle, kMshrs> mshrBusyUntil{};
     std::uint64_t mshrStalls = 0;
 
     std::uint64_t accessCount = 0;

@@ -84,10 +84,6 @@ class SyntheticTraceGenerator : public TraceSource
     void nextWrongPath(MicroOp &op, SeqNum resume_seq) override;
     std::string name() const override { return prof.name; }
 
-    const BenchmarkProfile &profile() const { return prof; }
-    std::uint64_t length() const { return numOps; }
-    std::uint64_t produced() const { return count; }
-
   private:
     /** Op class at static code position @p pc_index (stable). */
     OpClass classAt(std::uint64_t pc_index) const;

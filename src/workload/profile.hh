@@ -28,7 +28,7 @@ namespace loopsim
  */
 struct BenchmarkProfile
 {
-    std::string name = "custom";
+    std::string name;
     bool floatingPoint = false;
 
     /** @name Instruction mix */

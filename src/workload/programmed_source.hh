@@ -45,8 +45,6 @@ class ProgrammedTraceSource : public TraceSource
 
     std::string name() const override { return label; }
 
-    std::size_t size() const { return ops.size(); }
-
   private:
     std::vector<MicroOp> ops;
     std::string label;

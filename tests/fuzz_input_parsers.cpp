@@ -134,7 +134,7 @@ TEST(FuzzConfigText, AssignmentsParseOrAreUserErrors)
     Tally tally;
     for (const char *seed :
          {"core.iq.entries=64", " dra.enable = true ",
-          "integrity.fault.load_delay=0.01", "mem.l1.latency=0x3"})
+          "integrity.fault.load_delay=0.01", "mem.tlb.walk=0x3"})
         mutateText(seed, rng, tally, checkAssignment);
     EXPECT_GT(tally.decoded, 0u);
     EXPECT_GT(tally.rejected, 0u);

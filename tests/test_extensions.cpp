@@ -100,40 +100,34 @@ TEST(MemBarrier, ProfileWorkloadRunsEndToEnd)
 
 TEST(Mshr, LimitSerialisesMissBursts)
 {
-    // Ten same-cycle misses with 2 MSHRs must queue: the last fill
-    // completes much later than with 16 MSHRs.
-    auto fill_time = [](unsigned mshrs) {
-        Config cfg;
-        cfg.setUint("mem.mshrs", mshrs);
-        // A fresh hierarchy: every line misses.
-        MemoryHierarchy mem(cfg);
-        unsigned max_latency = 0;
-        for (int i = 0; i < 10; ++i) {
-            auto r = mem.access(0x20000 + i * 64, 0, false, 5);
-            max_latency = std::max(max_latency, r.latency);
-        }
-        return max_latency;
-    };
-    EXPECT_GT(fill_time(2), fill_time(16) + 100);
+    // Seventeen same-cycle misses overflow the 16 MSHRs: the 17th
+    // fill waits for the first to retire, so it completes much later
+    // than the 16th.
+    MemoryHierarchy mem;
+    std::vector<unsigned> latency;
+    for (int i = 0; i < 17; ++i)
+        latency.push_back(mem.access(0x20000 + i * 64, 0, false, 5).latency);
+    EXPECT_EQ(latency[15], latency[0]);
+    EXPECT_GT(latency[16], latency[15] + 100);
 }
 
 TEST(Mshr, StallsAreCounted)
 {
-    Config cfg;
-    cfg.setUint("mem.mshrs", 1);
-    MemoryHierarchy mem(cfg);
-    mem.access(0x10000, 0, false, 1);
-    mem.access(0x20000, 0, false, 1); // second miss waits for the first
+    MemoryHierarchy mem;
+    for (int i = 0; i < 16; ++i)
+        mem.access(0x10000 + i * 64, 0, false, 1);
+    EXPECT_EQ(mem.mshrStallCycles(), 0u);
+    // The 17th miss waits for the first.
+    mem.access(0x20000, 0, false, 1);
     EXPECT_GT(mem.mshrStallCycles(), 0u);
 }
 
 TEST(Mshr, HitsNeverWaitForMshrs)
 {
-    Config cfg;
-    cfg.setUint("mem.mshrs", 1);
-    MemoryHierarchy mem(cfg);
-    mem.access(0x10000, 0, false, 1); // miss occupies the single MSHR
-    mem.access(0x20000, 0, false, 1); // miss queues
+    MemoryHierarchy mem;
+    // Sixteen misses occupy every MSHR and a 17th queues.
+    for (int i = 0; i < 17; ++i)
+        mem.access(0x10000 + i * 64, 0, false, 1);
     auto hit = mem.access(0x10000, 0, false, 2);
     EXPECT_EQ(hit.level, MemLevel::L1);
     EXPECT_LE(hit.latency, 4u);

@@ -447,9 +447,9 @@ TEST(Experiment, CheckRunConfigReadsEveryBuildTimeKey)
     spec.totalOps = 4000;
     EXPECT_NO_THROW(checkRunConfig(spec, effectiveRunConfig(spec)));
 
-    // A core key and a key only the memory hierarchy reads, each
-    // mistyped: building the run finds both without simulating.
-    for (const char *key : {"core.iq.entries", "mem.l1.latency"}) {
+    // A core key and a key only the watchdog reads, each mistyped:
+    // building the run finds both without simulating.
+    for (const char *key : {"core.iq.entries", "integrity.watchdog.window"}) {
         Config bad = effectiveRunConfig(spec);
         bad.set(key, "abc");
         EXPECT_THROW(checkRunConfig(spec, bad), FatalError) << key;

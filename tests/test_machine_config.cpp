@@ -93,8 +93,10 @@ TEST(MachineConfig, ValidationRejectsNonsense)
     EXPECT_THROW(
         with([](Config &c) { c.setUint("core.rob.entries", 64); }),
         FatalError);
-    EXPECT_THROW(with([](Config &c) { c.setUint("core.phys_regs", 100); }),
-                 FatalError);
+    // 2 * 64 architectural + 400 in flight > 512 physical registers.
+    EXPECT_THROW(
+        with([](Config &c) { c.setUint("core.rob.entries", 400); }),
+        FatalError);
     // Base IQ-EX must cover the RF access.
     EXPECT_THROW(
         with([](Config &c) { c.setUint("core.regfile_latency", 4); }),

@@ -10,7 +10,6 @@
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/tlb.hh"
-#include "sim/config.hh"
 
 using namespace loopsim;
 
@@ -226,29 +225,9 @@ TEST(Tlb, MatchesLinearScanLru)
     EXPECT_GE(accesses, 100000u);
 }
 
-namespace
-{
-
-Config
-hierarchyConfig()
-{
-    Config cfg;
-    cfg.setUint("mem.l1.size", 4096);
-    cfg.setUint("mem.l1.assoc", 2);
-    cfg.setUint("mem.l1.latency", 3);
-    cfg.setUint("mem.l2.size", 65536);
-    cfg.setUint("mem.l2.latency", 12);
-    cfg.setUint("mem.latency", 150);
-    cfg.setUint("mem.tlb.entries", 4);
-    return cfg;
-}
-
-} // anonymous namespace
-
 TEST(Hierarchy, LatencyByLevel)
 {
-    Config cfg = hierarchyConfig();
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
 
     // Cold access: misses everywhere.
     auto r0 = mem.access(0x100, 0, false, 1);
@@ -266,43 +245,39 @@ TEST(Hierarchy, LatencyByLevel)
 
 TEST(Hierarchy, L2HitAfterL1Eviction)
 {
-    Config cfg = hierarchyConfig();
-    MemoryHierarchy mem(cfg);
-    // Fill well beyond L1 (4KB) but within L2 (64KB).
-    for (Addr a = 0; a < 32768; a += 64)
-        mem.access(a, 0, false, a / 64 + 1);
+    MemoryHierarchy mem;
+    // Fill well beyond L1 (64 KiB) but within L2 (1 MiB), one line
+    // every 64 cycles so no miss waits for an MSHR.
+    for (Addr a = 0; a < 256 * 1024; a += 64)
+        mem.access(a, 0, false, a + 1);
     // Address 0 was evicted from L1 but lives in L2.
-    auto r = mem.access(0x0, 0, false, 10000);
+    auto r = mem.access(0x0, 0, false, 1 << 20);
     EXPECT_EQ(r.level, MemLevel::L2);
     EXPECT_EQ(r.latency, 3u + 12u);
 }
 
 TEST(Hierarchy, SameCycleSameBankLoadsConflict)
 {
-    Config cfg = hierarchyConfig();
-    cfg.setUint("mem.l1.banks", 4);
-    MemoryHierarchy mem(cfg);
-    // Warm both lines first.
+    MemoryHierarchy mem;
+    // Warm both lines first (32 banks of 64-byte lines).
     mem.access(0x0, 0, false, 1);
-    mem.access(0x0 + 4 * 64, 0, false, 2);
+    mem.access(0x0 + 32 * 64, 0, false, 2);
 
     auto a = mem.access(0x0, 0, false, 10);
-    auto b = mem.access(0x0 + 4 * 64, 0, false, 10); // same bank
+    auto b = mem.access(0x0 + 32 * 64, 0, false, 10); // same bank
     EXPECT_FALSE(a.bankConflict);
     EXPECT_TRUE(b.bankConflict);
     EXPECT_EQ(b.latency, a.latency + 1);
     EXPECT_FALSE(b.isPredictableHit());
 
     // A new cycle clears the arbitration.
-    auto c = mem.access(0x0 + 4 * 64, 0, false, 11);
+    auto c = mem.access(0x0 + 32 * 64, 0, false, 11);
     EXPECT_FALSE(c.bankConflict);
 }
 
 TEST(Hierarchy, StoresDoNotContendForLoadBanks)
 {
-    Config cfg = hierarchyConfig();
-    cfg.setUint("mem.l1.banks", 4);
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     mem.access(0x0, 0, false, 1);
     mem.access(0x0, 0, true, 5);  // store
     auto r = mem.access(0x0, 0, false, 5); // same cycle load
@@ -311,9 +286,7 @@ TEST(Hierarchy, StoresDoNotContendForLoadBanks)
 
 TEST(Hierarchy, DifferentBanksNoConflict)
 {
-    Config cfg = hierarchyConfig();
-    cfg.setUint("mem.l1.banks", 4);
-    MemoryHierarchy mem(cfg);
+    MemoryHierarchy mem;
     mem.access(0x0, 0, false, 1);
     mem.access(0x40, 0, false, 1); // adjacent line, different bank
     EXPECT_EQ(mem.bankConflicts(), 0u);
