@@ -380,7 +380,8 @@ class CampaignRecorder
      *  bracket, write a temp file beside it and rename(2) that into
      *  place, so a kill mid-write leaves the old array, never a
      *  truncated one. Bench binaries sharing one file run one at a
-     *  time. */
+     *  time. A file that cannot be written is named on stderr, like
+     *  an unwritable trace file; the exit status stays 0. */
     void
     append(const std::string &entry) const
     {
@@ -410,16 +411,17 @@ class CampaignRecorder
         }
         const std::string tmp =
             path + ".tmp-" + std::to_string(::getpid());
+        bool written;
         {
             std::ofstream of(tmp, std::ios::trunc);
             of << out;
-            if (!of.flush()) {
-                std::remove(tmp.c_str());
-                return;
-            }
+            written = static_cast<bool>(of.flush());
         }
-        if (std::rename(tmp.c_str(), path.c_str()) != 0)
-            std::remove(tmp.c_str());
+        if (written && std::rename(tmp.c_str(), path.c_str()) == 0)
+            return;
+        std::remove(tmp.c_str());
+        std::fprintf(stderr, "could not write bench telemetry file %s\n",
+                     path.c_str());
     }
 
     std::string name;

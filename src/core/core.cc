@@ -16,7 +16,7 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
       mem(std::make_unique<MemoryHierarchy>()),
       pool(cfg.robEntries), prf(cfg.numPhysRegs), iq(cfg.iqEntries),
       fwd(cfg.fwdBufferDepth), renamePipe(cfg.renamePipeCapacity()),
-      events(std::size_t{cfg.numClusters} * cfg.iqExLatency), sg("core")
+      events(std::size_t{cfg.numClusters} * cfg.iqExLatency)
 {
     fatal_if(sources.empty(), "core needs at least one trace source");
     fatal_if(sources.size() > 2, "core supports at most 2 SMT threads");
@@ -70,7 +70,31 @@ Core::Core(const Config &config, std::vector<TraceSource *> sources)
         }
     }
 
-    buildStats();
+    // The scalars the harness copies into every RunResult, keyed by
+    // their unqualified names.
+    exported = {
+        {"cycles", &measured.cycles},
+        {"fetched", &measured.fetchedOps},
+        {"wrongPathFetched", &measured.wrongPathOps},
+        {"renamed", &measured.renamedOps},
+        {"issued", &measured.issuedOps},
+        {"reissued", &measured.reissuedOps},
+        {"retired", &measured.retiredTotal},
+        {"squashed", &measured.squashedOps},
+        {"branches", &measured.branchesRetired},
+        {"branchMispredicts", &measured.branchMispredicts},
+        {"loadMissEvents", &measured.loadMissEvents},
+        {"loadKilledOps", &measured.loadKilledOps},
+        {"tlbTraps", &measured.tlbTraps},
+        {"memOrderTraps", &measured.memOrderTrapCount},
+        {"operandMissEvents", &measured.operandMissEvents},
+        {"recoveryStallCycles", &measured.recoveryStallCycles},
+        {"iqOccupancy", &measured.iqOccupancy},
+        {"robOccupancy", &measured.robOccupancy},
+        {"branchLoopOpenCycles", &measured.branchLoopOpenCycles},
+        {"loadLoopOpenCycles", &measured.loadLoopOpenCycles},
+        {"operandLoopOpenCycles", &measured.operandLoopOpenCycles},
+    };
 }
 
 Core::~Core() = default;
@@ -91,110 +115,6 @@ Core::takeLoopTrace()
 {
     return recorder ? recorder->takeLoopEvents()
                     : std::vector<trace::LoopEvent>{};
-}
-
-void
-Core::buildStats()
-{
-    cycles = &sg.newScalar("cycles", "simulated cycles");
-    fetchedOps = &sg.newScalar("fetched", "correct-path ops fetched");
-    wrongPathOps = &sg.newScalar("wrongPathFetched",
-                                 "wrong-path ops fetched");
-    renamedOps = &sg.newScalar("renamed", "ops renamed");
-    issuedOps = &sg.newScalar("issued", "issue events (incl. reissues)");
-    reissuedOps = &sg.newScalar("reissued",
-                                "issue events that were reissues "
-                                "(useless work indicator)");
-    retiredTotal = &sg.newScalar("retired", "ops retired");
-    squashedOps = &sg.newScalar("squashed",
-                                "renamed ops squashed by recovery");
-    branchesRetired = &sg.newScalar("branches", "branches retired");
-    branchMispredicts = &sg.newScalar("branchMispredicts",
-                                      "mispredicted branches resolved");
-    loadMissEvents = &sg.newScalar("loadMissEvents",
-                                   "load-resolution-loop mis-speculations");
-    loadKilledOps = &sg.newScalar("loadKilledOps",
-                                  "issued ops killed by load/operand "
-                                  "loop recovery");
-    tlbTraps = &sg.newScalar("tlbTraps",
-                             "memory traps recovered from fetch");
-    memOrderTrapCount = &sg.newScalar("memOrderTraps",
-                                      "load/store reorder traps");
-    operandMissEvents = &sg.newScalar("operandMissEvents",
-                                      "DRA operand-resolution-loop "
-                                      "mis-speculations");
-    recoveryStallCycles = &sg.newScalar("recoveryStallCycles",
-                                        "front-end stall cycles during "
-                                        "operand-miss recovery");
-    loadLevels = &sg.newVector("loadLevel",
-                               "where loads were satisfied",
-                               {"l1", "l2", "memory"});
-    operandSources = &sg.newVector(
-        "operandSource", "where register source operands were read",
-        {"preread", "forward", "crc", "regfile", "payload", "miss"});
-    iqOccupancy = &sg.newAverage("iqOccupancy", "IQ entries held");
-    robOccupancy = &sg.newAverage("robOccupancy",
-                                  "instructions in flight");
-    branchLoopOpenCycles =
-        &sg.newScalar("branchLoopOpenCycles",
-                      "cycles with branch-loop feedback in flight");
-    loadLoopOpenCycles =
-        &sg.newScalar("loadLoopOpenCycles",
-                      "cycles with load-loop feedback in flight");
-    operandLoopOpenCycles =
-        &sg.newScalar("operandLoopOpenCycles",
-                      "cycles with operand-loop feedback in flight");
-    operandGap = &sg.newDistribution(
-        "operandGap",
-        "cycles between availability of an instruction's first and "
-        "second source operands (Figure 6)", 0, 256, 1);
-    loadLatency = &sg.newDistribution(
-        "loadLatency", "data-ready latency of valid load executions",
-        0, 256, 4);
-    // Loop occupancy (DESIGN.md §11): instructions in flight, sampled
-    // each cycle a loop is open — an upper bound on the work exposed
-    // to that loop's repair. Unit buckets over the ROB range give an
-    // exact CDF.
-    const double occ_max = static_cast<double>(cfg.robEntries);
-    branchLoopOcc = &sg.newDistribution(
-        "branchLoopOccupancy",
-        "instructions speculatively exposed per branch-loop-open cycle",
-        0, occ_max, 1);
-    loadLoopOcc = &sg.newDistribution(
-        "loadLoopOccupancy",
-        "instructions speculatively exposed per load-loop-open cycle",
-        0, occ_max, 1);
-    operandLoopOcc = &sg.newDistribution(
-        "operandLoopOccupancy",
-        "instructions speculatively exposed per operand-loop-open cycle",
-        0, occ_max, 1);
-
-    // The scalars the harness copies into every RunResult, keyed by
-    // their unqualified names; handles, so extraction does no by-name
-    // registry lookups.
-    exported = {
-        {"cycles", cycles},
-        {"fetched", fetchedOps},
-        {"wrongPathFetched", wrongPathOps},
-        {"renamed", renamedOps},
-        {"issued", issuedOps},
-        {"reissued", reissuedOps},
-        {"retired", retiredTotal},
-        {"squashed", squashedOps},
-        {"branches", branchesRetired},
-        {"branchMispredicts", branchMispredicts},
-        {"loadMissEvents", loadMissEvents},
-        {"loadKilledOps", loadKilledOps},
-        {"tlbTraps", tlbTraps},
-        {"memOrderTraps", memOrderTrapCount},
-        {"operandMissEvents", operandMissEvents},
-        {"recoveryStallCycles", recoveryStallCycles},
-        {"iqOccupancy", iqOccupancy},
-        {"robOccupancy", robOccupancy},
-        {"branchLoopOpenCycles", branchLoopOpenCycles},
-        {"loadLoopOpenCycles", loadLoopOpenCycles},
-        {"operandLoopOpenCycles", operandLoopOpenCycles},
-    };
 }
 
 void
@@ -464,7 +384,7 @@ Core::killInstruction(InstRef ref, Cycle now)
         prf.clearIssueReady(inst.physDest);
         prf.clearActualReady(inst.physDest);
     }
-    *loadKilledOps += 1;
+    measured.loadKilledOps += 1;
     // Back in InIq, the victim may reissue in this very cycle (its
     // own source gates are untouched by the kill); put it back in
     // front of the next issue pass.
@@ -565,7 +485,7 @@ Core::squashYounger(ThreadId tid, std::uint64_t stamp, Cycle now)
             t.unexecStoreSeqs.erase(inst.storeSeq);
         if (!inst.op.wrongPath)
             t.replayQueue.pushFront(inst.op);
-        *squashedOps += 1;
+        measured.squashedOps += 1;
         pool.release(ref);
     }
 
@@ -590,7 +510,7 @@ Core::tick(Cycle now)
     // frozen across it (before events at `now` can change it).
     accountIdleSpan(now);
     lastCycle = now + 1;
-    *cycles += 1;
+    measured.cycles += 1;
 
     processEvents(now);
     retireStage(now);
@@ -599,9 +519,9 @@ Core::tick(Cycle now)
     renameStage(now);
     fetchStage(now);
 
-    iqOccupancy->sample(static_cast<double>(iq.size()));
-    robOccupancy->sample(static_cast<double>(pool.inUse()));
-    sampleLoopOccupancy();
+    measured.iqOccupancy.sample(static_cast<double>(iq.size()));
+    measured.robOccupancy.sample(static_cast<double>(pool.inUse()));
+    countOpenLoops();
 
     // The dense reference kernel never reads nextActivity(), so it
     // skips the wake computation entirely — keeping it a pure
@@ -611,26 +531,17 @@ Core::tick(Cycle now)
 }
 
 void
-Core::sampleLoopOccupancy()
+Core::countOpenLoops()
 {
     // A loop is "open" while it has feedback in flight: a resolution
     // has been produced but its initiation stage has not consumed it
-    // yet. Everything in flight during an open cycle is speculatively
-    // exposed to that loop's repair (an upper bound: work older than
-    // the mis-speculation survives the recovery). O(1) per cycle.
-    const double exposed = static_cast<double>(pool.inUse());
-    if (branchPort.inFlight() > 0) {
-        *branchLoopOpenCycles += 1;
-        branchLoopOcc->sample(exposed);
-    }
-    if (loadPort.inFlight() > 0) {
-        *loadLoopOpenCycles += 1;
-        loadLoopOcc->sample(exposed);
-    }
-    if (operandPort.inFlight() > 0) {
-        *operandLoopOpenCycles += 1;
-        operandLoopOcc->sample(exposed);
-    }
+    // yet. O(1) per cycle.
+    if (branchPort.inFlight() > 0)
+        measured.branchLoopOpenCycles += 1;
+    if (loadPort.inFlight() > 0)
+        measured.loadLoopOpenCycles += 1;
+    if (operandPort.inFlight() > 0)
+        measured.operandLoopOpenCycles += 1;
 }
 
 bool
@@ -691,7 +602,7 @@ Core::integritySample(Cycle now) const
     IntegritySample s;
     s.cycle = now;
     s.retired = retiredOps();
-    s.issued = static_cast<std::uint64_t>(issuedOps->value());
+    s.issued = static_cast<std::uint64_t>(measured.issuedOps.value());
     s.inFlight = pool.inUse();
     s.windowCapacity = pool.capacity();
     s.iqOccupancy = iq.size();
@@ -790,7 +701,7 @@ Core::structuralViolations() const
 void
 Core::beginMeasurement()
 {
-    sg.resetAll();
+    measured = Statistics{};
     measureStartCycle = lastCycle;
     measureStartRetired = retiredOps();
 }

@@ -132,23 +132,20 @@ class Core : public Clocked, public IntegrityProbe
     double ipc() const;
 
     /**
-     * End the warmup phase: reset all statistics and measure IPC from
-     * this point on (the caches, TLB and pipeline keep their
-     * state, like the paper's warmed measurement runs).
+     * End the warmup phase: assign a fresh set of statistics and
+     * measure IPC from this point on (the caches, TLB and pipeline
+     * keep their state and counters, like the paper's warmed
+     * measurement runs).
      */
     void beginMeasurement();
     /// @}
 
     const MachineConfig &machine() const { return cfg; }
-    stats::StatGroup &statGroup() { return sg; }
-    const stats::StatGroup &statGroup() const { return sg; }
 
     /**
-     * Unqualified name → handle for every scalar-valued stat the
-     * harness exports into RunResult::scalars. Cached at construction
-     * so result extraction never goes through the registry's by-name
-     * map (statGroup().lookupValue() stays available for ad-hoc and
-     * test queries).
+     * Unqualified name → statistic for every scalar the harness
+     * exports into RunResult::scalars, in a fixed order. Built at
+     * construction; the handles point into this core.
      */
     const std::vector<std::pair<const char *, const stats::Stat *>> &
     exportedStats() const
@@ -219,12 +216,13 @@ class Core : public Clocked, public IntegrityProbe
     /** Empirical CDF source for Figure 6. */
     const stats::Distribution &operandGapStat() const
     {
-        return *operandGap;
+        return measured.operandGap;
     }
-    /** Operand-location breakdown for Figure 9. */
+    /** Operand-location breakdown for Figure 9: bin i counts
+     *  OperandSource i + 1 (None has no bin). */
     const stats::Vector &operandSourceStat() const
     {
-        return *operandSources;
+        return measured.operandSources;
     }
 
     /** Keep every event of this run for the Gantt and table views
@@ -507,7 +505,6 @@ class Core : public Clocked, public IntegrityProbe
     OperandSource classifyOperand(const DynInst &inst, unsigned idx,
                                   Cycle exec_start);
 
-    void buildStats();
     bool backendDrained() const;
 
     /** @name Issue-stage internals (core_backend.cc) */
@@ -525,17 +522,16 @@ class Core : public Clocked, public IntegrityProbe
     LOOPSIM_WAKE_STATE void issueWinner(InstRef ref, Cycle now);
     /// @}
 
-    /** Per-cycle loop-occupancy sampling (see DESIGN.md §11): for each
-     *  loop with feedback in flight, how much work sits speculatively
-     *  exposed to its repair. */
-    void sampleLoopOccupancy();
+    /** Per-cycle loop-open counting (see DESIGN.md §11): one cycle for
+     *  each loop with feedback in flight. */
+    void countOpenLoops();
 
     /** @name Sparse-kernel support (core_wake.cc, DESIGN.md §14) */
     /// @{
     /** Replay the per-cycle accounting the dense kernel would have
      *  done over the skipped span [lastCycle, @p now): cycle counts,
-     *  occupancy averages, loop-open scalars/distributions, the
-     *  recovery-stall counter and the fetch round-robin cursor. All
+     *  occupancy averages, loop-open counters, the recovery-stall
+     *  counter and the fetch round-robin cursor. All
      *  sampled values are frozen across the span (no tick, no event),
      *  so weighted samples are bit-identical to per-cycle ones. */
     void accountIdleSpan(Cycle now);
@@ -795,37 +791,42 @@ class Core : public Clocked, public IntegrityProbe
     Cycle measureStartCycle = 0;
     std::uint64_t measureStartRetired = 0;
 
-    /** @name Statistics */
+    /** @name Statistics
+     *
+     * Counted over the measured window: beginMeasurement() assigns a
+     * fresh set, and `exported` points into it.
+     */
     /// @{
-    stats::StatGroup sg;
-    stats::Scalar *cycles = nullptr;
-    stats::Scalar *fetchedOps = nullptr;
-    stats::Scalar *wrongPathOps = nullptr;
-    stats::Scalar *renamedOps = nullptr;
-    stats::Scalar *issuedOps = nullptr;
-    stats::Scalar *reissuedOps = nullptr;
-    stats::Scalar *retiredTotal = nullptr;
-    stats::Scalar *squashedOps = nullptr;
-    stats::Scalar *branchesRetired = nullptr;
-    stats::Scalar *branchMispredicts = nullptr;
-    stats::Scalar *loadMissEvents = nullptr;
-    stats::Scalar *loadKilledOps = nullptr;
-    stats::Scalar *tlbTraps = nullptr;
-    stats::Scalar *memOrderTrapCount = nullptr;
-    stats::Scalar *operandMissEvents = nullptr;
-    stats::Scalar *recoveryStallCycles = nullptr;
-    stats::Vector *loadLevels = nullptr;
-    stats::Vector *operandSources = nullptr;
-    stats::Average *iqOccupancy = nullptr;
-    stats::Average *robOccupancy = nullptr;
-    stats::Scalar *branchLoopOpenCycles = nullptr;
-    stats::Scalar *loadLoopOpenCycles = nullptr;
-    stats::Scalar *operandLoopOpenCycles = nullptr;
-    stats::Distribution *operandGap = nullptr;
-    stats::Distribution *loadLatency = nullptr;
-    stats::Distribution *branchLoopOcc = nullptr;
-    stats::Distribution *loadLoopOcc = nullptr;
-    stats::Distribution *operandLoopOcc = nullptr;
+    struct Statistics
+    {
+        stats::Scalar cycles;
+        stats::Scalar fetchedOps;
+        stats::Scalar wrongPathOps;
+        stats::Scalar renamedOps;
+        stats::Scalar issuedOps;
+        stats::Scalar reissuedOps;
+        stats::Scalar retiredTotal;
+        stats::Scalar squashedOps;
+        stats::Scalar branchesRetired;
+        stats::Scalar branchMispredicts;
+        stats::Scalar loadMissEvents;
+        stats::Scalar loadKilledOps;
+        stats::Scalar tlbTraps;
+        stats::Scalar memOrderTrapCount;
+        stats::Scalar operandMissEvents;
+        stats::Scalar recoveryStallCycles;
+        stats::Average iqOccupancy;
+        stats::Average robOccupancy;
+        stats::Scalar branchLoopOpenCycles;
+        stats::Scalar loadLoopOpenCycles;
+        stats::Scalar operandLoopOpenCycles;
+        /** One bin per OperandSource but None. */
+        stats::Vector operandSources{6};
+        /** Cycles between an instruction's two source operands'
+         *  availability (Figure 6). */
+        stats::Distribution operandGap{0, 256, 1};
+    };
+    Statistics measured;
     std::vector<std::pair<const char *, const stats::Stat *>> exported;
     /// @}
 };

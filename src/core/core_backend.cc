@@ -17,18 +17,6 @@ namespace loopsim
 namespace
 {
 
-/** Bins of the loadLevel stat vector. */
-std::size_t
-levelBin(MemLevel level)
-{
-    switch (level) {
-      case MemLevel::L1: return 0;
-      case MemLevel::L2: return 1;
-      case MemLevel::Memory: return 2;
-      default: panic("unknown memory level");
-    }
-}
-
 /** Bins of the operandSource stat vector. */
 std::size_t
 sourceBin(OperandSource src)
@@ -208,9 +196,9 @@ Core::issueWinner(InstRef ref, Cycle now)
     if (recorder)
         recorder->record(trace::EventKind::Issue, now, inst.op, 0,
                          inst.timesIssued, inst.insertCycle);
-    *issuedOps += 1;
+    measured.issuedOps += 1;
     if (inst.timesIssued > 1)
-        *reissuedOps += 1;
+        measured.reissuedOps += 1;
     inst.confirmCycle =
         now + cfg.iqExLatency + cfg.loadFeedback + cfg.iqClearDelay;
     // 21264-style recovery kills *everything* issued in a load
@@ -472,7 +460,7 @@ Core::classifyOperand(const DynInst &inst, unsigned idx, Cycle exec_start)
     if (!cfg.dra) {
         // Base machine: operands come from the forwarding buffer or
         // the in-path RF read; by construction there is no gap.
-        if (fwd.lookup(produced_at, exec_start))
+        if (fwd.covers(produced_at, exec_start))
             return OperandSource::Forward;
         panic_if(!prf.writtenBack(reg, exec_start),
                  "base-machine operand neither forwardable nor written "
@@ -480,7 +468,7 @@ Core::classifyOperand(const DynInst &inst, unsigned idx, Cycle exec_start)
         return OperandSource::RegFile;
     }
 
-    if (fwd.lookup(produced_at, exec_start)) {
+    if (fwd.covers(produced_at, exec_start)) {
         draUnit->forwardHit(reg, inst.cluster);
         return OperandSource::Forward;
     }
@@ -498,10 +486,10 @@ Core::handleOperandMiss(DynInst &inst, InstRef ref, Cycle exec_start,
     // the instruction reissues once they arrive, its issued dependents
     // reissue when the IQ hears of the fault, and the front end stalls
     // while the recovery borrows the RF read ports.
-    *operandMissEvents += 1;
+    measured.operandMissEvents += 1;
     for (unsigned i = 0; i < 2; ++i) {
         if (miss_mask & (1u << i))
-            operandSources->add(sourceBin(OperandSource::Miss));
+            measured.operandSources.add(sourceBin(OperandSource::Miss));
     }
     if (recorder) {
         recorder->record(trace::EventKind::Dra, exec_start, inst.op, 0,
@@ -588,9 +576,6 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
         performed.push_back(
             PerformedLoad{inst.op.effAddr >> 3, inst.fetchStamp, ref});
     }
-    loadLevels->add(levelBin(res.level));
-    loadLatency->sample(static_cast<double>(res.latency));
-
     PhysReg dest = inst.physDest;
     unsigned l1_lat = MemoryHierarchy::kL1Latency;
 
@@ -618,7 +603,7 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
     // Mis-speculation on the load resolution loop: a cache miss, a
     // bank conflict, or a TLB trap. Data arrives late; the IQ finds
     // out one loop-feedback later and reverts the issued tree.
-    *loadMissEvents += 1;
+    measured.loadMissEvents += 1;
     Cycle produce = exec_start + res.latency +
                     (res.tlbMiss ? cfg.tlbWalkPenalty : 0);
     inst.produceCycle = produce;
@@ -646,7 +631,7 @@ Core::handleLoadExec(DynInst &inst, InstRef ref, Cycle exec_start)
     if (res.tlbMiss) {
         // Memory trap: recovered from the front of the pipe (§2, the
         // Alpha memory trap loop; §3.1, turb3d).
-        *tlbTraps += 1;
+        measured.tlbTraps += 1;
         ++inst.pendingEvents;
         std::uint64_t sid =
             loadPort.send(resolved_at, cfg.loadFeedback,
@@ -702,7 +687,7 @@ Core::handleBranchExec(DynInst &inst, InstRef ref, Cycle exec_start)
 
     if (inst.op.forceMispredict) {
         inst.mispredicted = true;
-        *branchMispredicts += 1;
+        measured.branchMispredicts += 1;
         ++inst.pendingEvents;
         // The resolution travels back to fetch through the branch
         // port. Fault injection may schedule the redirect early; the
@@ -735,9 +720,9 @@ Core::executeValid(DynInst &inst, InstRef ref, Cycle exec_start)
             Cycle a = prf.actualReadyAt(inst.physSrc[0]);
             Cycle b = prf.actualReadyAt(inst.physSrc[1]);
             double gap = a > b ? double(a - b) : double(b - a);
-            operandGap->sample(std::min(gap, 255.0));
+            measured.operandGap.sample(std::min(gap, 255.0));
         } else {
-            operandGap->sample(0.0);
+            measured.operandGap.sample(0.0);
         }
     }
 
@@ -755,7 +740,7 @@ Core::executeValid(DynInst &inst, InstRef ref, Cycle exec_start)
         handleStoreOrdering(inst, ref, exec_start);
         if (res.tlbMiss) {
             // Stores trap on dTLB misses too.
-            *tlbTraps += 1;
+            measured.tlbTraps += 1;
             ++inst.pendingEvents;
             std::uint64_t sid = loadPort.send(
                 exec_start + MemoryHierarchy::kL1Latency, cfg.loadFeedback,
@@ -849,7 +834,7 @@ Core::startExecution(InstRef ref, Cycle exec_start, Cycle issue_stamp)
             srcs[i] == OperandSource::Payload) {
             continue;
         }
-        operandSources->add(sourceBin(srcs[i]));
+        measured.operandSources.add(sourceBin(srcs[i]));
     }
 
     executeValid(inst, ref, exec_start);
@@ -910,7 +895,7 @@ Core::handleStoreOrdering(DynInst &inst, InstRef ref, Cycle exec_start)
         return;
 
     DynInst &load = pool.get(victim);
-    *memOrderTrapCount += 1;
+    measured.memOrderTrapCount += 1;
     memDep->trainTrap(load.op.pc);
     ++load.pendingEvents;
     // The trap restarts the load itself, so the squash stamp is one
@@ -993,7 +978,7 @@ Core::retireStage(Cycle now)
                     draUnit->regFreed(inst.prevPhysDest);
             }
             if (inst.op.isBranch()) {
-                *branchesRetired += 1;
+                measured.branchesRetired += 1;
             }
             panic_if(inst.op.hasDest() &&
                          prf.actualReadyAt(inst.physDest) == invalidCycle,
@@ -1005,7 +990,7 @@ Core::retireStage(Cycle now)
             t.rob.popHead();
             pool.release(ref);
             ++t.retired;
-            *retiredTotal += 1;
+            measured.retiredTotal += 1;
             // Process-level fault injection (crash_at_op/hang_at_op):
             // kills or hangs the host process at an exact retired-op
             // count to prove the supervision layer end-to-end.

@@ -63,12 +63,12 @@ Core::fetchOne(ThreadState &t, ThreadId tid, Cycle now)
             return false;
         t.src->nextWrongPath(op, t.wrongPathResume);
         op.tid = tid;
-        *wrongPathOps += 1;
+        measured.wrongPathOps += 1;
     } else if (!t.replayQueue.empty()) {
         op = t.replayQueue.pop();
-        *fetchedOps += 1;
+        measured.fetchedOps += 1;
     } else if (!t.exhausted && t.src->next(op)) {
-        *fetchedOps += 1;
+        measured.fetchedOps += 1;
     } else {
         t.exhausted = true;
         return false;
@@ -196,7 +196,7 @@ Core::renameOne(ThreadState &t, ThreadId tid, FetchedOp &fop, Cycle now)
     t.rob.push(ref);
     renamePipe.push(PendingInsert{ref, now + (cfg.decIqLatency - 2), tid});
     ++t.pipeCount;
-    *renamedOps += 1;
+    measured.renamedOps += 1;
     return true;
 }
 
@@ -206,7 +206,7 @@ Core::renameStage(Cycle now)
     // An operand-miss recovery borrows the RF read ports, stalling the
     // front end (§5.4).
     if (now < renameStallUntil) {
-        *recoveryStallCycles += 1;
+        measured.recoveryStallCycles += 1;
         return;
     }
 

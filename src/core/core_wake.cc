@@ -49,7 +49,7 @@ Core::accountIdleSpan(Cycle now)
     const Cycle gap = now - lastCycle;
     const double n = static_cast<double>(gap);
 
-    *cycles += n;
+    measured.cycles += n;
 
     // pickFetchThread() advances the SMT round-robin cursor once per
     // dense tick, eligible fetch thread or not.
@@ -60,31 +60,24 @@ Core::accountIdleSpan(Cycle now)
     if (renameStallUntil > lastCycle) {
         const Cycle stalled =
             std::min(now, renameStallUntil) - lastCycle;
-        *recoveryStallCycles += static_cast<double>(stalled);
+        measured.recoveryStallCycles += static_cast<double>(stalled);
     }
 
     // End-of-cycle occupancy samples: the occupancies are frozen
     // across the span, so one weighted sample replays gap identical
     // per-cycle samples.
-    iqOccupancy->sample(static_cast<double>(iq.size()), gap);
-    robOccupancy->sample(static_cast<double>(pool.inUse()), gap);
+    measured.iqOccupancy.sample(static_cast<double>(iq.size()), gap);
+    measured.robOccupancy.sample(static_cast<double>(pool.inUse()), gap);
 
-    // sampleLoopOccupancy() over the span: port in-flight counts only
+    // countOpenLoops() over the span: port in-flight counts only
     // change inside ticks, so each loop was either open for the whole
     // span or closed for the whole span.
-    const double exposed = static_cast<double>(pool.inUse());
-    if (branchPort.inFlight() > 0) {
-        *branchLoopOpenCycles += n;
-        branchLoopOcc->sample(exposed, gap);
-    }
-    if (loadPort.inFlight() > 0) {
-        *loadLoopOpenCycles += n;
-        loadLoopOcc->sample(exposed, gap);
-    }
-    if (operandPort.inFlight() > 0) {
-        *operandLoopOpenCycles += n;
-        operandLoopOcc->sample(exposed, gap);
-    }
+    if (branchPort.inFlight() > 0)
+        measured.branchLoopOpenCycles += n;
+    if (loadPort.inFlight() > 0)
+        measured.loadLoopOpenCycles += n;
+    if (operandPort.inFlight() > 0)
+        measured.operandLoopOpenCycles += n;
 }
 
 void

@@ -26,14 +26,4 @@ ForwardingBuffer::writebackCycle(Cycle produced_at) const
     return produced_at + window;
 }
 
-bool
-ForwardingBuffer::lookup(Cycle produced_at, Cycle exec_start)
-{
-    ++lookupCount;
-    bool hit = covers(produced_at, exec_start);
-    if (hit)
-        ++hitCount;
-    return hit;
-}
-
 } // namespace loopsim

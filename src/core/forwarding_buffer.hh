@@ -13,8 +13,6 @@
 #ifndef LOOPSIM_CORE_FORWARDING_BUFFER_HH
 #define LOOPSIM_CORE_FORWARDING_BUFFER_HH
 
-#include <cstdint>
-
 #include "base/types.hh"
 
 namespace loopsim
@@ -41,23 +39,8 @@ class ForwardingBuffer
 
     unsigned depth() const { return window; }
 
-    std::uint64_t hits() const { return hitCount; }
-    std::uint64_t lookups() const { return lookupCount; }
-
-    /** covers() plus statistics accounting. */
-    bool lookup(Cycle produced_at, Cycle exec_start);
-
-    void
-    resetStats()
-    {
-        hitCount = 0;
-        lookupCount = 0;
-    }
-
   private:
     unsigned window;
-    std::uint64_t hitCount = 0;
-    std::uint64_t lookupCount = 0;
 };
 
 } // namespace loopsim

@@ -268,8 +268,6 @@ runOnceWith(const RunSpec &spec, Config cfg)
     for (unsigned c = 0; c <= 128; ++c)
         res.gapCdf.push_back(gap.cdf(static_cast<double>(c)));
 
-    // Extraction goes through the handles the core cached at
-    // construction, not string lookups in the stat registry.
     for (const auto &[name, stat] : core.exportedStats())
         res.scalars[name] = stat->value();
     res.retired = static_cast<std::uint64_t>(res.scalar("retired"));

@@ -98,7 +98,8 @@ struct RunResult
      *  cdf[i] = P(gap <= i cycles), i in [0, 128]. */
     std::vector<double> gapCdf;
 
-    /** Selected scalar statistics by name (core.<stat>). */
+    /** The core's exported scalar statistics by unqualified name
+     *  (`cycles`, `retired`, ...; Core::exportedStats()). */
     std::map<std::string, double> scalars;
 
     /**

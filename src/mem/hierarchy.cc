@@ -19,7 +19,6 @@ memLevelName(MemLevel level)
 MemAccessResult
 MemoryHierarchy::access(Addr addr, ThreadId tid, bool is_store, Cycle now)
 {
-    ++accessCount;
     MemAccessResult res;
 
     // Bank arbitration: reset the per-bank counters at each new cycle;

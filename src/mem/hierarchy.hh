@@ -70,7 +70,6 @@ class MemoryHierarchy
     const Cache &l2() const { return l2u; }
     const Tlb &tlb() const { return dtlb; }
 
-    std::uint64_t accesses() const { return accessCount; }
     std::uint64_t bankConflicts() const { return bankConflictCount; }
     /** Cycles added to misses because all MSHRs were busy. */
     std::uint64_t mshrStallCycles() const { return mshrStalls; }
@@ -88,7 +87,6 @@ class MemoryHierarchy
     std::array<Cycle, kMshrs> mshrBusyUntil{};
     std::uint64_t mshrStalls = 0;
 
-    std::uint64_t accessCount = 0;
     std::uint64_t bankConflictCount = 0;
 };
 

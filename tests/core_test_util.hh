@@ -18,6 +18,17 @@
 namespace loopsim::testutil
 {
 
+/** Exported statistic @p name; an unknown name fails the test. */
+inline double
+exportedStat(const Core &core, const std::string &name)
+{
+    for (const auto &[stat_name, stat] : core.exportedStats()) {
+        if (name == stat_name)
+            return stat->value();
+    }
+    fatal("unknown exported statistic: ", name);
+}
+
 /** A core plus everything needed to keep it alive and run it. */
 struct CoreHarness
 {
@@ -37,7 +48,7 @@ struct CoreHarness
 
     double stat(const std::string &name) const
     {
-        return core->statGroup().lookupValue("core." + name);
+        return exportedStat(*core, name);
     }
 };
 

@@ -267,17 +267,6 @@ TEST(ForwardingBuffer, NoGapBetweenForwardAndWriteback)
     }
 }
 
-TEST(ForwardingBuffer, LookupCountsStats)
-{
-    ForwardingBuffer fwd(9);
-    fwd.lookup(10, 12);   // hit
-    fwd.lookup(10, 50);   // miss
-    EXPECT_EQ(fwd.lookups(), 2u);
-    EXPECT_EQ(fwd.hits(), 1u);
-    fwd.resetStats();
-    EXPECT_EQ(fwd.lookups(), 0u);
-}
-
 TEST(ForwardingBuffer, ZeroDepthFatal)
 {
     EXPECT_THROW(ForwardingBuffer(0), FatalError);

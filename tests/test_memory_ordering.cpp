@@ -261,7 +261,7 @@ TEST(MemoryOrdering, TrapsAreRareOnProfiles)
     sim.add(&core);
     sim.run(5000000);
     ASSERT_FALSE(sim.hitCycleLimit());
-    double traps = core.statGroup().lookupValue("core.memOrderTraps");
+    double traps = exportedStat(core, "memOrderTraps");
     EXPECT_LT(traps, 300.0); // < 1% of ~10k loads
 }
 

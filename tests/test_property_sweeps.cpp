@@ -11,12 +11,14 @@
 #include <tuple>
 
 #include "core/core.hh"
+#include "core_test_util.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 #include "workload/workload_set.hh"
 
 using namespace loopsim;
+using loopsim::testutil::exportedStat;
 
 namespace
 {
@@ -119,22 +121,18 @@ TEST_P(CoreSweep, DrainsCleanlyWithSaneStats)
     EXPECT_GT(ipc, 0.01) << bench << "/" << variant.label;
     EXPECT_LE(ipc, 8.0) << bench << "/" << variant.label;
 
-    const auto &sg = core.statGroup();
     // Issue accounting: every retired op issued at least once, and
     // first-issues (issued - reissued) cover at least the retired
     // stream (wrong-path instructions may add more).
-    EXPECT_GE(sg.lookupValue("core.issued"),
-              sg.lookupValue("core.retired"));
-    EXPECT_GE(sg.lookupValue("core.issued") -
-                  sg.lookupValue("core.reissued"),
-              sg.lookupValue("core.retired"));
+    EXPECT_GE(exportedStat(core, "issued"), exportedStat(core, "retired"));
+    EXPECT_GE(exportedStat(core, "issued") - exportedStat(core, "reissued"),
+              exportedStat(core, "retired"));
     // Squashed work never exceeds what was renamed.
-    EXPECT_LE(sg.lookupValue("core.squashed"),
-              sg.lookupValue("core.renamed"));
+    EXPECT_LE(exportedStat(core, "squashed"), exportedStat(core, "renamed"));
 
     // Stall mode never speculates on loads, so nothing can be killed.
     if (std::string(variant.label) == "stall" && !core.machine().dra) {
-        EXPECT_EQ(sg.lookupValue("core.loadKilledOps"), 0.0);
+        EXPECT_EQ(exportedStat(core, "loadKilledOps"), 0.0);
     }
 
     // Operand-source accounting covers both sources of every valid
@@ -142,11 +140,11 @@ TEST_P(CoreSweep, DrainsCleanlyWithSaneStats)
     // is bounded by two reads per issue event.
     double operands = core.operandSourceStat().value();
     EXPECT_GT(operands, 0.5 * double(ops));
-    EXPECT_LE(operands, 2.0 * sg.lookupValue("core.issued"));
+    EXPECT_LE(operands, 2.0 * exportedStat(core, "issued"));
 
     if (!core.machine().dra) {
         // The base machine cannot take operand misses (§2.2.1).
-        EXPECT_EQ(sg.lookupValue("core.operandMissEvents"), 0.0);
+        EXPECT_EQ(exportedStat(core, "operandMissEvents"), 0.0);
         EXPECT_EQ(core.operandSourceStat().bin(0), 0.0); // no pre-reads
         EXPECT_EQ(core.operandSourceStat().bin(2), 0.0); // no CRC
     } else {

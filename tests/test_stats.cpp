@@ -1,33 +1,32 @@
 /**
  * @file
- * Unit tests for the statistics package.
+ * Unit tests for the statistic types and the core's measured-window reset.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "base/logging.hh"
+#include "core_test_util.hh"
 #include "stats/statistics.hh"
 
 using namespace loopsim;
+using namespace loopsim::opbuild;
 using namespace loopsim::stats;
+using namespace loopsim::testutil;
 
 TEST(ScalarStat, AccumulatesAndResets)
 {
-    StatGroup sg;
-    Scalar &s = sg.newScalar("count", "a counter");
+    Scalar s;
     ++s;
     s += 4.5;
     EXPECT_DOUBLE_EQ(s.value(), 5.5);
-    s.reset();
+    s = Scalar{};
     EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(AverageStat, MeanOfSamples)
 {
-    StatGroup sg;
-    Average &a = sg.newAverage("avg", "an average");
+    Average a;
     EXPECT_DOUBLE_EQ(a.value(), 0.0); // no samples
     a.sample(2.0);
     a.sample(4.0);
@@ -35,40 +34,36 @@ TEST(AverageStat, MeanOfSamples)
     EXPECT_DOUBLE_EQ(a.value(), 4.0);
     EXPECT_EQ(a.samples(), 3u);
     EXPECT_DOUBLE_EQ(a.total(), 12.0);
-    a.reset();
+    a = Average{};
     EXPECT_EQ(a.samples(), 0u);
 }
 
 TEST(VectorStat, BinsAndFractions)
 {
-    StatGroup sg;
-    Vector &v = sg.newVector("v", "bins", {"a", "b", "c"});
+    Vector v(3);
     v.add(0, 1.0);
     v.add(1, 3.0);
     v.add(1);
+    EXPECT_EQ(v.size(), 3u);
     EXPECT_DOUBLE_EQ(v.bin(0), 1.0);
     EXPECT_DOUBLE_EQ(v.bin(1), 4.0);
     EXPECT_DOUBLE_EQ(v.bin(2), 0.0);
     EXPECT_DOUBLE_EQ(v.value(), 5.0);
     EXPECT_DOUBLE_EQ(v.fraction(1), 0.8);
-    EXPECT_EQ(v.binName(2), "c");
     EXPECT_THROW(v.add(3), PanicError);
-    v.reset();
+    v = Vector(3);
     EXPECT_DOUBLE_EQ(v.value(), 0.0);
     EXPECT_DOUBLE_EQ(v.fraction(0), 0.0); // no division by zero
 }
 
 TEST(VectorStat, EmptyBinListPanics)
 {
-    StatGroup sg;
-    EXPECT_THROW(sg.newVector("bad", "x", {}), PanicError);
+    EXPECT_THROW(Vector(0), PanicError);
 }
 
 TEST(DistributionStat, BucketsAndMoments)
 {
-    StatGroup sg;
-    Distribution &d = sg.newDistribution("d", "dist", 0, 10, 2);
-    EXPECT_EQ(d.numBuckets(), 5u);
+    Distribution d(0, 10, 2);
     d.sample(0);
     d.sample(1);
     d.sample(5);
@@ -76,28 +71,28 @@ TEST(DistributionStat, BucketsAndMoments)
     EXPECT_EQ(d.samples(), 4u);
     EXPECT_EQ(d.bucketCount(0), 2u); // [0,2)
     EXPECT_EQ(d.bucketCount(2), 1u); // [4,6)
-    EXPECT_EQ(d.bucketCount(4), 1u); // [8,10)
-    EXPECT_DOUBLE_EQ(d.minSample(), 0.0);
-    EXPECT_DOUBLE_EQ(d.maxSample(), 9.5);
-    EXPECT_NEAR(d.mean(), 15.5 / 4, 1e-12);
+    EXPECT_EQ(d.bucketCount(4), 1u); // [8,10), the last of 5 buckets
+    EXPECT_THROW(d.bucketCount(5), PanicError);
+    EXPECT_DOUBLE_EQ(d.cdf(1), 0.5);
+    EXPECT_DOUBLE_EQ(d.cdf(9), 1.0);
 }
 
 TEST(DistributionStat, UnderAndOverflow)
 {
-    StatGroup sg;
-    Distribution &d = sg.newDistribution("d", "dist", 10, 20, 5);
-    d.sample(5);
-    d.sample(25);
+    Distribution d(10, 20, 5);
+    d.sample(5); // underflow: below every bucket, counted from lo on
+    EXPECT_DOUBLE_EQ(d.cdf(10), 1.0);
+    d.sample(25); // overflow: counted only from hi on
+    EXPECT_DOUBLE_EQ(d.cdf(19), 0.5);
+    EXPECT_DOUBLE_EQ(d.cdf(20), 1.0);
     d.sample(12);
-    EXPECT_EQ(d.underflows(), 1u);
-    EXPECT_EQ(d.overflows(), 1u);
     EXPECT_EQ(d.samples(), 3u);
+    EXPECT_DOUBLE_EQ(d.cdf(10), 2.0 / 3.0);
 }
 
 TEST(DistributionStat, WeightedSamples)
 {
-    StatGroup sg;
-    Distribution &d = sg.newDistribution("d", "dist", 0, 10, 1);
+    Distribution d(0, 10, 1);
     d.sample(3, 7);
     EXPECT_EQ(d.samples(), 7u);
     EXPECT_EQ(d.bucketCount(3), 7u);
@@ -105,8 +100,7 @@ TEST(DistributionStat, WeightedSamples)
 
 TEST(DistributionStat, Cdf)
 {
-    StatGroup sg;
-    Distribution &d = sg.newDistribution("d", "dist", 0, 100, 1);
+    Distribution d(0, 100, 1);
     for (int i = 0; i < 100; ++i)
         d.sample(i);
     EXPECT_DOUBLE_EQ(d.cdf(-1), 0.0);
@@ -118,53 +112,50 @@ TEST(DistributionStat, Cdf)
 
 TEST(DistributionStat, CdfEmptyIsZero)
 {
-    StatGroup sg;
-    Distribution &d = sg.newDistribution("d", "dist", 0, 10, 1);
+    Distribution d(0, 10, 1);
     EXPECT_DOUBLE_EQ(d.cdf(5), 0.0);
 }
 
 TEST(DistributionStat, BadParamsPanic)
 {
-    StatGroup sg;
-    EXPECT_THROW(sg.newDistribution("a", "x", 0, 10, 0), PanicError);
-    EXPECT_THROW(sg.newDistribution("b", "x", 10, 10, 1), PanicError);
+    EXPECT_THROW(Distribution(0, 10, 0), PanicError);
+    EXPECT_THROW(Distribution(10, 10, 1), PanicError);
 }
 
-TEST(StatGroup, NamesAndLookup)
+TEST(CoreStats, BeginMeasurementZeroesEveryStatistic)
 {
-    StatGroup sg("core");
-    Scalar &s = sg.newScalar("cycles", "c");
-    s += 10;
-    EXPECT_EQ(s.name(), "core.cycles");
-    EXPECT_DOUBLE_EQ(sg.lookupValue("cycles"), 10.0);
-    EXPECT_DOUBLE_EQ(sg.lookupValue("core.cycles"), 10.0);
-    EXPECT_EQ(sg.find("nope"), nullptr);
-    EXPECT_THROW(sg.lookupValue("nope"), FatalError);
-}
+    // Two-source ALU ops (operand sources, gap samples), loads that
+    // miss, and mispredicted branches: every kind of statistic moves.
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < 400; ++i) {
+        const auto r = static_cast<ArchReg>(1 + i % 8);
+        const auto s = static_cast<ArchReg>(1 + (i + 5) % 8);
+        ops.push_back(i % 25 == 10   ? load(r, r, 0x5000000 + 4096 * i)
+                      : i % 25 == 20 ? branch(r, true, /*mispredict=*/true)
+                                     : alu(r, r, s));
+    }
+    auto h = makeHarness(ops);
+    Core &core = *h.core;
+    h.sim.add(&core);
 
-TEST(StatGroup, DuplicateRegistrationFatal)
-{
-    StatGroup sg;
-    sg.newScalar("x", "first");
-    EXPECT_THROW(sg.newScalar("x", "second"), FatalError);
-}
+    h.sim.run(200);
+    ASSERT_FALSE(core.done());
+    ASSERT_GT(h.stat("cycles"), 0.0);
+    ASSERT_GT(h.stat("retired"), 0.0);
+    ASSERT_GT(core.operandSourceStat().value(), 0.0);
+    ASSERT_GT(core.operandGapStat().samples(), 0u);
 
-TEST(StatGroup, ResetAllAndDump)
-{
-    StatGroup sg("g");
-    Scalar &s = sg.newScalar("s", "scalar stat");
-    Average &a = sg.newAverage("a", "average stat");
-    s += 5;
-    a.sample(3);
-    sg.resetAll();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    EXPECT_EQ(a.samples(), 0u);
+    core.beginMeasurement();
+    for (const auto &[name, stat] : core.exportedStats())
+        EXPECT_EQ(stat->value(), 0.0) << name;
+    const Vector &sources = core.operandSourceStat();
+    for (std::size_t i = 0; i < sources.size(); ++i)
+        EXPECT_EQ(sources.bin(i), 0.0) << "operand-source bin " << i;
+    EXPECT_EQ(core.operandGapStat().samples(), 0u);
+    EXPECT_EQ(core.cyclesRun(), 0u);
 
-    s += 2;
-    std::ostringstream os;
-    sg.dump(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("g.s"), std::string::npos);
-    EXPECT_NE(text.find("scalar stat"), std::string::npos);
-    EXPECT_NE(text.find("g.a"), std::string::npos);
+    h.sim.run(150);
+    EXPECT_GT(core.cyclesRun(), 0u);
+    EXPECT_EQ(h.stat("cycles"), static_cast<double>(core.cyclesRun()));
+    EXPECT_GT(h.stat("retired"), 0.0);
 }
