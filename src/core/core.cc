@@ -602,7 +602,7 @@ Core::integritySample(Cycle now) const
     IntegritySample s;
     s.cycle = now;
     s.retired = retiredOps();
-    s.issued = static_cast<std::uint64_t>(measured.issuedOps.value());
+    s.issued = issuedSinceBuild;
     s.inFlight = pool.inUse();
     s.windowCapacity = pool.capacity();
     s.iqOccupancy = iq.size();

@@ -790,6 +790,9 @@ class Core : public Clocked, public IntegrityProbe
     Cycle lastCycle = 0;
     Cycle measureStartCycle = 0;
     std::uint64_t measureStartRetired = 0;
+    /** Issues since build, warmup included, like retiredOps(): the
+     *  watchdog samples both across the end of warmup. */
+    std::uint64_t issuedSinceBuild = 0;
 
     /** @name Statistics
      *

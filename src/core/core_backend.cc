@@ -197,6 +197,7 @@ Core::issueWinner(InstRef ref, Cycle now)
         recorder->record(trace::EventKind::Issue, now, inst.op, 0,
                          inst.timesIssued, inst.insertCycle);
     measured.issuedOps += 1;
+    ++issuedSinceBuild;
     if (inst.timesIssued > 1)
         measured.reissuedOps += 1;
     inst.confirmCycle =

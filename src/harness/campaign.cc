@@ -126,6 +126,17 @@ loadSupervisionCounters(CampaignTelemetry &t,
     t.spawnRetries = c.spawnRetries.load(std::memory_order_relaxed);
 }
 
+/** Every cell's fingerprint, in plan order, in one pass. */
+std::vector<store::Fingerprint>
+cellFingerprints(const CampaignPlan &plan)
+{
+    std::vector<const RunSpec *> specs;
+    specs.reserve(plan.size());
+    for (const PlannedRun &cell : plan.runs())
+        specs.push_back(&cell.spec);
+    return store::fingerprintRuns(specs);
+}
+
 store::Fingerprint
 planFingerprintFromCells(const std::vector<store::Fingerprint> &fps)
 {
@@ -257,7 +268,8 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
     }
 
     constexpr std::size_t kNotDup = static_cast<std::size_t>(-1);
-    std::vector<store::Fingerprint> fps(plan.size());
+    const std::vector<store::Fingerprint> fps =
+        memoize ? cellFingerprints(plan) : std::vector<store::Fingerprint>{};
     std::vector<std::size_t> dupOf(plan.size(), kNotDup);
     std::vector<std::size_t> pending;
     std::size_t memoHits = 0;
@@ -265,8 +277,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
 
     std::unique_ptr<store::CampaignJournal> journal;
     if (memoize && store::journalConfigured() && !plan.empty()) {
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            fps[i] = store::fingerprintRun(plan.at(i).spec, policy);
         journal = std::make_unique<store::CampaignJournal>(
             store::journalPath(), planFingerprintFromCells(fps),
             plan.size());
@@ -282,8 +292,6 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
         enum class Tier { Journal, Cache, Miss };
         std::map<store::Fingerprint, std::pair<std::size_t, Tier>> first;
         for (std::size_t i = 0; i < plan.size(); ++i) {
-            if (!journal)
-                fps[i] = store::fingerprintRun(plan.at(i).spec, policy);
             auto [seen, fresh] =
                 first.try_emplace(fps[i], i, Tier::Miss);
             if (!fresh) {
@@ -513,11 +521,7 @@ runCampaign(const CampaignPlan &plan, const RetryPolicy &policy,
 store::Fingerprint
 fingerprintPlan(const CampaignPlan &plan)
 {
-    std::vector<store::Fingerprint> fps;
-    fps.reserve(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        fps.push_back(store::fingerprintRun(plan.at(i).spec, {}));
-    return planFingerprintFromCells(fps);
+    return planFingerprintFromCells(cellFingerprints(plan));
 }
 
 CampaignTelemetry

@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -42,6 +43,46 @@ effectiveRunConfig(const RunSpec &spec)
     for (const auto &[key, value] : processOptions().overlay)
         cfg.set(key, value);
     return cfg;
+}
+
+namespace
+{
+/** ScalarTable's row order: by name. */
+bool
+nameBefore(const ScalarTable::value_type &row, std::string_view name)
+{
+    return row.first < name;
+}
+} // anonymous namespace
+
+double &
+ScalarTable::operator[](std::string_view name)
+{
+    if (rows.empty() || rows.back().first < name)
+        return rows.emplace_back(name, 0.0).second;
+    auto it = std::lower_bound(rows.begin(), rows.end(), name, nameBefore);
+    if (it == rows.end() || it->first != name)
+        it = rows.emplace(it, name, 0.0);
+    return it->second;
+}
+
+void
+ScalarTable::emplace(std::string_view name, double value)
+{
+    if (rows.empty() || rows.back().first < name) {
+        rows.emplace_back(name, value);
+        return;
+    }
+    auto it = std::lower_bound(rows.begin(), rows.end(), name, nameBefore);
+    if (it == rows.end() || it->first != name)
+        rows.emplace(it, name, value);
+}
+
+ScalarTable::const_iterator
+ScalarTable::find(std::string_view name) const
+{
+    auto it = std::lower_bound(rows.begin(), rows.end(), name, nameBefore);
+    return it != rows.end() && it->first == name ? it : rows.end();
 }
 
 double

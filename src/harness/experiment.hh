@@ -8,8 +8,9 @@
 #ifndef LOOPSIM_HARNESS_EXPERIMENT_HH
 #define LOOPSIM_HARNESS_EXPERIMENT_HH
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -71,6 +72,41 @@ double failPoint(FailKind kind);
 /** Recover the tag: None for finite values, Sim for untagged NaNs. */
 FailKind pointFailKind(double v);
 
+/**
+ * A run's exported scalars: (name, value) pairs in one vector, kept
+ * sorted by name. It has the part of std::map's interface callers use
+ * (operator[], find, size, iteration in name order, ==). A copy
+ * allocates the table once, and a decode a few times as it grows,
+ * instead of one node per scalar.
+ */
+class ScalarTable
+{
+  public:
+    using value_type = std::pair<std::string, double>;
+    using iterator = std::vector<value_type>::iterator;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    /** The value of @p name, inserted as 0 in name order if absent. */
+    double &operator[](std::string_view name);
+
+    /** Insert @p name = @p value in name order unless @p name is
+     *  already present (the first value wins). A name past the last
+     *  one appends without a search. */
+    void emplace(std::string_view name, double value);
+
+    /** The row named @p name, or end(). */
+    const_iterator find(std::string_view name) const;
+
+    std::size_t size() const { return rows.size(); }
+    const_iterator begin() const { return rows.begin(); }
+    const_iterator end() const { return rows.end(); }
+
+    bool operator==(const ScalarTable &) const = default;
+
+  private:
+    std::vector<value_type> rows;
+};
+
 /** Measurements extracted from a finished run. */
 struct RunResult
 {
@@ -100,7 +136,7 @@ struct RunResult
 
     /** The core's exported scalar statistics by unqualified name
      *  (`cycles`, `retired`, ...; Core::exportedStats()). */
-    std::map<std::string, double> scalars;
+    ScalarTable scalars;
 
     /**
      * This run's loop-event trace, in simulation order (empty unless

@@ -100,11 +100,33 @@ pipelineSpeedups(std::string title, const Points &points)
     return sweep;
 }
 
+PlanRecorder *activeRecorder = nullptr;
+
 } // anonymous namespace
+
+PlanRecorder::PlanRecorder()
+{
+    panic_if(activeRecorder, "a PlanRecorder is already recording");
+    activeRecorder = this;
+}
+
+PlanRecorder::~PlanRecorder()
+{
+    activeRecorder = nullptr;
+}
 
 std::vector<RunResult>
 runPlan(FigureData &fig, const CampaignPlan &plan)
 {
+    if (activeRecorder) {
+        activeRecorder->recorded.push_back(plan);
+        RunResult skipped;
+        skipped.failed = true;
+        skipped.failKind = FailKind::Sim;
+        skipped.ipc = failPoint(FailKind::Sim);
+        skipped.error = "not run: plan recorded";
+        return std::vector<RunResult>(plan.size(), skipped);
+    }
     std::vector<RunResult> results = runCampaign(plan);
     // Results land in plan order, so the failure footer reads exactly
     // as it would from a serial sweep, at any job count.

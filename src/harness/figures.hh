@@ -116,6 +116,30 @@ FigureData ablationCrcTimeout(std::uint64_t total_ops,
  */
 std::vector<RunResult> runPlan(FigureData &fig, const CampaignPlan &plan);
 
+/**
+ * While one is alive, runPlan() records each plan it is handed and runs
+ * none of its cells: every result comes back failed, and the figure
+ * renders fail points. This lists a figure's cells without simulating
+ * them (the fingerprint tests check every figure's plan this way).
+ * One at a time, on the thread that builds the figures.
+ */
+class PlanRecorder
+{
+  public:
+    PlanRecorder();
+    ~PlanRecorder();
+    PlanRecorder(const PlanRecorder &) = delete;
+    PlanRecorder &operator=(const PlanRecorder &) = delete;
+
+    /** The plans recorded so far, in the order they were run. */
+    const std::vector<CampaignPlan> &plans() const { return recorded; }
+
+  private:
+    friend std::vector<RunResult> runPlan(FigureData &fig,
+                                          const CampaignPlan &plan);
+    std::vector<CampaignPlan> recorded;
+};
+
 /** One row's results, one per SweepCell, in cell order. */
 using SweepRow = std::span<const RunResult>;
 

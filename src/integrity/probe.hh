@@ -27,10 +27,11 @@ namespace loopsim
 struct IntegritySample
 {
     Cycle cycle = 0;
-    /** Cumulative retired ops (monotone; progress detector input). */
+    /** Retired ops since build (monotone; progress detector input). */
     std::uint64_t retired = 0;
-    /** Cumulative issue events (distinguishes livelock from deadlock:
-     *  a machine reissuing forever shows issue churn but no retires). */
+    /** Issue events since build, the same window as `retired`
+     *  (distinguishes livelock from deadlock: a machine reissuing
+     *  forever shows issue churn but no retires). */
     std::uint64_t issued = 0;
     std::size_t inFlight = 0;       ///< instructions in the window
     std::size_t windowCapacity = 0; ///< in-flight limit (ROB entries)

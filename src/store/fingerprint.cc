@@ -2,7 +2,9 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstddef>
+#include <map>
 
 #include "harness/experiment.hh"
 #include "sim/config.hh"
@@ -41,30 +43,41 @@ constexpr std::array<std::uint64_t, 9> kFnvPowers = [] {
 }();
 
 /**
- * Both FNV-1a lanes, held in locals while one field is hashed so the
- * two serial xor-multiply chains stay in registers and overlap. Every
- * byte goes through each lane in order, so each lane ends where a
- * byte-at-a-time pass of its own would.
+ * N fingerprints' FNV-1a lane pairs, advanced through the same bytes
+ * together. The 2N xor-multiply chains are independent, so they
+ * overlap instead of each waiting on its own multiply latency, and
+ * every lane still takes every byte in order: each ends where a
+ * byte-at-a-time pass of its own would. Hasher is the N = 1 case.
  */
+template <std::size_t N>
 struct Lanes
 {
-    std::uint64_t a;
-    std::uint64_t b;
+    std::array<std::uint64_t, N> a;
+    std::array<std::uint64_t, N> b;
 
     void
-    bytes(const unsigned char *p, std::size_t n)
+    byte(unsigned char c)
     {
-        for (std::size_t i = 0; i < n; ++i) {
-            a = (a ^ p[i]) * kFnvPrime;
-            b = (b ^ p[i]) * kFnvPrime;
+        for (std::size_t k = 0; k < N; ++k) {
+            a[k] = (a[k] ^ c) * kFnvPrime;
+            b[k] = (b[k] ^ c) * kFnvPrime;
         }
     }
 
     void
-    zeros(unsigned k)
+    bytes(const unsigned char *p, std::size_t n)
     {
-        a *= kFnvPowers[k];
-        b *= kFnvPowers[k];
+        for (std::size_t i = 0; i < n; ++i)
+            byte(p[i]);
+    }
+
+    void
+    zeros(unsigned count)
+    {
+        for (std::size_t k = 0; k < N; ++k) {
+            a[k] *= kFnvPowers[count];
+            b[k] *= kFnvPowers[count];
+        }
     }
 
     /** The eight in-memory bytes of @p v. On a little-endian host the
@@ -82,11 +95,8 @@ struct Lanes
             const unsigned low = std::countr_zero(v) / 8;
             const unsigned high = 8 - std::countl_zero(v) / 8;
             zeros(low);
-            for (unsigned i = low; i < high; ++i) {
-                const auto byte = static_cast<unsigned char>(v >> (8 * i));
-                a = (a ^ byte) * kFnvPrime;
-                b = (b ^ byte) * kFnvPrime;
-            }
+            for (unsigned i = low; i < high; ++i)
+                byte(static_cast<unsigned char>(v >> (8 * i)));
             zeros(8 - high);
         }
     }
@@ -98,6 +108,31 @@ struct Lanes
         word(s.size());
         bytes(reinterpret_cast<const unsigned char *>(s.data()), s.size());
     }
+
+    /** @name Hasher's field encodings */
+    /// @{
+    void
+    str(std::string_view name, std::string_view v)
+    {
+        text(name);
+        text(v);
+    }
+
+    void
+    u64(std::string_view name, std::uint64_t v)
+    {
+        text(name);
+        word(v);
+    }
+
+    void
+    f64(std::string_view name, double v)
+    {
+        u64(name, std::bit_cast<std::uint64_t>(v));
+    }
+
+    void flag(std::string_view name, bool v) { u64(name, v ? 1 : 0); }
+    /// @}
 };
 
 /** Run @p hash on a local copy of the lanes @p a and @p b. */
@@ -105,15 +140,30 @@ template <typename F>
 void
 withLanes(std::uint64_t &a, std::uint64_t &b, F &&hash)
 {
-    Lanes l{a, b};
+    Lanes<1> l{{a}, {b}};
     hash(l);
-    a = l.a;
-    b = l.b;
+    a = l.a[0];
+    b = l.b[0];
+}
+
+/** Final avalanche (splitmix64) so short inputs still spread over the
+ *  whole 128 bits; the raw FNV state is weak in its low bits. */
+Fingerprint
+finish(std::uint64_t a, std::uint64_t b)
+{
+    auto mix = [](std::uint64_t x) {
+        x += 0x9e3779b97f4a7c15ull;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        return x ^ (x >> 31);
+    };
+    return Fingerprint{mix(a), mix(b ^ a)};
 }
 
 /** Hash every result-shaping field of one thread's profile. */
+template <typename Sink>
 void
-hashProfile(Hasher &h, const BenchmarkProfile &p)
+hashProfile(Sink &h, const BenchmarkProfile &p)
 {
     h.str("prof.name", p.name);
     h.flag("prof.fp", p.floatingPoint);
@@ -152,6 +202,93 @@ hashProfile(Hasher &h, const BenchmarkProfile &p)
 
     h.u64("prof.code_loop", p.codeLoopLength);
     h.u64("prof.seed", p.seed);
+}
+
+/** The fields after the configuration: the workload and the budgets. */
+template <typename Sink>
+void
+hashWorkloadAndBudgets(Sink &h, const RunSpec &spec)
+{
+    h.str("workload.label", spec.workload.label);
+    h.u64("workload.threads", spec.workload.threads.size());
+    for (const BenchmarkProfile &p : spec.workload.threads)
+        hashProfile(h, p);
+
+    h.u64("spec.total_ops", spec.totalOps);
+    h.u64("spec.warmup_ops", spec.warmupOps);
+    h.u64("spec.max_cycles", spec.maxCycles);
+}
+
+/**
+ * The lanes after the schema, the epoch and the fully-resolved
+ * configuration, exactly what runOnce() will see. Config stores keys
+ * sorted, so how the caller spread the same assignments across the
+ * overrides and the overlay cannot change the hash.
+ */
+Lanes<1>
+hashConfigPrefix(const RunSpec &spec)
+{
+    Lanes<1> h{{kBasisA}, {kBasisB}};
+    h.u64("store.schema", kSchemaVersion);
+    h.u64("store.epoch", kModelEpoch);
+    const Config cfg = effectiveRunConfig(spec);
+    const auto &entries = cfg.entries();
+    h.u64("cfg.count", entries.size());
+    for (const auto &[key, value] : entries)
+        h.str(key, value);
+    return h;
+}
+
+/**
+ * Whether @p spec hashes a -0.0. The defaulted operator== takes it for
+ * +0.0, but its bytes differ, so a spec holding one is never folded
+ * into another spec's row.
+ */
+bool
+hashesNegativeZero(const RunSpec &spec)
+{
+    struct Scan
+    {
+        bool seen = false;
+        void str(std::string_view, std::string_view) {}
+        void u64(std::string_view, std::uint64_t) {}
+        void flag(std::string_view, bool) {}
+        void
+        f64(std::string_view, double v)
+        {
+            seen |= v == 0.0 && std::signbit(v);
+        }
+    } scan;
+    hashWorkloadAndBudgets(scan, spec);
+    return scan.seen;
+}
+
+/** Whether @p a and @p b hash the same bytes after the configuration. */
+bool
+sameRow(const RunSpec &a, const RunSpec &b)
+{
+    return a.totalOps == b.totalOps && a.warmupOps == b.warmupOps &&
+           a.maxCycles == b.maxCycles && a.workload == b.workload &&
+           !hashesNegativeZero(b);
+}
+
+/**
+ * Finish the N fingerprints out[0..N) of one row: @p prefix holds each
+ * cell's lanes after its configuration, and @p spec is the row's
+ * shared workload and budgets.
+ */
+template <std::size_t N>
+void
+finishRow(const Lanes<1> *prefix, const RunSpec &spec, Fingerprint *out)
+{
+    Lanes<N> h;
+    for (std::size_t k = 0; k < N; ++k) {
+        h.a[k] = prefix[k].a[0];
+        h.b[k] = prefix[k].b[0];
+    }
+    hashWorkloadAndBudgets(h, spec);
+    for (std::size_t k = 0; k < N; ++k)
+        out[k] = finish(h.a[k], h.b[k]);
 }
 
 } // anonymous namespace
@@ -193,7 +330,7 @@ Hasher::Hasher() : a(kBasisA), b(kBasisB) {}
 void
 Hasher::bytes(const void *data, std::size_t n)
 {
-    withLanes(a, b, [&](Lanes &l) {
+    withLanes(a, b, [&](Lanes<1> &l) {
         l.bytes(static_cast<const unsigned char *>(data), n);
     });
 }
@@ -202,25 +339,19 @@ void
 Hasher::tag(std::string_view name)
 {
     // Length-prefix the tag so adjacent fields can never alias.
-    withLanes(a, b, [&](Lanes &l) { l.text(name); });
+    withLanes(a, b, [&](Lanes<1> &l) { l.text(name); });
 }
 
 void
 Hasher::str(std::string_view name, std::string_view v)
 {
-    withLanes(a, b, [&](Lanes &l) {
-        l.text(name);
-        l.text(v);
-    });
+    withLanes(a, b, [&](Lanes<1> &l) { l.str(name, v); });
 }
 
 void
 Hasher::u64(std::string_view name, std::uint64_t v)
 {
-    withLanes(a, b, [&](Lanes &l) {
-        l.text(name);
-        l.word(v);
-    });
+    withLanes(a, b, [&](Lanes<1> &l) { l.u64(name, v); });
 }
 
 void
@@ -238,44 +369,59 @@ Hasher::flag(std::string_view name, bool v)
 Fingerprint
 Hasher::digest() const
 {
-    // Final avalanche (splitmix64) so short inputs still spread over
-    // the whole 128 bits; the raw FNV state is weak in its low bits.
-    auto mix = [](std::uint64_t x) {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-    };
-    return Fingerprint{mix(a), mix(b ^ a)};
+    return finish(a, b);
 }
 
 Fingerprint
 fingerprintRun(const RunSpec &spec, const RetryPolicy &)
 {
-    Hasher h;
-    h.u64("store.schema", kSchemaVersion);
-    h.u64("store.epoch", kModelEpoch);
+    Lanes<1> h = hashConfigPrefix(spec);
+    hashWorkloadAndBudgets(h, spec);
+    return finish(h.a[0], h.b[0]);
+}
 
-    // The fully-resolved configuration, exactly what runOnce() will
-    // see. Config stores keys sorted, so how the caller spread the
-    // same assignments across the overrides and the overlay cannot
-    // change the hash.
-    const Config cfg = effectiveRunConfig(spec);
-    const auto &entries = cfg.entries();
-    h.u64("cfg.count", entries.size());
-    for (const auto &[key, value] : entries)
-        h.str(key, value);
+std::vector<Fingerprint>
+fingerprintRuns(const std::vector<const RunSpec *> &specs)
+{
+    // The configuration prefix once per distinct spec.overrides: the
+    // process overlay is the same for the whole call.
+    std::map<std::map<std::string, std::string>, Lanes<1>> prefixes;
+    std::vector<Lanes<1>> prefix;
+    prefix.reserve(specs.size());
+    for (const RunSpec *spec : specs) {
+        const auto &overrides = spec->overrides.entries();
+        auto it = prefixes.find(overrides);
+        if (it == prefixes.end())
+            it = prefixes.emplace(overrides, hashConfigPrefix(*spec)).first;
+        prefix.push_back(it->second);
+    }
 
-    h.str("workload.label", spec.workload.label);
-    h.u64("workload.threads", spec.workload.threads.size());
-    for (const BenchmarkProfile &p : spec.workload.threads)
-        hashProfile(h, p);
-
-    h.u64("spec.total_ops", spec.totalOps);
-    h.u64("spec.warmup_ops", spec.warmupOps);
-    h.u64("spec.max_cycles", spec.maxCycles);
-
-    return h.digest();
+    // A row is a run of consecutive specs with the same workload and
+    // budgets (one row of a runSweep plan): its cells hash the same
+    // bytes after their prefixes, four lane pairs at a time.
+    std::vector<Fingerprint> out(specs.size());
+    for (std::size_t row = 0; row < specs.size();) {
+        const RunSpec &spec = *specs[row];
+        std::size_t end = row + 1;
+        if (!hashesNegativeZero(spec)) {
+            while (end < specs.size() && sameRow(spec, *specs[end]))
+                ++end;
+        }
+        for (std::size_t i = row; i < end;) {
+            if (end - i >= 4) {
+                finishRow<4>(&prefix[i], spec, &out[i]);
+                i += 4;
+            } else if (end - i >= 2) {
+                finishRow<2>(&prefix[i], spec, &out[i]);
+                i += 2;
+            } else {
+                finishRow<1>(&prefix[i], spec, &out[i]);
+                i += 1;
+            }
+        }
+        row = end;
+    }
+    return out;
 }
 
 } // namespace loopsim::store

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace loopsim
 {
@@ -106,6 +107,17 @@ class Hasher
  * and hashes nothing.
  */
 Fingerprint fingerprintRun(const RunSpec &spec, const RetryPolicy &policy);
+
+/**
+ * fingerprintRun() of every spec in @p specs, in order, in one pass:
+ * the configuration prefix is hashed once per distinct
+ * spec.overrides, and each run of consecutive specs with the same
+ * workload and budgets (one row of a runSweep plan) advances its
+ * cells' lanes through those fields together. Each fingerprint equals
+ * fingerprintRun() of its spec.
+ */
+std::vector<Fingerprint> fingerprintRuns(
+    const std::vector<const RunSpec *> &specs);
 
 } // namespace store
 } // namespace loopsim

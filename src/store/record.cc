@@ -11,6 +11,11 @@
 #include "harness/experiment.hh"
 #include "store/codec.hh"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define LOOPSIM_CRC32_CLMUL __attribute__((target("pclmul,sse4.1")))
+#endif
+
 namespace loopsim::store
 {
 
@@ -41,14 +46,11 @@ makeCrcTables()
 
 constexpr CrcTables kCrcTables = makeCrcTables();
 
-} // anonymous namespace
-
+/** Advance the CRC register @p c over @p n bytes by the tables. */
 std::uint32_t
-crc32(const void *data, std::size_t n)
+crc32Sliced(const char *p, std::size_t n, std::uint32_t c)
 {
-    const auto *p = static_cast<const char *>(data);
     const auto &t = kCrcTables;
-    std::uint32_t c = 0xffffffffu;
     for (; n >= 8; n -= 8, p += 8) {
         const std::uint32_t lo = loadLe<std::uint32_t>(p) ^ c;
         const std::uint32_t hi = loadLe<std::uint32_t>(p + 4);
@@ -59,7 +61,114 @@ crc32(const void *data, std::size_t n)
     }
     for (; n > 0; --n, ++p)
         c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+    return c;
+}
+
+#ifdef LOOPSIM_CRC32_CLMUL
+LOOPSIM_CRC32_CLMUL __m128i
+load128(const char *at)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(at));
+}
+
+/** @p x carried forward by the fold constants @p k, plus @p y. */
+LOOPSIM_CRC32_CLMUL __m128i
+fold128(__m128i x, __m128i k, __m128i y)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         y);
+}
+
+/**
+ * Advance the CRC register @p c over @p n bytes (n >= 64, a multiple
+ * of 16) by carry-less multiply: four 128-bit accumulators fold 64
+ * bytes a step, fold into one, take the remaining 16-byte blocks, and
+ * a Barrett reduction brings the 128 bits back to the 32-bit
+ * register. The constants are the standard ones for the reflected
+ * polynomial 0xEDB88320 (x^k mod P for the fold distances, P' and mu
+ * for the reduction), as in zlib's crc32_simd. Same polynomial, same
+ * register, so the result is the tables' bit for bit.
+ */
+LOOPSIM_CRC32_CLMUL std::uint32_t
+crc32Folded(const char *p, std::size_t n, std::uint32_t c)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+    __m128i x1 =
+        _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+    __m128i x2 = load128(p + 16);
+    __m128i x3 = load128(p + 32);
+    __m128i x4 = load128(p + 48);
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x1 = fold128(x1, k1k2, load128(p));
+        x2 = fold128(x2, k1k2, load128(p + 16));
+        x3 = fold128(x3, k1k2, load128(p + 32));
+        x4 = fold128(x4, k1k2, load128(p + 48));
+    }
+    x1 = fold128(x1, k3k4, x2);
+    x1 = fold128(x1, k3k4, x3);
+    x1 = fold128(x1, k3k4, x4);
+    for (; n >= 16; p += 16, n -= 16)
+        x1 = fold128(x1, k3k4, load128(p));
+
+    // 128 bits to 64, then Barrett-reduce to 32.
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                       _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(
+        _mm_srli_si128(x1, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+    __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+    q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly, 0x00);
+    return static_cast<std::uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x1, q), 1));
+}
+
+#endif
+
+} // anonymous namespace
+
+bool
+crc32Folds()
+{
+#ifdef LOOPSIM_CRC32_CLMUL
+    // Checked once, on first use.
+    static const bool yes = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return yes;
+#else
+    return false;
+#endif
+}
+
+std::uint32_t
+crc32Tables(const void *data, std::size_t n)
+{
+    return crc32Sliced(static_cast<const char *>(data), n, 0xffffffffu) ^
+           0xffffffffu;
+}
+
+std::uint32_t
+crc32(const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const char *>(data);
+    std::uint32_t c = 0xffffffffu;
+#ifdef LOOPSIM_CRC32_CLMUL
+    if (n >= 64 && crc32Folds()) {
+        const std::size_t blocks = n & ~std::size_t{15};
+        c = crc32Folded(p, blocks, c);
+        p += blocks;
+        n -= blocks;
+    }
+#endif
+    return crc32Sliced(p, n, c) ^ 0xffffffffu;
 }
 
 std::string
@@ -145,11 +254,11 @@ decodeRecord(std::string_view bytes, const Fingerprint &expect,
         double value = 0.0;
         if (!dec.view(name) || !dec.f64(value))
             return false;
-        // encodeRecord writes the map in key order, so each name
-        // normally lands at the end; the hint only saves the search,
-        // and an out-of-order or repeated name still inserts (or is
-        // dropped) exactly as a plain emplace would.
-        out.scalars.emplace_hint(out.scalars.end(), name, value);
+        // encodeRecord writes the table in name order, so each name
+        // normally appends; an out-of-order name still lands in order
+        // and a repeated one is dropped (the first value wins). The
+        // table grows with the names read, never with scalar_count.
+        out.scalars.emplace(name, value);
     }
     if (!dec.done())
         return false;

@@ -49,11 +49,21 @@ constexpr std::size_t kRecordHeaderBytes = 32;
 
 /**
  * CRC-32 (ISO-HDLC, the zlib polynomial: reflected 0xEDB88320, init
- * and xorout 0xFFFFFFFF) of @p n bytes at @p data. Slicing-by-8: eight
- * table lookups fold eight bytes per step instead of one dependent
- * lookup per byte, with the same result bit for bit.
+ * and xorout 0xFFFFFFFF) of @p n bytes at @p data. On an x86-64 CPU
+ * with PCLMULQDQ, buffers of 64 bytes or more fold their 16-byte
+ * blocks by carry-less multiply and finish the tail by the tables;
+ * otherwise slicing-by-8 tables take eight bytes per step. Both give
+ * the same result bit for bit. (SSE4.2's crc32 instruction computes
+ * CRC-32C, another polynomial, and is not used.)
  */
 std::uint32_t crc32(const void *data, std::size_t n);
+
+/** crc32() by the slicing-by-8 tables alone: what CPUs without
+ *  PCLMULQDQ run, and the reference the fold is tested against. */
+std::uint32_t crc32Tables(const void *data, std::size_t n);
+
+/** Whether crc32() folds by carry-less multiply on this CPU. */
+bool crc32Folds();
 
 /** Serialize @p result into a complete record (header + payload). */
 std::string encodeRecord(const Fingerprint &fp, const RunResult &result);

@@ -112,6 +112,9 @@ struct BenchmarkProfile
     /** Sanity-check field ranges; fatal() on nonsense. */
     void validate() const;
 
+    /** Field by field; doubles by value, so +0.0 equals -0.0. */
+    bool operator==(const BenchmarkProfile &) const = default;
+
     /** The distance values depDistWeights weights refer to. */
     static const std::vector<unsigned> &depDistances();
 };

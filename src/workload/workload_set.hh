@@ -22,6 +22,7 @@ struct Workload
     std::vector<BenchmarkProfile> threads;
 
     bool multiThreaded() const { return threads.size() > 1; }
+    bool operator==(const Workload &) const = default;
 };
 
 /**

@@ -325,6 +325,48 @@ TEST(FuzzRecord, InflatedCountsWithValidCrcAreRejectedWithoutAllocating)
     EXPECT_EQ(tally.failures, 0u) << tally.firstFailure;
 }
 
+TEST(FuzzRecord, DecodeAndCopyAllocationsStayFlat)
+{
+    // A figure cell's record: the 21 scalars a core exports. A decode
+    // and a copy of the result may allocate the three double vectors,
+    // the scalar table (which grows by doubling while a decode appends,
+    // and is allocated once by a copy) and each name too long for the
+    // string's inline buffer; one allocation per scalar, as a node per
+    // name would make, exceeds both bounds.
+    RunSpec spec;
+    spec.workload = resolveWorkload("gcc");
+    spec.totalOps = 2000;
+    spec.warmupOps = 0;
+    const RunResult result = runOnce(spec);
+    ASSERT_EQ(result.scalars.size(), 21u);
+    std::size_t longNames = 0;
+    for (const auto &[name, value] : result.scalars)
+        longNames += name.size() > std::string().capacity() ? 1 : 0;
+    const std::size_t vectors = 3;
+    const std::size_t growth = 6; // capacities 1, 2, 4, 8, 16, 32
+
+    const store::Fingerprint fp{0x5555ull, 0x6666ull};
+    const std::string rec = store::encodeRecord(fp, result);
+    RunResult decoded;
+    std::size_t decodeAllocs = 0;
+    {
+        AllocWatch watch;
+        ASSERT_TRUE(store::decodeRecord(rec, fp, decoded));
+        decodeAllocs = watch.count();
+    }
+    std::size_t copyAllocs = 0;
+    {
+        AllocWatch watch;
+        const RunResult copy = decoded;
+        copyAllocs = watch.count();
+        EXPECT_TRUE(copy.scalars == result.scalars);
+    }
+    EXPECT_LE(decodeAllocs, vectors + growth + longNames);
+    EXPECT_LE(copyAllocs, vectors + 1 + longNames);
+    EXPECT_LT(decodeAllocs, result.scalars.size());
+    EXPECT_LT(copyAllocs, result.scalars.size());
+}
+
 namespace
 {
 

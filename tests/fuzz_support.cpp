@@ -1,7 +1,8 @@
 /**
  * @file
  * The fuzz binary's global operator new, which records the largest
- * allocation made while an AllocWatch is in scope.
+ * allocation, and counts the allocations, made while an AllocWatch is
+ * in scope.
  */
 
 #include "fuzz_support.hh"
@@ -15,6 +16,7 @@ namespace
 
 std::atomic<bool> watching{false};
 std::atomic<std::size_t> largestAlloc{0};
+std::atomic<std::size_t> allocCount{0};
 
 } // anonymous namespace
 
@@ -22,6 +24,7 @@ void *
 operator new(std::size_t n)
 {
     if (watching.load(std::memory_order_relaxed)) {
+        allocCount.fetch_add(1, std::memory_order_relaxed);
         std::size_t prev = largestAlloc.load(std::memory_order_relaxed);
         while (n > prev && !largestAlloc.compare_exchange_weak(prev, n)) {
         }
@@ -59,6 +62,7 @@ namespace loopsim::fuzz
 AllocWatch::AllocWatch()
 {
     largestAlloc.store(0, std::memory_order_relaxed);
+    allocCount.store(0, std::memory_order_relaxed);
     watching.store(true, std::memory_order_relaxed);
 }
 
@@ -71,6 +75,12 @@ std::size_t
 AllocWatch::largest() const
 {
     return largestAlloc.load(std::memory_order_relaxed);
+}
+
+std::size_t
+AllocWatch::count() const
+{
+    return allocCount.load(std::memory_order_relaxed);
 }
 
 } // namespace loopsim::fuzz

@@ -16,7 +16,8 @@
 namespace loopsim::fuzz
 {
 
-/** Largest single allocation made while in scope. */
+/** The largest single allocation, and how many were made, while in
+ *  scope. */
 class AllocWatch
 {
   public:
@@ -25,6 +26,7 @@ class AllocWatch
     AllocWatch(const AllocWatch &) = delete;
     AllocWatch &operator=(const AllocWatch &) = delete;
     std::size_t largest() const;
+    std::size_t count() const;
 };
 
 /** Mutants that loaded, were rejected, and broke the contract. */

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "base/logging.hh"
+#include "core_test_util.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
 #include "harness/report.hh"
@@ -358,6 +359,45 @@ TEST(Integrity, StructuralChecksPassOnAHealthyRun)
     spec.overrides.setUint("integrity.checks.interval", 16);
     RunResult r = runOnce(spec);
     EXPECT_EQ(r.retired, 6000u);
+}
+
+TEST(Integrity, SampleCountsIssueAndRetireSinceBuild)
+{
+    // A hang report can span the end of warmup: both counts come from
+    // the same window (since build), so neither falls when
+    // beginMeasurement() resets the measured statistics.
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < 400; ++i) {
+        const auto r = static_cast<ArchReg>(1 + i % 8);
+        const auto s = static_cast<ArchReg>(1 + (i + 5) % 8);
+        ops.push_back(i % 25 == 10
+                          ? opbuild::load(r, r, 0x5000000 + 4096 * i)
+                          : opbuild::alu(r, r, s));
+    }
+    for (KernelMode mode : {KernelMode::Dense, KernelMode::Sparse}) {
+        SCOPED_TRACE(mode == KernelMode::Dense ? "dense" : "sparse");
+        auto h = testutil::makeHarness(ops);
+        Core &core = *h.core;
+        h.sim.setKernelMode(mode);
+        h.sim.add(&core);
+        h.sim.run(200);
+        ASSERT_FALSE(core.done());
+        const IntegritySample warm = core.integritySample(h.sim.now());
+        ASSERT_GT(warm.issued, 0u);
+        ASSERT_GT(warm.retired, 0u);
+        EXPECT_GE(warm.issued, warm.retired);
+
+        core.beginMeasurement();
+        const IntegritySample reset = core.integritySample(h.sim.now());
+        EXPECT_EQ(reset.issued, warm.issued);
+        EXPECT_EQ(reset.retired, warm.retired);
+
+        h.sim.run(150);
+        const IntegritySample later = core.integritySample(h.sim.now());
+        EXPECT_GT(later.issued, warm.issued);
+        EXPECT_GT(later.retired, warm.retired);
+        EXPECT_GE(later.issued, later.retired);
+    }
 }
 
 TEST(Experiment, CycleLimitThrowsSimErrorWithPhase)

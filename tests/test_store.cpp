@@ -253,6 +253,122 @@ TEST_F(StoreEnv, FingerprintIgnoresKeyOrderAndOverlayChannel)
               store::fingerprintRun(a, policy));
 }
 
+namespace
+{
+
+/** Every spec of @p plan batch-fingerprinted must equal its own
+ *  fingerprintRun(). */
+void
+expectBatchMatchesSingle(const CampaignPlan &plan, const std::string &what)
+{
+    std::vector<const RunSpec *> specs;
+    for (const PlannedRun &cell : plan.runs())
+        specs.push_back(&cell.spec);
+    const std::vector<store::Fingerprint> batch =
+        store::fingerprintRuns(specs);
+    ASSERT_EQ(batch.size(), specs.size()) << what;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(batch[i], store::fingerprintRun(*specs[i], RetryPolicy{}))
+            << what << " cell " << i;
+    }
+}
+
+/** The plans of Figures 4 to 9 and of the DRA and recovery ablations,
+ *  recorded without running a cell. */
+std::vector<CampaignPlan>
+figurePlans()
+{
+    PlanRecorder recorder;
+    figure4(3000);
+    figure5(3000);
+    figure6(3000, {"turb3d", "swim"});
+    figure8(3000);
+    figure9(3000);
+    const std::vector<std::string> w = benchutil::ablationWorkloads();
+    ablationCrcSize(3000, w);
+    ablationCrcRepl(3000, w);
+    ablationInsertionBits(3000, w);
+    ablationFwdDepth(3000, w);
+    ablationCrcTimeout(3000, w);
+    ablationLoadRecovery(3000, w);
+    ablationKillShadow(3000, w);
+    ablationMemDep(3000, w);
+    return recorder.plans();
+}
+
+} // anonymous namespace
+
+TEST_F(StoreEnv, BatchFingerprintsEqualSingleOnEveryFigurePlan)
+{
+    const std::vector<CampaignPlan> plans = figurePlans();
+    ASSERT_EQ(plans.size(), 13u);
+    std::size_t cells = 0;
+    for (std::size_t p = 0; p < plans.size(); ++p) {
+        cells += plans[p].size();
+        expectBatchMatchesSingle(plans[p], "plan " + std::to_string(p));
+    }
+    EXPECT_GT(cells, 300u);
+
+    // The same plans with a process overlay in force: it joins every
+    // cell's configuration prefix.
+    Config overlay;
+    overlay.setUint("integrity.watchdog.window", 54321);
+    overlay.setUint("core.iq.entries", 96);
+    setRunOverlay(overlay);
+    for (std::size_t p = 0; p < plans.size(); ++p)
+        expectBatchMatchesSingle(plans[p], "overlay plan " + std::to_string(p));
+    clearRunOverlay();
+}
+
+TEST_F(StoreEnv, BatchFingerprintsEqualSingleOnMixedRows)
+{
+    // Rows interleaved and repeated, a two-thread workload, budgets
+    // that differ inside a row, and configurations shared across rows
+    // and repeated within one.
+    Config base5;
+    setBasePipeline(base5, 5);
+    Config dra7;
+    setDraPipeline(dra7, 7);
+    const std::vector<Config> columns = {base5, dra7, Config{}, base5};
+    CampaignPlan plan;
+    for (const char *w : {"gcc", "apsi-swim", "gcc", "swim", "swim",
+                          "apsi-swim", "gcc"}) {
+        for (std::size_t c = 0; c < columns.size(); ++c)
+            plan.add(resolveWorkload(w), columns[c], 3000 + (c == 2));
+    }
+    for (std::size_t n = 1; n <= 9; ++n)
+        plan.add(resolveWorkload("m88-comp"), columns[n % 2], 4000);
+    RunSpec warm = plan.at(0).spec;
+    warm.warmupOps = 1000;
+    plan.add(warm);
+    RunSpec capped = plan.at(0).spec;
+    capped.maxCycles = 123456;
+    plan.add(capped);
+    expectBatchMatchesSingle(plan, "mixed");
+
+    // +0.0 and -0.0 compare equal but hash different bytes: a row must
+    // not fold them together.
+    CampaignPlan zeros;
+    RunSpec pos = storeSpec("swim", 3000);
+    pos.workload.threads[0].barrierFrac = 0.0;
+    RunSpec neg = pos;
+    neg.workload.threads[0].barrierFrac = -0.0;
+    ASSERT_TRUE(pos.workload == neg.workload);
+    for (const RunSpec *s : {&pos, &neg, &pos, &neg, &neg, &pos})
+        zeros.add(*s);
+    expectBatchMatchesSingle(zeros, "signed zeros");
+    EXPECT_NE(store::fingerprintRun(pos, RetryPolicy{}),
+              store::fingerprintRun(neg, RetryPolicy{}));
+
+    Config overlay;
+    overlay.setUint("integrity.watchdog.window", 777);
+    setRunOverlay(overlay);
+    expectBatchMatchesSingle(plan, "mixed under an overlay");
+    clearRunOverlay();
+
+    EXPECT_TRUE(store::fingerprintRuns({}).empty());
+}
+
 TEST_F(StoreEnv, FingerprintCoversEveryResultShapingInput)
 {
     const RetryPolicy policy;
@@ -492,6 +608,26 @@ TEST(StoreCompat, Crc32MatchesBytewiseReference)
         for (std::size_t off = 0; off < 8; ++off) {
             const unsigned char *p = buf.data() + off;
             ASSERT_EQ(store::crc32(p, len), bytewiseCrc32(p, len))
+                << "length " << len << " at offset " << off;
+        }
+    }
+}
+
+TEST(StoreCompat, Crc32FoldMatchesTables)
+{
+    // The carry-less-multiply fold against the slicing-by-8 tables on
+    // every length 0..4096 at every start offset 0..15: short buffers,
+    // the 64-byte threshold, every 16-byte tail and misaligned loads.
+    if (!store::crc32Folds())
+        GTEST_SKIP() << "this CPU has no PCLMULQDQ; crc32() is the tables";
+    std::mt19937_64 rng(0xc1c1);
+    std::vector<unsigned char> buf(4096 + 16);
+    for (unsigned char &c : buf)
+        c = static_cast<unsigned char>(rng());
+    for (std::size_t off = 0; off < 16; ++off) {
+        for (std::size_t len = 0; len <= 4096; ++len) {
+            const unsigned char *p = buf.data() + off;
+            ASSERT_EQ(store::crc32(p, len), store::crc32Tables(p, len))
                 << "length " << len << " at offset " << off;
         }
     }
